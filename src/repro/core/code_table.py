@@ -28,6 +28,11 @@ Value = Hashable
 CoreKey = FrozenSet[Value]
 
 
+def _repr_index(lengths: Mapping[Value, float]) -> Dict[Value, str]:
+    """``repr`` of every value of a code table: :meth:`set_cost`'s sort key."""
+    return {value: repr(value) for value in lengths}
+
+
 class StandardCodeTable:
     """Optimal per-value Shannon codes from global value frequencies."""
 
@@ -42,6 +47,7 @@ class StandardCodeTable:
                 raise EncodingError(f"non-positive frequency for {value!r}")
             self._lengths[value] = -math.log2(count / total)
         self._total = total
+        self._reprs = _repr_index(self._lengths)
 
     @classmethod
     def from_graph(cls, graph: AttributedGraph) -> "StandardCodeTable":
@@ -71,14 +77,21 @@ class StandardCodeTable:
     def set_cost(self, values: Iterable[Value]) -> float:
         """Cost in bits of materialising ``values`` in a code table.
 
-        Terms are summed in sorted order: float addition is order-
-        sensitive and set iteration order varies with the hash seed, so
-        this keeps every derived description length (including the
-        incremental gain bookkeeping) identical across processes.
+        Terms are summed in ``sorted(values, key=repr)`` order: float
+        addition is order-sensitive and set iteration order varies with
+        the hash seed, so this keeps every derived description length
+        (including the incremental gain bookkeeping) identical across
+        processes.  The reprs are computed once per table value, not
+        per call.
         """
-        return sum(
-            self.code_length(value) for value in sorted(values, key=repr)
-        )
+        try:
+            ordered = sorted(values, key=self._reprs.__getitem__)
+        except KeyError as missing:
+            raise EncodingError(
+                f"value {missing.args[0]!r} is not in the code table"
+            ) from None
+        lengths = self._lengths
+        return sum([lengths[value] for value in ordered])
 
     def lengths(self) -> Dict[Value, float]:
         """A copy of the value -> code length mapping."""
@@ -107,6 +120,7 @@ class StandardCodeTable:
         table = cls.__new__(cls)
         table._lengths = {value: bits for value, bits in document["lengths"]}
         table._total = document["total_occurrences"]
+        table._reprs = _repr_index(table._lengths)
         return table
 
 

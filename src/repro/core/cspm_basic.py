@@ -276,6 +276,7 @@ def run_basic(
         if best_pair is None:
             break
         outcome = db.merge(*best_pair)
+        engine.drop_views(outcome.removed_leafsets)
         if store is not None:
             store.discard(db.interner.canonical_pair(*best_pair))
             for leaf in db.interner.order(outcome.removed_leafsets):

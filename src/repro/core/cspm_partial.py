@@ -260,6 +260,7 @@ def run_partial(
 
         gains_computed = pending_gains
         pending_gains = 0
+        engine.drop_views(outcome.removed_leafsets)
         for leaf in outcome.removed_leafsets:
             state.drop_leafset(leaf)
         if update_scope == "related":

@@ -27,17 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import xlog2x
 
 LeafKey = FrozenSet[Hashable]
-
-# Interned leafset ids are packed into a single cache key; 2^32 leafsets
-# is far beyond anything a big-int-mask database can hold.
-_PAIR_SHIFT = 32
 
 
 @dataclass(frozen=True)
@@ -77,6 +73,25 @@ class GainBreakdown:
 ZERO_GAIN = GainBreakdown(0.0, 0.0, 0.0)
 
 
+class _DirectXlogx:
+    """:func:`~repro.core.mdl.xlog2x` behind the xlogx table's indexing.
+
+    Serves a term whose ``fe`` is past :attr:`GainEngine._XLOGX_CAP`;
+    its values equal the table's bit for bit, since both compute
+    ``x * log2(x)``.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, x: int) -> float:
+        return xlog2x(x)
+
+
+_DIRECT_XLOGX = _DirectXlogx()
+# The view of a leafset with no rows; shared, so never mutated.
+_NO_CORES: Dict = {}
+
+
 class GainEngine:
     """Fast gain evaluation bound to one database and its code tables.
 
@@ -85,26 +100,39 @@ class GainEngine:
     lazily-grown lookup table, leafset standard-code costs and coreset
     pointer lengths are cached, row frequencies come from the database's
     incrementally-maintained popcount index (one mask ``and_count`` per
-    common coreset instead of three popcounts), and each pair's
-    common-coreset list is memoised.  All mask arithmetic goes through
-    the database's :mod:`~repro.core.masks` backend, so the engine is
-    representation-agnostic and exact on every backend.
+    common coreset instead of three popcounts), and each leafset's rows
+    are read through a memoised **row view**.  All mask arithmetic goes
+    through the database's :mod:`~repro.core.masks` backend, so the
+    engine is representation-agnostic and exact on every backend.
 
-    The common-coreset cache is keyed by the packed interned pair id and
-    validated by the two leafsets' merge epochs: a leafset's coreset
-    membership changes only in merges it participates in, so two epoch
-    comparisons decide reuse.  Arguments are canonicalised to interned-id
-    order before any arithmetic, making the returned floats independent
-    of call orientation — CSPM-Partial's lazy scope relies on this to
-    reuse stored breakdowns bit-for-bit.
+    A row view is ``{coreset: (row mask, row frequency, pointer
+    length)}`` over one leafset's rows, in the database's
+    ``_leaf_to_cores`` insertion order.  It stays valid while the
+    leafset's merge epoch is unchanged: a leafset's rows, frequencies
+    and coreset order change only in merges it takes part in, and each
+    such merge bumps its epoch.  The search drops the views of leafsets
+    a merge removed (:meth:`drop_views`).  :meth:`gain` walks the
+    smaller of the pair's two views and probes the other, so the
+    common-coreset intersection and the term loop are one pass.
+
+    Float contract: the terms are visited in the order of the view with
+    fewer coresets (the lower interned id's on a tie), skipping
+    coresets absent from the other view; each term is the Eq. 10-15
+    expression of :func:`pair_gain`, and the four accumulators are
+    updated in the same order (model: new row, then x total, then y
+    total).  Arguments are canonicalised to interned-id order before
+    any arithmetic, making the returned floats independent of call
+    orientation — CSPM-Partial's lazy scope relies on this to reuse
+    stored breakdowns bit-for-bit.
 
     The xlogx table grows geometrically on demand, so it ends up sized
     to the largest coreset frequency actually encountered (every
-    Eq. 10-15 argument is bounded by some ``fe``) rather than the
-    database's total frequency — tiny graphs in ``fit_many`` batches no
-    longer each allocate a table proportional to ``total_frequency()``.
-    Arguments beyond ``_XLOGX_CAP`` fall back to direct computation
-    instead of materialising an extreme-scale table.
+    Eq. 10-15 argument is bounded by its term's ``fe``, so one bound
+    check per term covers all seven lookups) rather than the
+    database's total frequency — tiny graphs in ``fit_many`` batches
+    do not each allocate a table proportional to ``total_frequency()``.
+    A term whose ``fe`` is beyond ``_XLOGX_CAP`` falls back to direct
+    computation instead of materialising an extreme-scale table.
     """
 
     _XLOGX_CAP = 4_000_000
@@ -121,8 +149,8 @@ class GainEngine:
         self._leaf_cost = {}
         self._pointer = {}
         self._xlogx = [0.0, 0.0]
-        # packed pair id -> (common coresets, leaf_epoch_x, leaf_epoch_y)
-        self._pair_cores: dict = {}
+        # leafset -> (its merge epoch when built, its row view)
+        self._views: Dict[LeafKey, Tuple[int, Dict]] = {}
         # Bound mask ops of the database's backend: the hot loop's xye
         # count and the disjoint-union prefilter (repro.core.masks).
         self._and_count = db.mask_backend.and_count
@@ -137,48 +165,53 @@ class GainEngine:
         """
         return {
             "xlogx_table": len(self._xlogx),
-            "pair_cores": len(self._pair_cores),
+            "row_views": len(self._views),
             "leaf_cost": len(self._leaf_cost),
             "pointer": len(self._pointer),
         }
 
-    def _xl(self, x: int) -> float:
+    def _xlogx_upto(self, bound: int):
+        """An indexable ``t`` with ``t[x] == xlog2x(x)`` for ``0 <= x <= bound``."""
         table = self._xlogx
-        if x < len(table):
-            return table[x]
-        if x > self._XLOGX_CAP:  # pragma: no cover - guard for extreme scales
-            return xlog2x(x)
         size = len(table)
-        new_size = min(max(x + 1, 2 * size), self._XLOGX_CAP + 1)
+        if bound < size:
+            return table
+        if bound > self._XLOGX_CAP:
+            return _DIRECT_XLOGX
+        new_size = min(max(bound + 1, 2 * size), self._XLOGX_CAP + 1)
         table.extend(i * log2(i) for i in range(size, new_size))
-        return table[x]
+        return table
 
-    def common_cores(
-        self, leaf_x: LeafKey, leaf_y: LeafKey, id_x: int, id_y: int
-    ) -> Sequence:
-        """The pair's common coresets, memoised (``id_x <= id_y``).
+    def row_view(self, leaf: LeafKey) -> Dict:
+        """``{coreset: (row mask, row frequency, pointer length)}`` of ``leaf``.
 
-        The cached list preserves the iteration order of the smaller
-        coreset set at build time, so repeated evaluations sum the gain
-        terms in the same order and return identical floats.
+        Memoised per leafset and rebuilt once the leafset's merge epoch
+        moves; read-only, like the masks it holds.  Empty for a leafset
+        with no rows.
         """
-        key = (id_x << _PAIR_SHIFT) | id_y
         db = self.db
-        epoch_x = db.leaf_epoch(leaf_x)
-        epoch_y = db.leaf_epoch(leaf_y)
-        cached = self._pair_cores.get(key)
-        if cached is not None and cached[1] == epoch_x and cached[2] == epoch_y:
-            return cached[0]
-        cores_x = db._leaf_to_cores.get(leaf_x)
-        cores_y = db._leaf_to_cores.get(leaf_y)
-        if not cores_x or not cores_y:
-            common: List = []
-        else:
-            if len(cores_x) > len(cores_y):
-                cores_x, cores_y = cores_y, cores_x
-            common = [core for core in cores_x if core in cores_y]
-        self._pair_cores[key] = (common, epoch_x, epoch_y)
-        return common
+        epoch = db._leaf_epoch.get(leaf, 0)
+        cached = self._views.get(leaf)
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        cores = db._leaf_to_cores.get(leaf)
+        if not cores:
+            return _NO_CORES
+        rows = db._rows
+        row_freq = db._row_freq
+        pointer = self.pointer
+        view = {}
+        for core in cores:
+            key = (core, leaf)
+            view[core] = (rows[key], row_freq[key], pointer(core))
+        self._views[leaf] = (epoch, view)
+        return view
+
+    def drop_views(self, leafsets: Iterable[LeafKey]) -> None:
+        """Forget the row views of leafsets a merge removed."""
+        views = self._views
+        for leaf in leafsets:
+            views.pop(leaf, None)
 
     def stale_since(
         self, leaf_x: LeafKey, leaf_y: LeafKey, validated_at: int
@@ -189,8 +222,8 @@ class GainEngine:
         frequencies, row existence) over the pair's common coresets, so
         the stored value is exact while no common coreset's merge epoch
         passed the validation point.  Endpoint participation in a later
-        merge is checked first — O(1), and it also re-validates the
-        cached common-coreset list.
+        merge is checked first — O(1), and it also vouches for the two
+        row views the coreset walk reads.
         """
         db = self.db
         if (
@@ -198,15 +231,13 @@ class GainEngine:
             or db.leaf_epoch(leaf_y) > validated_at
         ):
             return True
-        interner = db.interner
-        id_x = interner.intern(leaf_x)
-        id_y = interner.intern(leaf_y)
-        if id_x > id_y:
-            leaf_x, leaf_y = leaf_y, leaf_x
-            id_x, id_y = id_y, id_x
+        view_x = self.row_view(leaf_x)
+        view_y = self.row_view(leaf_y)
+        if len(view_x) > len(view_y):
+            view_x, view_y = view_y, view_x
         core_epoch = db._core_epoch
-        for core in self.common_cores(leaf_x, leaf_y, id_x, id_y):
-            if core_epoch.get(core, 0) > validated_at:
+        for core in view_x:
+            if core in view_y and core_epoch.get(core, 0) > validated_at:
                 return True
         return False
 
@@ -244,43 +275,56 @@ class GainEngine:
         ):
             return ZERO_GAIN
         interner = db.interner
-        id_x = interner.intern(leaf_x)
-        id_y = interner.intern(leaf_y)
-        if id_x > id_y:
+        if interner.intern(leaf_x) > interner.intern(leaf_y):
             leaf_x, leaf_y = leaf_y, leaf_x
-            id_x, id_y = id_y, id_x
-        common = self.common_cores(leaf_x, leaf_y, id_x, id_y)
-        if not common:
-            return ZERO_GAIN
-        rows = db._rows
-        freq = db._core_freq
-        row_freq = db._row_freq
-        new_leaf = leaf_x | leaf_y
+        view_x = self.row_view(leaf_x)
+        view_y = self.row_view(leaf_y)
+        # Sum the terms in the smaller view's coreset order (x on a tie).
+        walk_x = len(view_x) <= len(view_y)
+        walk, probe = (view_x, view_y) if walk_x else (view_y, view_x)
         price_model = self.standard_table is not None
-        new_leaf_cost = self.leaf_cost(new_leaf) if price_model else 0.0
-        xl = self._xl
+        if price_model:
+            new_leaf = leaf_x | leaf_y
+            new_cores = db._leaf_to_cores.get(new_leaf, _NO_CORES)
+            new_leaf_cost = self.leaf_cost(new_leaf)
+            cost_x = self.leaf_cost(leaf_x)
+            cost_y = self.leaf_cost(leaf_y)
+        freq = db._core_freq
         and_count = self._and_count
+        xlogx = self._xlogx
+        limit = len(xlogx)
         p1 = 0.0
         p2 = 0.0
         model_gain = 0.0
         data_core_gain = 0.0
-        for core in common:
-            xye = and_count(rows[(core, leaf_x)], rows[(core, leaf_y)])
+        for core, walk_row in walk.items():
+            probe_row = probe.get(core)
+            if probe_row is None:
+                continue
+            if walk_x:
+                mask_x, xe, pointer = walk_row
+                mask_y, ye, _ = probe_row
+            else:
+                mask_x, xe, pointer = probe_row
+                mask_y, ye, _ = walk_row
+            xye = and_count(mask_x, mask_y)
             if not xye:
                 continue
-            xe = row_freq[(core, leaf_x)]
-            ye = row_freq[(core, leaf_y)]
             fe = freq[core]
-            p1 += xl(fe) - xl(fe - xye)
-            p2 += xl(xe) + xl(ye) - (xl(xe - xye) + xl(ye - xye) + xl(xye))
-            pointer = self.pointer(core)
+            if fe < limit:
+                xl = xlogx
+            else:
+                xl = self._xlogx_upto(fe)
+                limit = len(xlogx)
+            p1 += xl[fe] - xl[fe - xye]
+            p2 += xl[xe] + xl[ye] - (xl[xe - xye] + xl[ye - xye] + xl[xye])
             if price_model:
-                if (core, new_leaf) not in rows:
+                if core not in new_cores:
                     model_gain -= new_leaf_cost + pointer
                 if xye == xe:
-                    model_gain += self.leaf_cost(leaf_x) + pointer
+                    model_gain += cost_x + pointer
                 if xye == ye:
-                    model_gain += self.leaf_cost(leaf_y) + pointer
+                    model_gain += cost_y + pointer
             data_core_gain += xye * pointer
         if p1 == 0.0 and p2 == 0.0 and model_gain == 0.0 and data_core_gain == 0.0:
             return ZERO_GAIN

@@ -945,8 +945,7 @@ class InvertedDatabase:
 
         A leafset's rows — and hence its coreset membership — change
         only in merges it participates in, so this single int validates
-        any per-leafset derived data (e.g. the gain engine's cached
-        common-coreset lists).
+        any per-leafset derived data (e.g. the gain engine's row views).
         """
         return self._leaf_epoch.get(leaf, 0)
 

@@ -40,6 +40,11 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
 
     JSON object keys are strings; when ``int_vertices`` is true, keys of
     the ``attributes`` mapping are parsed back to ints when possible.
+
+    Raises :class:`~repro.errors.GraphError` for an edge that is not a
+    ``[u, v]`` pair of vertex ids or an attribute entry that is not an
+    array of values, naming the offending edge index or vertex key.
+    Each check is O(1) per entry.
     """
 
     def parse(key: str):
@@ -53,13 +58,30 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
     graph = AttributedGraph()
     for vertex in document.get("vertices", []):
         graph.add_vertex(vertex)
-    for u, v in document.get("edges", []):
-        graph.add_edge(u, v)
+    for index, edge in enumerate(document.get("edges", [])):
+        if type(edge) is not list or len(edge) != 2:
+            raise GraphError(f"edge {index} is not a [u, v] pair: {edge!r}")
+        try:
+            graph.add_edge(edge[0], edge[1])
+        except TypeError:
+            raise GraphError(
+                f"edge {index} has an unhashable vertex id: {edge!r}"
+            ) from None
     for key, values in document.get("attributes", {}).items():
+        if type(values) is not list:
+            raise GraphError(
+                f"attributes of vertex {key!r} must be an array of values, "
+                f"got {type(values).__name__}"
+            )
         vertex = parse(key)
         if vertex not in graph:
             graph.add_vertex(vertex)
-        graph.set_attributes(vertex, values)
+        try:
+            graph.set_attributes(vertex, values)
+        except TypeError:
+            raise GraphError(
+                f"attributes of vertex {key!r} hold an unhashable value"
+            ) from None
     return graph
 
 

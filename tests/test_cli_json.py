@@ -93,3 +93,23 @@ class TestMineText:
         for line in star_lines:
             leaf = line.split("-> {", 1)[1].split("}", 1)[0]
             assert len(leaf.split(",")) >= 2
+
+
+class TestMalformedGraphFile:
+    """Bad graph files end in one ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"edges": [[1]]},
+            {"edges": [[[1], 2]]},
+            {"edges": [[1, 2]], "attributes": {"1": "abc"}},
+        ],
+    )
+    def test_mine_exits_2_without_traceback(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["mine", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -134,12 +134,12 @@ class TestGainEngine:
         # No eager allocation proportional to total frequency.
         assert len(engine._xlogx) == 2
         for x in (1, 2, 3, 7, 100, 101):
-            assert engine._xl(x) == pytest.approx(xlog2x(x), abs=1e-12)
+            assert engine._xlogx_upto(x)[x] == pytest.approx(xlog2x(x), abs=1e-12)
         # Grown geometrically, bounded by what was actually requested.
         size = len(engine._xlogx)
         assert 101 < size <= 2 * 102
         # Re-reads hit the table without growing it further.
-        engine._xl(100)
+        engine._xlogx_upto(100)
         assert len(engine._xlogx) == size
 
     def test_net_respects_model_cost_flag(self, paper_db, paper_tables):

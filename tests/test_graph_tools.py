@@ -115,6 +115,23 @@ class TestIO:
         with pytest.raises(GraphError):
             load_json(path)
 
+    def test_string_attribute_value_rejected(self):
+        # A bare string is iterable: unchecked, "abc" became a, b and c.
+        with pytest.raises(GraphError, match="'1'"):
+            from_json_dict({"edges": [[1, 2]], "attributes": {"1": "abc"}})
+
+    @pytest.mark.parametrize("values", [7, None, {"a": 1}, [["a"]]])
+    def test_non_array_attribute_values_rejected(self, values):
+        with pytest.raises(GraphError, match="vertex '3'"):
+            from_json_dict({"edges": [[1, 2]], "attributes": {"3": values}})
+
+    @pytest.mark.parametrize(
+        "edge", [[1], [1, 2, 3], [[1], 2], "ab", 5, None, {"u": 1, "v": 2}]
+    )
+    def test_malformed_edge_rejected_with_its_index(self, edge):
+        with pytest.raises(GraphError, match="edge 1 "):
+            from_json_dict({"edges": [[1, 2], edge]})
+
     def test_adjacency_text_mentions_all_vertices(self, paper_graph):
         text = to_adjacency_text(paper_graph)
         assert len(text.splitlines()) == paper_graph.num_vertices
