@@ -13,10 +13,10 @@ The package is organised around the paper's pipeline:
     The paper's primary contribution: the inverted database, MDL
     accounting, the CSPM-Basic and CSPM-Partial search procedures, and
     the a-star scoring module (Algorithm 5).  Position masks are
-    pluggable (``repro.core.masks``): whole-graph bigint bitmaps, a
-    sparse chunked representation for paper-scale graphs, or
-    numpy-packed chunks — all mining bit-identical models
-    (``CSPMConfig(mask_backend=...)``, default ``"auto"``).
+    pluggable (``repro.core.masks``): whole-graph bigint bitmaps or a
+    sparse chunked representation for paper-scale graphs — both mining
+    bit-identical models (``CSPMConfig(mask_backend=...)``, default
+    ``"auto"``).
 ``repro.config`` / ``repro.pipeline`` / ``repro.batch``
     The public API surface: the frozen :class:`CSPMConfig`, the
     composable :class:`MiningPipeline` (encode coresets -> inverted DB
@@ -24,8 +24,8 @@ The package is organised around the paper's pipeline:
     batch runner.  ``CSPM`` is a thin facade over the default
     pipeline.
 ``repro.runtime``
-    The supervised parallel runtime: every worker pool (partitioned
-    construction, sharded search, batch runs) gets per-task timeouts,
+    The supervised parallel runtime: every worker pool (sharded
+    search, batch runs) gets per-task timeouts,
     bounded deterministic retries, bit-exact degrade-to-serial, and
     reproducible fault injection (:class:`FaultPlan`) — see
     ``docs/RESILIENCE.md``.
@@ -79,7 +79,7 @@ Quickstart::
 """
 
 from repro.batch import BatchResult, BatchRun, fit_many
-from repro.config import CONSTRUCTIONS, MASK_BACKENDS, SEARCHES, CSPMConfig
+from repro.config import MASK_BACKENDS, SEARCHES, CSPMConfig
 from repro.core.astar import AStar
 from repro.core.masks import MaskBackend
 from repro.core.miner import CSPM
@@ -96,7 +96,7 @@ from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 from repro.runtime import FaultEvent, FaultPlan
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "AStar",
@@ -104,7 +104,6 @@ __all__ = [
     "AttributedGraph",
     "BatchResult",
     "BatchRun",
-    "CONSTRUCTIONS",
     "CSPM",
     "CSPMConfig",
     "CSPMResult",

@@ -3,8 +3,8 @@
 Five PRs of performance work made correctness hang on contracts that
 were enforced only by convention: bit-exactness across mask backends,
 hash-seed-stable sorted accumulation in the MDL code, purity of every
-mask-backend read op, and pickle/fork safety of the partitioned
-builder's worker payloads.  This package checks those contracts
+mask-backend read op, and pickle/fork safety of the worker
+processes' payloads.  This package checks those contracts
 mechanically over the source tree — ``repro lint`` in the CLI, the
 ``lint`` job in CI — so the ROADMAP's next refactors (sharded search,
 CSR construction, out-of-core masks) trip a lint failure instead of a

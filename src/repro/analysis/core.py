@@ -5,7 +5,7 @@ the ``repro`` source tree.  Five PRs of performance work have left
 correctness hanging on contracts that are enforced only by convention
 and randomized tests — bit-exactness across mask backends, hash-seed-
 stable sorted accumulation in the MDL code, purity of the mask-backend
-protocol's read ops, pickle/fork safety of the partitioned builder.
+protocol's read ops, pickle/fork safety of the worker payloads.
 The rules in :mod:`repro.analysis.rules` encode those contracts as
 checkable artifacts so the next refactor trips a lint failure instead
 of a randomized-test heisenbug (the contracts themselves are written

@@ -1,6 +1,6 @@
 """Fork/pickle-safety rules for the multiprocessing paths.
 
-The partitioned builder (``core/construction.py``) and the batch runner
+The sharded search (``core/search_shard.py``) and the batch runner
 (``batch.py``) fan work out over ``ProcessPoolExecutor``.  Two
 contracts keep that safe (see docs/INVARIANTS.md, family 3):
 
@@ -8,10 +8,9 @@ contracts keep that safe (see docs/INVARIANTS.md, family 3):
   name in the worker process — a module-level function.  Lambdas and
   closures pickle by reference to a scope the worker does not have and
   fail only at runtime, on the non-fork platforms CI does not cover;
-* the payloads workers return (the ``PartitionResult`` columns) must be
-  built from plainly picklable types, because the reverse pickle is the
-  partitioned path's dominant cost and an unpicklable column fails
-  after the build work is already spent.
+* the payloads workers return (the ``ComponentRun`` columns) must be
+  built from plainly picklable types, because an unpicklable column
+  fails only after the worker's search is already spent.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ POOL_SUBMIT_METHODS = frozenset(
 #: Constructor keywords that carry a callable into a worker process.
 CALLABLE_KEYWORDS = frozenset({"initializer", "target"})
 
-#: Identifiers allowed in worker-payload dataclass annotations in
-#: core/construction.py: containers, scalars, and the module's own
-#: key/mask aliases — everything that pickles by value.
+#: Identifiers allowed in worker-payload dataclass annotations:
+#: containers, scalars, and the key/mask aliases — everything that
+#: pickles by value.
 PAYLOAD_ALLOWED_TYPES = frozenset(
     {
         "List",
@@ -73,7 +72,6 @@ PAYLOAD_ALLOWED_TYPES = frozenset(
         "CoreKey",
         "RowKey",
         "Mask",
-        "PlanItem",
     }
 )
 
@@ -245,11 +243,10 @@ class WorkerPayloadRule(Rule):
     """FRK002: worker-payload dataclasses in the multiprocessing
     modules restrict their fields to plainly picklable column types.
 
-    Every ``@dataclass`` in the partitioned-construction and sharded-
-    search modules is a cross-process payload (today:
-    ``PartitionResult`` and ``ComponentRun``).  Field annotations may
-    only use the allowlisted container/scalar names and the module's
-    own key/mask aliases — no callables, no live database or graph
+    Every ``@dataclass`` in the sharded-search module is a
+    cross-process payload (today: ``ComponentRun``).  Field
+    annotations may only use the allowlisted container/scalar names
+    and the key/mask aliases — no callables, no live database or graph
     types, nothing that drags un-picklable or megabyte-per-entry state
     through the result pickle.  See docs/INVARIANTS.md (family 3).
     """
@@ -258,7 +255,7 @@ class WorkerPayloadRule(Rule):
     title = "non-allowlisted type in a worker-payload dataclass"
 
     #: Modules whose dataclasses are cross-process payloads.
-    WORKER_MODULES = ("core/construction.py", "core/search_shard.py")
+    WORKER_MODULES = ("core/search_shard.py",)
 
     def check_module(
         self, module: SourceModule, context: LintContext

@@ -216,18 +216,6 @@ def fit_many(
         ``"serial"`` (default) runs in-process; ``"process"`` fans out
         over a :class:`~concurrent.futures.ProcessPoolExecutor` —
         graphs and results cross process boundaries via pickle.
-
-    Notes
-    -----
-    The config's construction knobs compose with the batch executor:
-    each run builds its inverted database per
-    ``config.construction``/``config.construction_workers`` (see
-    :mod:`repro.core.construction`).  Prefer one level of parallelism:
-    for many small graphs use ``executor="process"`` with the default
-    serial construction (per-graph columnar builds are already fast);
-    reserve ``construction="partitioned"`` for a *serial* batch over a
-    few paper-scale graphs — nesting both would spawn worker pools
-    inside worker processes.
     """
     if executor not in EXECUTORS:
         raise MiningError(

@@ -30,7 +30,6 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.config import (
-    CONSTRUCTIONS,
     ENCODERS,
     MASK_BACKENDS,
     METHODS,
@@ -82,23 +81,6 @@ def _add_mine(subparsers) -> None:
         "picks bigint below the chunking threshold and sparse chunked "
         "bitmaps at paper scale; every backend mines the identical "
         "model",
-    )
-    parser.add_argument(
-        "--construction",
-        choices=CONSTRUCTIONS,
-        default="serial",
-        help="inverted-database build path (repro.core.construction): "
-        "'serial' runs the columnar batch builder in-process, "
-        "'partitioned' shards the coreset space over worker processes; "
-        "the built database (and the mined model) is identical",
-    )
-    parser.add_argument(
-        "--construction-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --construction partitioned "
-        "(default: one per CPU)",
     )
     parser.add_argument(
         "--search",
@@ -329,8 +311,6 @@ def _mine_config(args) -> CSPMConfig:
         coreset_encoder=args.encoder,
         partial_update_scope=args.scope,
         mask_backend=args.mask_backend,
-        construction=args.construction,
-        construction_workers=args.construction_workers,
         search=args.search,
         search_workers=args.search_workers,
         worker_timeout=args.worker_timeout,

@@ -32,8 +32,7 @@ UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "exhaustive", "related")
 # Canonical backend-name registry; repro.core.masks re-exports it (this
 # module imports only repro.errors, so that direction is cycle-free;
 # repro.runtime.faults likewise imports only repro.errors).
-MASK_BACKENDS: Tuple[str, ...] = ("auto", "bigint", "chunked", "numpy")
-CONSTRUCTIONS: Tuple[str, ...] = ("serial", "partitioned")
+MASK_BACKENDS: Tuple[str, ...] = ("auto", "bigint", "chunked")
 SEARCHES: Tuple[str, ...] = ("serial", "sharded")
 ON_WORKER_FAILURE: Tuple[str, ...] = ("degrade", "raise")
 
@@ -78,23 +77,11 @@ class CSPMConfig:
     mask_backend:
         Position-mask representation for the inverted database
         (:mod:`repro.core.masks`): ``"auto"`` (default — bigint below
-        the chunking threshold, chunked at paper scale), ``"bigint"``,
-        ``"chunked"`` or ``"numpy"``.  Purely an execution-engine
-        choice: every backend mines the bit-identical model, so the
-        field is serialised only when non-default (schema-v1 result
-        documents stay byte-stable).
-    construction:
-        How the inverted database is built: ``"serial"`` (default —
-        the in-process columnar batch builder) or ``"partitioned"``
-        (the coreset space is sharded over worker processes,
-        :mod:`repro.core.construction`, and the sub-databases merged).
-        Like ``mask_backend`` this is purely an execution-engine
-        choice — the built database is identical either way — so it
-        too is serialised only when non-default.
-    construction_workers:
-        Worker-process count for ``construction="partitioned"``
-        (``None`` = one per CPU, capped by the partition count).
-        Ignored under serial construction.
+        the chunking threshold, chunked at paper scale), ``"bigint"``
+        or ``"chunked"``.  Purely an execution-engine choice: every
+        backend mines the bit-identical model, so the field is
+        serialised only when non-default (schema-v1 result documents
+        stay byte-stable).
     search:
         How the greedy search runs: ``"serial"`` (default — one
         process) or ``"sharded"`` (connected components of the
@@ -160,8 +147,6 @@ class CSPMConfig:
     top_k: Optional[int] = None
     min_leafset: int = 1
     mask_backend: str = "auto"
-    construction: str = "serial"
-    construction_workers: Optional[int] = None
     search: str = "serial"
     search_workers: Optional[int] = None
     worker_timeout: Optional[float] = None
@@ -221,20 +206,6 @@ class CSPMConfig:
             raise ConfigError(
                 f"mask_backend must be one of {MASK_BACKENDS}, "
                 f"got {self.mask_backend!r}"
-            )
-        if self.construction not in CONSTRUCTIONS:
-            raise ConfigError(
-                f"construction must be one of {CONSTRUCTIONS}, "
-                f"got {self.construction!r}"
-            )
-        if self.construction_workers is not None and not (
-            isinstance(self.construction_workers, int)
-            and not isinstance(self.construction_workers, bool)
-            and self.construction_workers >= 1
-        ):
-            raise ConfigError(
-                f"construction_workers must be None or a positive int, "
-                f"got {self.construction_workers!r}"
             )
         if self.search not in SEARCHES:
             raise ConfigError(
@@ -304,7 +275,6 @@ class CSPMConfig:
         """A JSON-serialisable mapping of the config.
 
         The execution-engine knobs (``mask_backend``,
-        ``construction``/``construction_workers``,
         ``search``/``search_workers`` and the supervised-runtime knobs
         ``worker_timeout``/``max_task_retries``/``on_worker_failure``/
         ``fault_plan``, and the observability knobs
@@ -319,10 +289,6 @@ class CSPMConfig:
         document = dataclasses.asdict(self)
         if document["mask_backend"] == "auto":
             del document["mask_backend"]
-        if document["construction"] == "serial":
-            del document["construction"]
-        if document["construction_workers"] is None:
-            del document["construction_workers"]
         if document["search"] == "serial":
             del document["search"]
         if document["search_workers"] is None:

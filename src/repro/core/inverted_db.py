@@ -12,12 +12,12 @@ co-occurrence counts behind Eq. 9-15 are position-set intersections,
 and AND+popcount on machine words is what keeps gain computation fast
 at Pokec scale.  The mask *representation* is pluggable
 (:mod:`repro.core.masks`): whole-graph Python ints (``bigint``, the
-default), sparse dict-of-chunk bitmaps (``chunked``) or numpy-packed
-chunks (``numpy``) — all bit-exact interchangeable, selected per
-database at construction.  The vertex->bit table is precomputed once
-per construction (in first-touch order over repr-sorted coresets, so
-community positions land in adjacent bits) and shared by every mask
-the database owns; after construction the order is *frozen* (see
+default) or sparse dict-of-chunk bitmaps (``chunked``) — bit-exact
+interchangeable, selected per database at construction.  The
+vertex->bit table is precomputed once per construction (in first-touch
+order over repr-sorted coresets, so community positions land in
+adjacent bits) and shared by every mask the database owns; after
+construction the order is *frozen* (see
 :meth:`InvertedDatabase._bit_of`).
 
 Construction itself is **columnar**: phase 1 plans the iteration and
@@ -26,11 +26,7 @@ the full sorted bit list and materialises each coreset's rows with one
 bulk ``MaskBackend.make_batch`` call, deriving row/coreset frequencies
 from batch lengths instead of per-bit increments.  The per-triple
 reference path survives as :meth:`InvertedDatabase._from_graph_triples`
-(the equivalence suite's oracle).  Because rows are partitionable by
-coreset, ``from_graph(construction="partitioned")`` can also fan
-phase 2 out over worker processes (:mod:`repro.core.construction`)
-against the shared vertex->bit table, merging sub-databases into the
-exact serial result.
+(the equivalence suite's oracle).
 
 Invariants maintained by this class (checked by :meth:`validate`):
 
@@ -45,6 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -59,17 +56,13 @@ from typing import (
     Tuple,
 )
 
-from repro.config import CONSTRUCTIONS
+import numpy as _np
+
 from repro.core.candidates import LeafsetInterner, leafset_sort_key
 from repro.core.masks import MaskBackend, BigintMaskBackend, bigint_mask_bytes
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import current
-
-try:  # Vectorised construction grouping; the pure path covers absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
 
 Value = Hashable
 Vertex = Hashable
@@ -214,10 +207,6 @@ class InvertedDatabase:
         # finishes: batch-built masks trust the precomputed table, so
         # implicit lazy extension afterwards would desynchronise them.
         self._vertex_order_frozen: bool = False
-        # Failure telemetry of a supervised partitioned build (a
-        # ``repro.runtime.supervisor.SiteReport``); ``None`` for serial
-        # or degenerate single-partition builds.  Parent-side only.
-        self.construction_report = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -229,9 +218,6 @@ class InvertedDatabase:
         graph: AttributedGraph,
         coreset_positions: Optional[Mapping[CoreKey, Iterable[Vertex]]] = None,
         mask_backend: Optional[MaskBackend] = None,
-        construction: str = "serial",
-        construction_workers: Optional[int] = None,
-        runtime_policy=None,
     ) -> "InvertedDatabase":
         """Build the initial inverted database from an attributed graph.
 
@@ -247,31 +233,11 @@ class InvertedDatabase:
         mask_backend:
             The position-mask representation (:mod:`repro.core.masks`);
             defaults to whole-graph bigint masks.
-        construction:
-            ``"serial"`` (default) builds rows in-process with the
-            columnar batch builder; ``"partitioned"`` shards the
-            coreset space over worker processes
-            (:mod:`repro.core.construction`) and merges the
-            sub-databases — the result is identical either way.
-        construction_workers:
-            Worker-process count for ``"partitioned"`` (``None`` =
-            one per CPU, capped by the partition count).
-        runtime_policy:
-            Optional :class:`repro.runtime.supervisor.RuntimePolicy`
-            for the partitioned path's supervised pool (timeouts,
-            retries, degrade-to-serial, fault injection); the site's
-            failure telemetry lands on ``db.construction_report``.
-            Ignored under serial construction.
 
         Every initial row is ``(Sc, {leaf value})`` with positions the
         vertices where ``Sc`` holds and some neighbour carries the leaf
         value.
         """
-        if construction not in CONSTRUCTIONS:
-            raise MiningError(
-                f"construction must be one of {CONSTRUCTIONS}, "
-                f"got {construction!r}"
-            )
         db = cls(mask_backend=mask_backend)
         if coreset_positions is None:
             coreset_positions = {
@@ -279,45 +245,15 @@ class InvertedDatabase:
                 for value, vertices in graph.value_positions().items()
             }
         obs = current()
-        if construction == "partitioned":
-            # Workers need the whole phase-1 product up front: the
-            # frozen vertex->bit table and the neighbour-value map are
-            # shared state every partition builds against.
-            with obs.span("build.plan", construction=construction):
-                plan, neighbor_values = db._plan_construction(
-                    graph, coreset_positions
-                )
-            from repro.core.construction import build_partitioned
-
-            with obs.span(
-                "build.rows",
-                construction=construction,
-                coresets=len(plan),
-            ):
-                db.construction_report = build_partitioned(
-                    db,
-                    plan,
-                    neighbor_values,
-                    workers=construction_workers,
-                    policy=runtime_policy,
-                )
-        else:
-            # Serial construction fuses phase 1's per-vertex work into
-            # the row loop: neighbour values are computed and the bit
-            # assigned on each vertex's first encounter, which happens
-            # in exactly the order the separate planning pass would
-            # have used (plan order, members in order, values-carrying
-            # vertices only).
-            with obs.span("build.plan", construction=construction):
-                plan = db._plan_coresets(coreset_positions)
-            with obs.span(
-                "build.rows",
-                construction=construction,
-                coresets=len(plan),
-            ):
-                db._build_rows(
-                    plan, graph.neighbor_values, graph.attribute_values()
-                )
+        # Phase 1's per-vertex work is fused into the row loop:
+        # neighbour values are computed and the bit assigned on each
+        # vertex's first encounter, which happens in exactly the order
+        # the separate planning pass would have used (plan order,
+        # members in order, values-carrying vertices only).
+        with obs.span("build.plan"):
+            plan = db._plan_coresets(coreset_positions)
+        with obs.span("build.rows", coresets=len(plan)):
+            db._build_rows(plan, graph)
         db._finalise_construction()
         return db
 
@@ -332,8 +268,8 @@ class InvertedDatabase:
         call per ``(coreset, vertex, leaf-value)`` triple.
 
         Kept verbatim as the oracle the construction-equivalence suite
-        compares the batched and partitioned paths against; production
-        code always goes through :meth:`from_graph`.
+        compares the columnar builder against; production code always
+        goes through :meth:`from_graph`.
         """
         db = cls(mask_backend=mask_backend)
         if coreset_positions is None:
@@ -361,8 +297,8 @@ class InvertedDatabase:
     ) -> Dict[CoreKey, List[Vertex]]:
         """The (coreset, sorted members) iteration plan, keys sorted.
 
-        Pure ordering work — no per-vertex graph access; the serial
-        builder fuses that into the row loop, the partitioned builder
+        Pure ordering work — no per-vertex graph access; the columnar
+        builder fuses that into the row loop, the reference builder
         adds it in :meth:`_plan_construction`.
         """
         plan: Dict[CoreKey, List[Vertex]] = {}
@@ -390,9 +326,8 @@ class InvertedDatabase:
         vertex with k attribute values is visited k times) and
         precomputes the vertex->bit table in the same first-touch order
         the row loop uses — one shared vertex order for every mask the
-        database will ever hold, and the table every construction
-        worker builds against.  The serial builder skips this pass and
-        assigns bits lazily at first encounter, which produces the
+        database will ever hold.  The columnar builder skips this pass
+        and assigns bits lazily at first encounter, which produces the
         identical table because the encounters happen in the same
         order.
         """
@@ -411,68 +346,19 @@ class InvertedDatabase:
                     vertex_ids.append(vertex)
         return plan, neighbor_values
 
-    def _build_rows(
-        self,
-        plan: Mapping[CoreKey, List[Vertex]],
-        values_of: Callable[[Vertex], FrozenSet[Value]],
-        universe: Iterable[Value],
-    ) -> None:
-        """Phase 2, columnar: collect whole rows, materialise in bulk.
-
-        The grouping pass gathers every row's full sorted bit list
-        first; masks are then built with bulk ``make_batch`` calls and
-        the frequency bookkeeping (``_row_freq``/``_core_freq``) comes
-        from list lengths instead of per-bit increments.  Each
-        coreset's rows are final when its iteration ends (no later
-        vertex can touch them), so materialising rows in per-coreset
-        sorted-leaf order reproduces the global (coreset, leafset) sort
-        order without ever sorting all rows at once —
-        ``mdl.initial_description_length`` accumulates the Eq. 1-8
-        terms over exactly this order.
-
-        ``values_of`` maps a vertex to its neighbour-value set (called
-        once per vertex — the serial builder passes the graph method
-        directly, workers pass their precomputed table) and
-        ``universe`` must cover every value ``values_of`` can return (a
-        superset is fine: ordinals are internal, only their relative
-        order matters).
-
-        Grouping itself is vectorised when numpy is available (one
-        lexsort per block of whole coresets) and falls back to a pure
-        dict grouping otherwise; both produce the identical database.
-        """
-        # Dense leaf ordinals in global ``_key_of`` order (for the
-        # singleton leafsets of construction that is repr order of the
-        # value): the hot loops then handle small ints instead of
-        # frozensets, and row ordering reduces to int comparisons — no
-        # key function, no repr recomputation.
-        ordered_values = sorted(universe, key=repr)
-        ordinal_of = {value: i for i, value in enumerate(ordered_values)}
-        leaf_by_ordinal = [frozenset((value,)) for value in ordered_values]
-        if _np is not None:
-            self._build_rows_sorted(
-                plan, values_of, ordinal_of, leaf_by_ordinal
-            )
-        else:  # pragma: no cover - exercised via the forced-fallback tests
-            self._build_rows_pure(
-                plan, values_of, ordinal_of, leaf_by_ordinal
-            )
-
     def _vertex_info(
         self,
         vertex: Vertex,
-        values_of: Callable[[Vertex], FrozenSet[Value]],
+        neighbor_values: Callable[[Vertex], FrozenSet[Value]],
         ordinal_of: Dict[Value, int],
     ) -> Tuple:
         """First-encounter record: ``(bit, ordinals, [bit]*k)`` or ``()``.
 
-        Lazy bit assignment happens here for the serial builder; the
-        encounters run in plan order over per-coreset member order, so
-        the table comes out exactly as ``_plan_construction`` would
-        precompute it (workers arrive with the table prefilled and
-        never take the assignment branch).
+        Lazy bit assignment happens here; the encounters run in plan
+        order over per-coreset member order, so the table comes out
+        exactly as ``_plan_construction`` would precompute it.
         """
-        values = values_of(vertex)
+        values = neighbor_values(vertex)
         if not values:
             return ()
         bit = self._vertex_bit.get(vertex)
@@ -502,24 +388,32 @@ class InvertedDatabase:
     #: splitting a coreset across flushes.
     _GROUP_BLOCK_TRIPLES = 2_000_000
 
-    def _build_rows_sorted(
-        self,
-        plan: Mapping[CoreKey, List[Vertex]],
-        values_of: Callable[[Vertex], FrozenSet[Value]],
-        ordinal_of: Dict[Value, int],
-        leaf_by_ordinal: List[LeafKey],
+    def _build_rows(
+        self, plan: Mapping[CoreKey, List[Vertex]], graph: AttributedGraph
     ) -> None:
-        """Vectorised grouping: flat (core, leaf, bit) triple columns,
-        one lexsort per block, rows read off the group boundaries.
+        """Phase 2, columnar: flat (core, leaf, bit) triple columns, one
+        sort per block, rows read off the group boundaries.
 
         The collect loop does three C-level ``extend`` calls per
         (coreset, vertex) pair instead of one dict probe per triple;
         the sort then delivers every row's bit list already ascending
         and in global (coreset, leafset) order, so row keys, counts and
-        the construction-order record all fall out of one pass.
+        the construction-order record all fall out of one pass —
+        ``mdl.initial_description_length`` accumulates the Eq. 1-8
+        terms over exactly this order.  Masks are built with bulk
+        ``make_batch`` calls and the frequency bookkeeping
+        (``_row_freq``/``_core_freq``) comes from group lengths instead
+        of per-bit increments.
         """
-        from itertools import repeat
-
+        # Dense leaf ordinals in global ``_key_of`` order (for the
+        # singleton leafsets of construction that is repr order of the
+        # value): the hot loops then handle small ints instead of
+        # frozensets, and row ordering reduces to int comparisons — no
+        # key function, no repr recomputation.
+        ordered_values = sorted(graph.attribute_values(), key=repr)
+        ordinal_of = {value: i for i, value in enumerate(ordered_values)}
+        leaf_by_ordinal = [frozenset((value,)) for value in ordered_values]
+        neighbor_values = graph.neighbor_values
         masks = self._masks
         rows = self._rows
         row_freq = self._row_freq
@@ -654,7 +548,7 @@ class InvertedDatabase:
                 info = vertex_rowinfo.get(vertex)
                 if info is None:
                     info = vertex_rowinfo[vertex] = self._vertex_info(
-                        vertex, values_of, ordinal_of
+                        vertex, neighbor_values, ordinal_of
                     )
                 if not info:
                     continue
@@ -666,88 +560,6 @@ class InvertedDatabase:
                 if len(cores_flat) >= block_cap:
                     flush()
         flush()
-        self._materialise_unions(leaf_masks, leaf_by_ordinal)
-        self._initial_row_order = row_order
-
-    def _build_rows_pure(
-        self,
-        plan: Mapping[CoreKey, List[Vertex]],
-        values_of: Callable[[Vertex], FrozenSet[Value]],
-        ordinal_of: Dict[Value, int],
-        leaf_by_ordinal: List[LeafKey],
-    ) -> None:
-        """Dict-grouping fallback (no numpy): per-coreset bit-list
-        dicts keyed by leaf ordinal, bulk-materialised per coreset.
-
-        Produces the identical database to the vectorised path — the
-        construction-equivalence tests force this branch to prove it.
-        """
-        masks = self._masks
-        rows = self._rows
-        row_freq = self._row_freq
-        leaf_to_cores = self._leaf_to_cores
-        core_to_leaves = self._core_to_leaves
-        core_freq = self._core_freq
-        make_batch = masks.make_batch
-        rows_update = rows.update
-        row_freq_update = row_freq.update
-        vertex_rowinfo: Dict[Vertex, Tuple] = {}
-        leaf_masks: Dict[int, List[Mask]] = {}
-        row_order: List[RowKey] = []
-        row_order_extend = row_order.extend
-        for core_key, members in plan.items():
-            members = self._dedupe_members(members)
-            row_bits: Dict[int, List[int]] = {}
-            get_row = row_bits.get
-            for vertex in members:
-                info = vertex_rowinfo.get(vertex)
-                if info is None:
-                    info = vertex_rowinfo[vertex] = self._vertex_info(
-                        vertex, values_of, ordinal_of
-                    )
-                if not info:
-                    continue
-                bit = info[0]
-                for ordinal in info[1]:
-                    bits = get_row(ordinal)
-                    if bits is None:
-                        row_bits[ordinal] = [bit]
-                    else:
-                        bits.append(bit)
-            if not row_bits:
-                continue
-            ordered = sorted(row_bits)
-            bit_lists = [row_bits[ordinal] for ordinal in ordered]
-            for bits in bit_lists:
-                # Bits are first-touch ordered globally but members are
-                # iterated per coreset, so lists are only mostly sorted.
-                bits.sort()
-            built = make_batch(bit_lists)
-            # Materialisation runs in sorted-ordinal order, so the keys
-            # list doubles as the construction-order row record; the
-            # per-row stores collapse into C-level bulk updates.
-            keys = [
-                (core_key, leaf_by_ordinal[ordinal]) for ordinal in ordered
-            ]
-            counts = list(map(len, bit_lists))
-            rows_update(zip(keys, built))
-            row_freq_update(zip(keys, counts))
-            core_freq[core_key] = sum(counts)
-            row_order_extend(keys)
-            leaves = [key[1] for key in keys]
-            have = core_to_leaves.get(core_key)
-            if have is None:
-                core_to_leaves[core_key] = set(leaves)
-            else:
-                have.update(leaves)
-            for ordinal, leaf, mask in zip(ordered, leaves, built):
-                cores = leaf_to_cores.get(leaf)
-                if cores is None:
-                    leaf_to_cores[leaf] = {core_key: None}
-                    leaf_masks[ordinal] = [mask]
-                else:
-                    cores[core_key] = None
-                    leaf_masks[ordinal].append(mask)
         self._materialise_unions(leaf_masks, leaf_by_ordinal)
         self._initial_row_order = row_order
 

@@ -1,14 +1,13 @@
 """Pluggable position-mask backends for the inverted database.
 
 See :mod:`repro.core.masks.base` for the backend protocol and the
-bit-exactness contract.  Three backends ship:
+bit-exactness contract.  Two backends ship:
 
 ========  ==========================================  =================
 name      representation                              best for
 ========  ==========================================  =================
 bigint    one whole-graph Python int per mask         small graphs
 chunked   dict of non-empty fixed-width int chunks    paper-scale sparse
-numpy     chunked with uint64 word arrays + numpy     wide dense chunks
 ========  ==========================================  =================
 
 Selection is by name through :func:`get_backend` /
@@ -46,14 +45,6 @@ def get_backend(name: str) -> MaskBackend:
         return BigintMaskBackend()
     if name == "chunked":
         return ChunkedMaskBackend()
-    if name == "numpy":
-        try:
-            from repro.core.masks.numpy_chunked import NumpyChunkedMaskBackend
-        except ImportError as exc:  # pragma: no cover - numpy is baked in
-            raise MiningError(
-                "mask_backend='numpy' requires numpy to be installed"
-            ) from exc
-        return NumpyChunkedMaskBackend()
     concrete = [backend for backend in MASK_BACKENDS if backend != "auto"]
     raise MiningError(
         f"unknown mask backend {name!r}; available: {concrete} "

@@ -17,9 +17,6 @@ backend choice:
     only its non-empty chunks in a dict.  Sparse rows touch only their
     chunks, so memory and AND cost follow ``O(set bits)`` instead of
     ``O(|V|)``.
-``numpy``
-    The chunked layout with chunks packed into ``uint64`` arrays and
-    popcounts vectorised via numpy.
 
 A backend is a *stateless* strategy object: masks are plain values
 (``int`` / ``dict``) interpreted through the backend that made them,
@@ -72,7 +69,7 @@ class MaskBackend:
     through the raw representation.
     """
 
-    #: Registry name (``"bigint"`` / ``"chunked"`` / ``"numpy"``).
+    #: Registry name (``"bigint"`` / ``"chunked"``).
     name: str = "abstract"
 
     # -- construction --------------------------------------------------
@@ -102,8 +99,8 @@ class MaskBackend:
         builder's phase-2 primitive: the database collects each row's
         full bit list first and materialises all of a coreset's rows
         here, so backends can amortise per-mask setup — the bigint
-        backend packs bytes and shifts once, the chunked backends
-        group consecutive bits by chunk index instead of re-hashing
+        backend packs bytes and shifts once, the chunked backend
+        groups consecutive bits by chunk index instead of re-hashing
         the chunk key per bit.  The default implementation falls back
         to :meth:`make` per list.
         """
@@ -152,11 +149,10 @@ class MaskBackend:
         The lazy refresh's batched skip test: one probe mask (a leaf
         union or a touched-row union) is tested against every candidate
         partner's union in a single call, so backends can amortise the
-        per-AND dispatch — the numpy backend stacks the partners into
-        word matrices and answers the whole batch with vectorised ANDs.
-        A pure read: neither ``mask`` nor any member of ``others`` may
-        be mutated.  The default implementation is the scalar loop, so
-        results are bit-exact across backends by construction.
+        per-AND dispatch.  A pure read: neither ``mask`` nor any member
+        of ``others`` may be mutated.  The default implementation is
+        the scalar loop, so results are bit-exact across backends by
+        construction.
         """
         overlaps = self.union_overlaps
         return [overlaps(mask, other) for other in others]

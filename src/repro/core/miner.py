@@ -48,10 +48,9 @@ class CSPM:
         the paper's settings).  Keywords passed *alongside* ``config``
         override the corresponding config fields.
     method, coreset_encoder, include_model_cost, max_iterations, \
-    partial_update_scope, top_k, min_leafset, mask_backend, \
-    construction, construction_workers, search, search_workers, \
-    worker_timeout, max_task_retries, on_worker_failure, fault_plan, \
-    trace, metrics, progress:
+    partial_update_scope, top_k, min_leafset, mask_backend, search, \
+    search_workers, worker_timeout, max_task_retries, on_worker_failure, \
+    fault_plan, trace, metrics, progress:
         Legacy/convenience knobs; see :class:`~repro.config.CSPMConfig`
         for their meaning.
     """
@@ -66,8 +65,6 @@ class CSPM:
         top_k: Optional[int] = _UNSET,
         min_leafset: int = _UNSET,
         mask_backend: str = _UNSET,
-        construction: str = _UNSET,
-        construction_workers: Optional[int] = _UNSET,
         search: str = _UNSET,
         search_workers: Optional[int] = _UNSET,
         worker_timeout: Optional[float] = _UNSET,
@@ -90,8 +87,6 @@ class CSPM:
                 ("top_k", top_k),
                 ("min_leafset", min_leafset),
                 ("mask_backend", mask_backend),
-                ("construction", construction),
-                ("construction_workers", construction_workers),
                 ("search", search),
                 ("search_workers", search_workers),
                 ("worker_timeout", worker_timeout),
@@ -141,14 +136,6 @@ class CSPM:
     @property
     def mask_backend(self) -> str:
         return self.config.mask_backend
-
-    @property
-    def construction(self) -> str:
-        return self.config.construction
-
-    @property
-    def construction_workers(self) -> Optional[int]:
-        return self.config.construction_workers
 
     @property
     def search(self) -> str:

@@ -23,10 +23,36 @@ from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.instrumentation import RunTrace
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import DescriptionLength, description_length
+from repro.errors import MiningError
 
 Value = Hashable
 
 SCHEMA_VERSION = 1
+
+#: Top-level keys every result document must carry (``config`` and
+#: ``runtime`` are optional).
+SECTIONS = (
+    "astars",
+    "trace",
+    "initial_dl",
+    "final_dl",
+    "standard_table",
+    "core_table",
+)
+
+
+def _astar_entry(index: int, entry: Any) -> AStar:
+    """One ``astars`` entry, or a :class:`MiningError` naming it."""
+    if (
+        isinstance(entry, Mapping)
+        and type(entry.get("coreset")) is list
+        and type(entry.get("leafset")) is list
+    ):
+        try:
+            return AStar.from_dict(entry)
+        except TypeError:  # an unhashable value
+            pass
+    raise MiningError(f"astars[{index}] is not an a-star entry: {entry!r}")
 
 
 @dataclass
@@ -208,11 +234,36 @@ class CSPMResult:
     def from_dict(cls, document: Mapping[str, Any]) -> "CSPMResult":
         """Rebuild a result from :meth:`to_dict` output.
 
-        The returned result has ``inverted_db=None``.
+        The returned result has ``inverted_db=None``.  A document of
+        another ``schema_version``, one missing a section of
+        :data:`SECTIONS`, or one holding a malformed ``astars`` entry
+        raises :class:`~repro.errors.MiningError` naming the key; a
+        config echo with an unknown field raises
+        :class:`~repro.errors.ConfigError`.
         """
+        if not isinstance(document, Mapping):
+            raise MiningError(
+                f"result document must be an object, "
+                f"got {type(document).__name__}"
+            )
+        version = document.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise MiningError(
+                f"result document schema_version must be {SCHEMA_VERSION}, "
+                f"got {version!r}"
+            )
+        missing = [key for key in SECTIONS if key not in document]
+        if missing:
+            raise MiningError(f"result document lacks section(s) {missing}")
+        astars = document["astars"]
+        if type(astars) is not list:
+            raise MiningError(
+                f"result document astars must be an array, "
+                f"got {type(astars).__name__}"
+            )
         config = document.get("config")
         return cls(
-            astars=[AStar.from_dict(entry) for entry in document["astars"]],
+            astars=[_astar_entry(i, entry) for i, entry in enumerate(astars)],
             trace=RunTrace.from_dict(document["trace"]),
             initial_dl=DescriptionLength.from_dict(document["initial_dl"]),
             final_dl=DescriptionLength.from_dict(document["final_dl"]),

@@ -53,10 +53,9 @@ re-flushes a single global pending counter at each replayed merge, and
 seeding also evaluates cross-component overlapping pairs that no
 worker ever sees.
 
-The fork/initializer/in-process triad mirrors
-:mod:`repro.core.construction` (docs/INVARIANTS.md, family 3): workers
-receive the database by fork inheritance where possible, and every
-cross-process payload (:class:`ComponentRun`) is plain picklable
+The fork/initializer/in-process triad (docs/INVARIANTS.md, family 3):
+workers receive the database by fork inheritance where possible, and
+every cross-process payload (:class:`ComponentRun`) is plain picklable
 columns.
 """
 

@@ -38,8 +38,11 @@ def to_json_dict(graph: AttributedGraph) -> dict:
 def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph:
     """Rebuild a graph from :func:`to_json_dict` output.
 
-    JSON object keys are strings; when ``int_vertices`` is true, keys of
-    the ``attributes`` mapping are parsed back to ints when possible.
+    JSON object keys are strings; a key of the ``attributes`` mapping
+    names the vertex it spells when that vertex already exists (listed
+    in ``vertices`` or used by an edge).  Otherwise, when
+    ``int_vertices`` is true, the key is parsed back to an int when
+    possible.
 
     Raises :class:`~repro.errors.GraphError` for an edge that is not a
     ``[u, v]`` pair of vertex ids or an attribute entry that is not an
@@ -48,7 +51,7 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
     """
 
     def parse(key: str):
-        if int_vertices:
+        if int_vertices and key not in graph:
             try:
                 return int(key)
             except (TypeError, ValueError):

@@ -30,10 +30,9 @@ Workloads
     ROADMAP's pokec scale-ceiling item names.  Whole-graph bigint
     masks are *infeasible* here (every row would pay ``O(|V|)`` bytes;
     the recorded ``bigint_mask_bytes_estimate`` shows gigabytes), so
-    this family always runs on a sparse chunked backend
-    (:mod:`repro.core.masks`): the suite-level ``--mask-backend``
-    choice is honoured when it names ``chunked`` or ``numpy`` and is
-    upgraded to ``chunked`` otherwise.  CSPM-Partial/overlap only —
+    this family always runs on the sparse chunked backend
+    (:mod:`repro.core.masks`), whatever the suite-level
+    ``--mask-backend`` choice.  CSPM-Partial/overlap only —
     the quadratic full scan over ~50k leafsets is exactly the blow-up
     the overlap generator removes.
 ``pokec-xl``
@@ -41,7 +40,7 @@ Workloads
     paper's pokec size — 32 000 communities = 800k vertices, and
     64 000 communities = 1.6M vertices for the top member.  Full
     suite only (the quick/CI flavour skips it); CSPM-Partial/overlap
-    on chunked-or-numpy masks, like ``pokec-sparse``.  This family
+    on chunked masks, like ``pokec-sparse``.  This family
     exists to pin the construction layer: its entries' recorded
     ``construction_seconds`` are what the columnar batch builder is
     accountable for.
@@ -53,7 +52,7 @@ Every run records wall-clock and the trace counters
 bits) plus — schema v3 — the resolved ``mask_backend`` and
 ``mask_peak_bytes`` (the larger of the mask memory held just after
 construction and at convergence; every series entry also carries the
-``bigint_mask_bytes_estimate`` reference, so the chunked backends'
+``bigint_mask_bytes_estimate`` reference, so the chunked backend's
 memory reduction is a recorded, assertable ratio).  ``partial`` runs
 use the library default update scope (``lazy``), recorded in the run's
 ``update_scope`` field.  Counters are structural — determined by the
@@ -61,10 +60,8 @@ graph, not the machine — so CI asserts regressions on them (``--check
 benchmarks/perf_bounds.json``) instead of on flaky wall-clock
 thresholds; wall-clock is recorded for the human-readable trajectory.
 Mask backends are bit-exact interchangeable, so re-running the suite
-under ``--mask-backend bigint|chunked|numpy`` must reproduce identical
-counters — the CI perf-smoke job exercises exactly that, and repeats
-the run under ``--construction partitioned`` (2 workers) as the
-bit-exactness gate for the coreset-partitioned build path.
+under ``--mask-backend bigint|chunked`` must reproduce identical
+counters — the CI perf-smoke job exercises exactly that.
 
 Schema v4 adds the construction layer: every series entry records
 ``construction_seconds`` (the ``BuildInvertedDB`` wall-clock for that
@@ -73,10 +70,7 @@ exists (:data:`PRE_COLUMNAR_CONSTRUCTION_SECONDS`) —
 ``construction_baseline_seconds``, so the batch builder's speedup is a
 ratio recorded inside the document.  Construction wall-clock is never
 asserted: ``max_construction_seconds`` entries in the bounds file are
-*report-only* (:func:`construction_report`).  The suite-level
-``--construction``/``--construction-workers`` flags select the build
-path for every workload; both paths construct the identical database,
-so all counter bounds apply unchanged.
+*report-only* (:func:`construction_report`).
 
 Schema v5 adds the search layer: every run records ``search_seconds``
 (the measured search-phase wall-clock — construction is timed
@@ -95,23 +89,26 @@ document records the suite-level ``fault_plan`` (the deterministic
 injection schedule of a chaos run, ``null`` for normal runs) plus the
 runtime knobs (``worker_timeout``/``max_task_retries``/
 ``on_worker_failure``); supervised sharded runs record ``retries`` and
-``degraded_tasks``, and supervised partitioned builds record
-``construction_retries``/``construction_degraded_tasks`` on the series
-entry.  Injected failures are recovered by retry or bit-exact
-in-process degradation, so **all counter bounds still apply unchanged
-under any fault plan** — that is the CI chaos-smoke job's gate.
+``degraded_tasks``.  Injected failures are recovered by retry or
+bit-exact in-process degradation, so **all counter bounds still apply
+unchanged under any fault plan**.
 
 Schema v7 adds observability (:mod:`repro.obs`): the suite-level
 ``--trace FILE`` records nested spans — including real worker-process
-lanes from the partitioned build and the sharded search — into one
-Chrome trace-event file, ``--progress`` streams throttled heartbeats
-to stderr, and ``--metrics FILE`` gives every measured run a *fresh*
-metrics registry whose snapshot (counters/gauges/histograms) is folded
-into the run entry as ``"metrics"`` and collected into FILE keyed by
+lanes from the sharded search — into one Chrome trace-event file,
+``--progress`` streams throttled heartbeats to stderr, and
+``--metrics FILE`` gives every measured run a *fresh* metrics registry
+whose snapshot (counters/gauges/histograms) is folded into the run
+entry as ``"metrics"`` and collected into FILE keyed by
 ``workload/label/case``.  Recording is read-only observation of the
 same code path: counters, DL floats and merge sequences are unchanged,
 so **all counter bounds apply unchanged with observability on** — the
 CI perf-smoke job's traced re-run gates exactly that.
+
+Schema v8 removes the coreset-partitioned build path: the document no
+longer records the suite-level build-path knobs, and series entries no
+longer carry the partitioned build's retry/degraded-task telemetry
+(every build is the in-process columnar one).
 
 A single workload family can be re-measured without discarding the
 rest of an existing document: ``--workload <name>`` (repeatable)
@@ -127,8 +124,6 @@ Output document (``BENCH_cspm.json``, schema v5)::
       "suite": "cspm-perf",
       "quick": bool,
       "mask_backend": "auto",                    # the suite-level request
-      "construction": "serial",                  # the suite-level build path
-      "construction_workers": null,
       "search": "serial",                        # the suite-level search path
       "search_workers": null,
       "workloads": [
@@ -185,7 +180,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import (
-    CONSTRUCTIONS,
     MASK_BACKENDS,
     ON_WORKER_FAILURE,
     SEARCHES,
@@ -208,7 +202,7 @@ from repro.obs import (
 from repro.pipeline import BuildInvertedDB, EncodeCoresets, PipelineContext
 from repro.runtime.supervisor import RuntimePolicy
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 WORKLOAD_NAMES = (
     "sparse-scaling",
@@ -301,30 +295,15 @@ def pokec_sparse_graph(num_communities: int, seed: int = 0) -> AttributedGraph:
     )
 
 
-def _prepare(
-    graph: AttributedGraph,
-    mask_backend: str = "auto",
-    construction: str = "serial",
-    construction_workers: Optional[int] = None,
-    runtime_kwargs: Optional[Dict[str, Any]] = None,
-):
+def _prepare(graph: AttributedGraph, mask_backend: str = "auto"):
     """Encode coresets + build the inverted DB once per workload size.
 
     Returns the database, the code tables, the initial DL bits and the
     construction wall-clock (the ``BuildInvertedDB`` stage records it
     in ``context.extras`` — schema v4's ``construction_seconds``).
-    ``runtime_kwargs`` carries the supervised-runtime config fields
-    (timeout/retries/failure mode/fault plan) into the build; the
-    site's telemetry lands on ``db.construction_report``.
     """
     context = PipelineContext(
-        graph=graph,
-        config=CSPMConfig(
-            mask_backend=mask_backend,
-            construction=construction,
-            construction_workers=construction_workers,
-            **(runtime_kwargs or {}),
-        ),
+        graph=graph, config=CSPMConfig(mask_backend=mask_backend)
     )
     EncodeCoresets().run(context)
     BuildInvertedDB().run(context)
@@ -444,8 +423,6 @@ def _measure_size(
     run_basic_too: bool,
     mask_backend: str = "auto",
     pair_sources: Sequence[str] = ("overlap", "full"),
-    construction: str = "serial",
-    construction_workers: Optional[int] = None,
     search: str = "serial",
     search_workers: Optional[int] = None,
     workload: Optional[str] = None,
@@ -454,11 +431,7 @@ def _measure_size(
 ) -> Dict[str, Any]:
     """All (algorithm, pair_source) runs for one workload size."""
     db0, standard, core, initial_bits, construction_seconds = _prepare(
-        graph,
-        mask_backend=mask_backend,
-        construction=construction,
-        construction_workers=construction_workers,
-        runtime_kwargs=runtime_kwargs,
+        graph, mask_backend=mask_backend
     )
     policy = RuntimePolicy.from_config(
         CSPMConfig(**(runtime_kwargs or {}))
@@ -505,14 +478,6 @@ def _measure_size(
     baseline = PRE_COLUMNAR_CONSTRUCTION_SECONDS.get((workload, label))
     if baseline is not None:
         entry["construction_baseline_seconds"] = baseline
-    if db0.construction_report is not None:
-        # Schema v6: the supervised partitioned build's failure
-        # telemetry (empty lists/zero on clean runs — their presence
-        # marks the build as supervised).
-        entry["construction_retries"] = db0.construction_report.retries
-        entry["construction_degraded_tasks"] = list(
-            db0.construction_report.degraded_tasks
-        )
     overlap = runs["partial/overlap"]
     full = runs.get("partial/full")
     if full is not None:
@@ -536,16 +501,6 @@ def _measure_size(
     else:
         entry["basic_wall_speedup"] = None
     return entry
-
-
-def _pokec_backend(mask_backend: str) -> str:
-    """The backend a pokec-sparse run actually uses.
-
-    Whole-graph bigint masks are the very infeasibility this family
-    demonstrates, so ``auto``/``bigint`` requests are upgraded to
-    ``chunked``; an explicit ``numpy`` request is honoured.
-    """
-    return mask_backend if mask_backend in ("chunked", "numpy") else "chunked"
 
 
 def workload_catalog() -> List[Dict[str, Any]]:
@@ -597,14 +552,14 @@ def workload_catalog() -> List[Dict[str, Any]]:
             "kind": "synthetic-community",
             "quick": communities(POKEC_SIZES_QUICK),
             "full": communities(POKEC_SIZES_FULL),
-            "runs": "partial/overlap only, chunked-or-numpy masks",
+            "runs": "partial/overlap only, chunked masks",
         },
         {
             "workload": "pokec-xl",
             "kind": "synthetic-community",
             "quick": [],
             "full": communities(POKEC_XL_SIZES_FULL),
-            "runs": "partial/overlap only, chunked-or-numpy masks "
+            "runs": "partial/overlap only, chunked masks "
             "(full suite only)",
         },
     ]
@@ -628,8 +583,6 @@ def run_suite(
     log=None,
     only: Optional[Sequence[str]] = None,
     mask_backend: str = "auto",
-    construction: str = "serial",
-    construction_workers: Optional[int] = None,
     search: str = "serial",
     search_workers: Optional[int] = None,
     worker_timeout: Optional[float] = None,
@@ -652,11 +605,8 @@ def run_suite(
     typos fail loudly instead of silently measuring nothing.
     ``mask_backend`` forces a position-mask representation on every
     workload (``pokec-sparse``/``pokec-xl`` upgrade ``auto``/``bigint``
-    to ``chunked`` — see :func:`_pokec_backend`); counters must be
+    to ``chunked``, the one sparse backend); counters must be
     identical across backends, which is how CI pins bit-exactness.
-    ``construction``/``construction_workers`` select the build path
-    the same way — the partitioned path must reproduce the serial
-    counters exactly, which is the CI partitioned smoke's gate.
     ``search``/``search_workers`` select the CSPM-Partial execution
     (schema v5): the component-sharded path stitches a bit-exact
     serial-equivalent trace, so the same counter bounds gate it too.
@@ -665,7 +615,7 @@ def run_suite(
     :class:`~repro.runtime.faults.FaultPlan` or its mapping/JSON/path
     spellings) — govern every worker pool the suite spins up; injected
     failures recover by retry or bit-exact degradation, so the bounds
-    still apply (the CI chaos smoke's gate).
+    still apply.
     """
     if only:
         unknown = sorted(set(only) - set(WORKLOAD_NAMES))
@@ -677,11 +627,6 @@ def run_suite(
         raise ValueError(
             f"unknown mask backend {mask_backend!r}; "
             f"available: {list(MASK_BACKENDS)}"
-        )
-    if construction not in CONSTRUCTIONS:
-        raise ValueError(
-            f"unknown construction {construction!r}; "
-            f"available: {list(CONSTRUCTIONS)}"
         )
     if search not in SEARCHES:
         raise ValueError(
@@ -717,8 +662,6 @@ def run_suite(
         return _measure_size(
             graph,
             label,
-            construction=construction,
-            construction_workers=construction_workers,
             search=search,
             search_workers=search_workers,
             workload=workload,
@@ -787,13 +730,12 @@ def run_suite(
         if not sizes:
             say(f"{family}: full-suite only, skipped under --quick")
             continue
-        backend = _pokec_backend(mask_backend)
         series = []
         for num_communities in sizes:
             say(
                 f"{family}: communities={num_communities} "
                 f"(~{num_communities * SPARSE_COMMUNITY_SIZE} vertices, "
-                f"mask_backend={backend}) ..."
+                f"mask_backend=chunked) ..."
             )
             graph = pokec_sparse_graph(num_communities, seed=seed)
             series.append(
@@ -802,7 +744,9 @@ def run_suite(
                     f"communities={num_communities}",
                     family,
                     run_basic_too=False,
-                    mask_backend=backend,
+                    # Whole-graph bigint masks are the very
+                    # infeasibility this family demonstrates.
+                    mask_backend="chunked",
                     pair_sources=("overlap",),
                 )
             )
@@ -822,8 +766,6 @@ def run_suite(
         "quick": quick,
         "seed": seed,
         "mask_backend": mask_backend,
-        "construction": construction,
-        "construction_workers": construction_workers,
         "search": search,
         "search_workers": search_workers,
         "worker_timeout": worker_timeout,
@@ -924,7 +866,7 @@ def check_bounds(
         Upper bound on the lazy scope's queue-head revalidations.
     ``min_mask_memory_reduction``
         Lower bound on ``bigint_mask_bytes_estimate / mask_peak_bytes``
-        of the overlap run — the chunked backends' raison d'être.  The
+        of the overlap run — the chunked backend's raison d'être.  The
         estimates are analytic (machine-independent), so the ratio is
         as deterministic as the counters.
     ``require_mask_backend``
@@ -1114,25 +1056,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "unchanged",
     )
     parser.add_argument(
-        "--construction",
-        dest="construction",
-        choices=CONSTRUCTIONS,
-        default="serial",
-        help="inverted-database build path for every workload; the "
-        "partitioned path constructs the identical database, so "
-        "counter bounds apply unchanged (the CI partitioned smoke's "
-        "bit-exactness gate)",
-    )
-    parser.add_argument(
-        "--construction-workers",
-        dest="construction_workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --construction partitioned "
-        "(default: one per CPU)",
-    )
-    parser.add_argument(
         "--search",
         dest="search",
         choices=SEARCHES,
@@ -1183,7 +1106,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="JSON|FILE",
         help="deterministic fault-injection plan (inline JSON or a path "
         "to a JSON file) applied to every worker pool; counter bounds "
-        "apply unchanged under any plan (the CI chaos smoke's gate)",
+        "apply unchanged under any plan",
     )
     parser.add_argument(
         "--trace",
@@ -1266,8 +1189,6 @@ def execute(args) -> int:
             log=print,
             only=args.workloads,
             mask_backend=args.mask_backend,
-            construction=args.construction,
-            construction_workers=args.construction_workers,
             search=args.search,
             search_workers=args.search_workers,
             worker_timeout=getattr(args, "worker_timeout", None),

@@ -201,13 +201,10 @@ class BuildInvertedDB(PipelineStage):
 
     The position-mask backend comes from ``config.mask_backend``
     (:mod:`repro.core.masks`; ``"auto"`` resolves by graph size —
-    bigint for small graphs, chunked sparse bitmaps at paper scale) and
-    the build path from ``config.construction`` — the serial columnar
-    batch builder by default, or the coreset-partitioned worker-process
-    path (``"partitioned"``, ``config.construction_workers`` workers),
-    which produces the identical database.  The stage records the
-    construction wall-clock in ``context.extras["construction_seconds"]``
-    (the perf suite's schema-v4 metric).
+    bigint for small graphs, chunked sparse bitmaps at paper scale).
+    The stage records the construction wall-clock in
+    ``context.extras["construction_seconds"]`` (the perf suite's
+    schema-v4 metric).
 
     The initial description length is folded into construction: the
     database records its rows in canonical sorted order as each coreset
@@ -223,27 +220,15 @@ class BuildInvertedDB(PipelineStage):
             config.mask_backend,
             num_bits_hint=context.graph.num_vertices,
         )
-        with obs.span("mine.build", construction=config.construction):
+        with obs.span("mine.build"):
             start = clock.perf_counter()
             context.inverted_db = InvertedDatabase.from_graph(
                 context.graph,
                 context.coreset_positions,
                 mask_backend=backend,
-                construction=config.construction,
-                construction_workers=config.construction_workers,
-                runtime_policy=(
-                    RuntimePolicy.from_config(config)
-                    if config.construction == "partitioned"
-                    else None
-                ),
             )
             elapsed = clock.perf_counter() - start
             context.extras["construction_seconds"] = elapsed
-            report = context.inverted_db.construction_report
-            if report is not None:
-                context.extras.setdefault("runtime", {})["construction"] = (
-                    report.to_dict()
-                )
             context.initial_dl = initial_description_length(
                 context.inverted_db, context.standard_table, context.core_table
             )

@@ -1,9 +1,9 @@
 """Supervised parallel runtime: fault injection, retries, degradation.
 
 :mod:`repro.runtime.supervisor` wraps every multiprocess pool in the
-repo (partitioned construction, sharded search, batch ``fit_many``)
-with per-task timeouts, bounded deterministic retries, and bit-exact
-degrade-to-serial fallback; :mod:`repro.runtime.faults` is the
+repo (sharded search, batch ``fit_many``) with per-task timeouts,
+bounded deterministic retries, and bit-exact degrade-to-serial
+fallback; :mod:`repro.runtime.faults` is the
 deterministic fault-injection layer that tests and the CI chaos job
 drive.  See ``docs/RESILIENCE.md``.
 """

@@ -1,21 +1,20 @@
 """Deterministic fault injection for the supervised parallel runtime.
 
-Every multiprocess path in this repo (partitioned construction,
-component-sharded search, ``fit_many`` batches) is pinned bit-exact to
-its serial twin, so the *strongest* possible resilience claim is
-testable: whatever a worker does — crash, hang, return garbage — the
-supervised run must still produce the serial-identical result.  Testing
-that claim needs failures on demand, and they must be reproducible: a
-chaos run that only crashes sometimes is a flake generator, not a gate.
+Every multiprocess path in this repo (component-sharded search,
+``fit_many`` batches) is pinned bit-exact to its serial twin, so the
+*strongest* possible resilience claim is testable: whatever a worker
+does — crash, hang, return garbage — the supervised run must still
+produce the serial-identical result.  Testing that claim needs failures
+on demand, and they must be reproducible: a chaos run that only crashes
+sometimes is a flake generator, not a gate.
 
 A :class:`FaultPlan` is a *deterministic* schedule of failure events
 keyed by ``(site, task index)``:
 
 * ``site`` — which supervised pool the event targets
-  (:data:`SITES`: ``"construction"`` partitions, ``"search"``
-  components, ``"batch"`` runs).  Task indexes count submission order
-  at that site (partition order; largest-component-first job order;
-  batch run order).
+  (:data:`SITES`: ``"search"`` components, ``"batch"`` runs).  Task
+  indexes count submission order at that site
+  (largest-component-first job order; batch run order).
 * ``kind`` — what goes wrong (:data:`KINDS`): ``"crash"`` hard-kills
   the worker process (``os._exit``, the ``BrokenProcessPool`` path),
   ``"hang"`` sleeps past the supervisor's timeout, ``"pickle"``
@@ -53,7 +52,7 @@ from typing import Any, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 
 #: The supervised pool sites a fault event may target.
-SITES: Tuple[str, ...] = ("construction", "search", "batch")
+SITES: Tuple[str, ...] = ("search", "batch")
 
 #: The failure modes the injector can produce in a worker process.
 KINDS: Tuple[str, ...] = ("crash", "hang", "pickle", "corrupt")

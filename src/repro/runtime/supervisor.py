@@ -1,9 +1,8 @@
 """Supervised execution of the repo's multiprocess pools.
 
 :func:`run_supervised` wraps the fork/spawn ``ProcessPoolExecutor``
-usage in ``core/construction.py``, ``core/search_shard.py`` and
-``batch.py`` with the failure handling a long-lived mining service
-needs:
+usage in ``core/search_shard.py`` and ``batch.py`` with the failure
+handling a long-lived mining service needs:
 
 * **per-task timeouts** — every ``Future.result`` call carries a
   deadline (RES001), so a hung worker becomes a retryable event

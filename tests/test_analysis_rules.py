@@ -355,7 +355,7 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 @dataclass
-class PartitionResult:
+class WorkerResult:
     rows: List[int]
     callback: Callable
 """
@@ -365,7 +365,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 @dataclass
-class PartitionResult:
+class WorkerResult:
     rows: List[Tuple[int, Value, Mask, int]]
     core_freq: List[Tuple[int, int]]
 """
@@ -373,49 +373,40 @@ class PartitionResult:
 
 class TestFRK001:
     def test_lambda_to_pool_map_flagged(self):
-        report = lint_one("core/construction.py", FRK_LAMBDA, ["FRK001"])
+        report = lint_one("core/search_shard.py", FRK_LAMBDA, ["FRK001"])
         assert rules_of(report) == ["FRK001"]
         assert "lambda" in report.findings[0].message
 
     def test_closure_to_pool_map_flagged(self):
-        report = lint_one("core/construction.py", FRK_CLOSURE, ["FRK001"])
+        report = lint_one("core/search_shard.py", FRK_CLOSURE, ["FRK001"])
         assert rules_of(report) == ["FRK001"]
         assert "closure" in report.findings[0].message
 
     def test_module_level_callable_is_clean(self):
         assert lint_one(
-            "core/construction.py", FRK_MODULE_LEVEL, ["FRK001"]
+            "core/search_shard.py", FRK_MODULE_LEVEL, ["FRK001"]
         ).clean
 
     def test_rule_gated_on_multiprocessing_import(self):
         # A pool-shaped call with no multiprocessing/concurrent import
         # is some other API -- not this rule's business.
         source = "def run(pool, items):\n    return pool.map(len, items)\n"
-        assert lint_one("core/construction.py", source, ["FRK001"]).clean
+        assert lint_one("core/search_shard.py", source, ["FRK001"]).clean
 
 
 class TestFRK002:
     def test_non_allowlisted_payload_type_flagged(self):
-        report = lint_one("core/construction.py", FRK_PAYLOAD_BAD, ["FRK002"])
+        report = lint_one("core/search_shard.py", FRK_PAYLOAD_BAD, ["FRK002"])
         assert rules_of(report) == ["FRK002"]
         assert "Callable" in report.findings[0].message
 
     def test_allowlisted_payload_is_clean(self):
         assert lint_one(
-            "core/construction.py", FRK_PAYLOAD_GOOD, ["FRK002"]
+            "core/search_shard.py", FRK_PAYLOAD_GOOD, ["FRK002"]
         ).clean
 
     def test_scoped_to_worker_modules(self):
         assert lint_one("core/other.py", FRK_PAYLOAD_BAD, ["FRK002"]).clean
-
-    def test_gates_sharded_search_module(self):
-        # core/search_shard.py ships the ComponentRun worker payload,
-        # so its dataclasses fall under the same contract.
-        report = lint_one("core/search_shard.py", FRK_PAYLOAD_BAD, ["FRK002"])
-        assert rules_of(report) == ["FRK002"]
-        assert lint_one(
-            "core/search_shard.py", FRK_PAYLOAD_GOOD, ["FRK002"]
-        ).clean
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +554,7 @@ class TestRES001:
 
     def test_argless_get_flagged(self):
         source = RES001_TP.replace(".result()", ".get()")
-        report = lint_one("core/construction.py", source, ["RES001"])
+        report = lint_one("core/search_shard.py", source, ["RES001"])
         assert rules_of(report) == ["RES001"]
 
     def test_dict_get_with_key_is_clean(self):

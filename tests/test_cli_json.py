@@ -113,3 +113,34 @@ class TestMalformedGraphFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+RETIRED_FLAGS = pytest.mark.parametrize(
+    "flags",
+    [
+        ["--construction", "partitioned"],
+        ["--construction-workers", "2"],
+        ["--mask-backend", "numpy"],
+    ],
+    ids=["partitioned-construction", "construction-workers", "numpy-backend"],
+)
+
+
+class TestRetiredFlags:
+    """Flags of deleted execution variants fail argparse with exit 2."""
+
+    def assert_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "Traceback" not in err
+
+    @RETIRED_FLAGS
+    def test_mine_exits_2(self, paper_graph_file, capsys, flags):
+        self.assert_exits_2(["mine", paper_graph_file, *flags], capsys)
+
+    @RETIRED_FLAGS
+    def test_bench_exits_2(self, capsys, flags):
+        self.assert_exits_2(["bench", *flags], capsys)

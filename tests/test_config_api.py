@@ -33,6 +33,7 @@ class TestValidation:
             {"top_k": True},
             {"min_leafset": 0},
             {"min_leafset": None},
+            {"mask_backend": "numpy"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -77,6 +78,8 @@ class TestRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             CSPMConfig.from_dict({"method": "basic", "typo_field": 1})
+        with pytest.raises(ConfigError, match="construction"):
+            CSPMConfig.from_dict({"construction": "partitioned"})
 
     def test_to_dict_is_json_ready(self):
         import json

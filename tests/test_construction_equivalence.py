@@ -1,42 +1,38 @@
-"""Construction-equivalence suite: batched == triples == partitioned.
+"""Construction-equivalence suite: batched == triples.
 
-The columnar batch builder (``InvertedDatabase.from_graph``) and the
-coreset-partitioned worker-process path must reproduce the pre-columnar
-reference builder (``_from_graph_triples`` — one ``_add_position`` per
-(coreset, vertex, leaf-value) triple) *exactly*: identical row masks,
-row frequencies, interner ids, ``_initial_row_order``, snapshots, leaf
-unions and initial ``description_length`` floats, on every mask backend
-including the 64-bit-chunk stress variants.  The vectorised grouping
-and its pure-Python fallback are both pinned, as is the frozen
-vertex-order contract the batch path relies on.
+The columnar batch builder (``InvertedDatabase.from_graph``) must
+reproduce the pre-columnar reference builder (``_from_graph_triples``
+— one ``_add_position`` per (coreset, vertex, leaf-value) triple)
+*exactly*: identical row masks, row frequencies, interner ids,
+``_initial_row_order``, snapshots, leaf unions and initial
+``description_length`` floats, on every mask backend including the
+64- and 1024-bit-chunk variants, and on the edge-case inputs the
+generator never produces.  The vectorised grouping's block boundaries
+are pinned, as is the frozen vertex-order contract the batch path
+relies on.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import CSPMConfig
-from repro.core import inverted_db as inverted_db_module
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.construction import partition_plan
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend, get_backend
-from repro.core.masks.numpy_chunked import NumpyChunkedMaskBackend
 from repro.core.mdl import description_length, initial_description_length
-from repro.errors import ConfigError, MiningError
+from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
-# Production defaults plus the chunk-boundary stress variants from
+# Production defaults plus the chunk-width variants from
 # tests/test_mask_backends.py.
 ALL_BACKENDS = [
     BigintMaskBackend(),
     ChunkedMaskBackend(),
     ChunkedMaskBackend(chunk_bits=64),
-    NumpyChunkedMaskBackend(),
-    NumpyChunkedMaskBackend(chunk_bits=64),
+    ChunkedMaskBackend(chunk_bits=1024),
 ]
 
 
@@ -53,6 +49,42 @@ def random_graph(seed, num_vertices=40, num_edges=95):
         seed=seed,
     )
     return graph
+
+
+def explicit_coresets(graph, collapse):
+    """``coreset_positions`` as a caller passes them: each value pair's
+    common holders, or keys that collapse to one frozenset plus a
+    repeated member list."""
+    positions = graph.value_positions()
+    if collapse:
+        return {
+            ("p", "q"): list(positions["p"]),
+            ("q", "p"): list(positions["q"]),
+            ("n1",): list(positions["n1"]) * 2,
+        }
+    values = sorted(positions, key=repr)
+    return {
+        (a, b): sorted(set(positions[a]) & set(positions[b]), key=repr)
+        for i, a in enumerate(values)
+        for b in values[i + 1 :]
+    }
+
+
+# Graphs the generator never produces: string and mixed vertex ids (as
+# JSON files load them) and builds with few or no rows.
+EDGE_CASES = {
+    "string-ids": (
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")],
+        {"a": ["x", "y"], "b": ["x"], "c": ["y", "z"], "d": ["x"]},
+    ),
+    "mixed-ids": ([(1, "b"), ("b", 2)], {1: ["x", "y"], "b": ["x"], 2: ["y"]}),
+    "no-edges": ([], {0: ["a"], 1: ["a"], 2: ["b"]}),
+    "no-attributes": ([(0, 1), (1, 2)], {}),
+    "unattributed-neighbours": (
+        [(0, 1), (1, 2), (2, 3), (3, 4)],
+        {0: ["a"], 1: ["b"], 4: ["c"]},
+    ),
+}
 
 
 def fingerprint(db):
@@ -75,16 +107,10 @@ def fingerprint(db):
     )
 
 
-def builders(graph, backend, workers=3):
+def builders(graph, backend):
     triple = InvertedDatabase._from_graph_triples(graph, mask_backend=backend)
     columnar = InvertedDatabase.from_graph(graph, mask_backend=backend)
-    partitioned = InvertedDatabase.from_graph(
-        graph,
-        mask_backend=backend,
-        construction="partitioned",
-        construction_workers=workers,
-    )
-    return triple, columnar, partitioned
+    return triple, columnar
 
 
 @pytest.fixture(params=ALL_BACKENDS, ids=lambda b: repr(b))
@@ -97,32 +123,25 @@ class TestColumnarEquivalence:
 
     def test_paper_graph_identical(self, backend):
         graph = paper_running_example()
-        triple, columnar, partitioned = builders(graph, backend)
-        reference = fingerprint(triple)
-        assert fingerprint(columnar) == reference
-        assert fingerprint(partitioned) == reference
+        triple, columnar = builders(graph, backend)
+        assert fingerprint(columnar) == fingerprint(triple)
         columnar.validate(graph)
-        partitioned.validate(graph)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_identical(self, backend, seed):
         graph = random_graph(seed)
-        triple, columnar, partitioned = builders(graph, backend)
-        reference = fingerprint(triple)
-        assert fingerprint(columnar) == reference
-        assert fingerprint(partitioned) == reference
+        triple, columnar = builders(graph, backend)
+        assert fingerprint(columnar) == fingerprint(triple)
 
     def test_initial_description_length_byte_identical(self, backend):
         graph = random_graph(7)
         standard = StandardCodeTable.from_graph(graph)
         core = CoreCodeTable.singletons_from_graph(graph)
-        triple, columnar, partitioned = builders(graph, backend)
-        reference = initial_description_length(triple, standard, core)
-        for db in (columnar, partitioned):
-            folded = initial_description_length(db, standard, core)
-            assert folded == reference
-            # And both agree with the from-scratch recompute.
-            assert folded == description_length(db, standard, core)
+        triple, columnar = builders(graph, backend)
+        folded = initial_description_length(columnar, standard, core)
+        assert folded == initial_description_length(triple, standard, core)
+        # And it agrees with the from-scratch recompute.
+        assert folded == description_length(columnar, standard, core)
 
     def test_mining_identical_on_all_paths(self):
         graph = random_graph(11)
@@ -139,26 +158,40 @@ class TestColumnarEquivalence:
                     db.snapshot(),
                 )
             )
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
-    def test_pure_fallback_identical(self, backend, monkeypatch):
-        graph = random_graph(3)
+    def test_tiny_group_blocks_identical(self, backend, monkeypatch):
+        # Force many flushes so block boundaries are exercised.
+        graph = random_graph(5)
         reference = fingerprint(
             InvertedDatabase._from_graph_triples(graph, mask_backend=backend)
         )
-        monkeypatch.setattr(inverted_db_module, "_np", None)
-        pure = InvertedDatabase.from_graph(graph, mask_backend=backend)
-        assert fingerprint(pure) == reference
-
-    def test_tiny_group_blocks_identical(self, monkeypatch):
-        # Force many flushes so block boundaries are exercised.
-        graph = random_graph(5)
-        reference = fingerprint(InvertedDatabase.from_graph(graph))
         monkeypatch.setattr(
             InvertedDatabase, "_GROUP_BLOCK_TRIPLES", 16
         )
-        blocked = InvertedDatabase.from_graph(graph)
+        blocked = InvertedDatabase.from_graph(graph, mask_backend=backend)
         assert fingerprint(blocked) == reference
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_edge_case_graphs_identical(self, backend, case):
+        graph = AttributedGraph.from_edges(*EDGE_CASES[case])
+        triple, columnar = builders(graph, backend)
+        assert fingerprint(columnar) == fingerprint(triple)
+        columnar.validate(graph)
+
+    @pytest.mark.parametrize(
+        "collapse", [False, True], ids=["multi-value", "collapsing-keys"]
+    )
+    def test_explicit_coreset_positions_identical(self, backend, collapse):
+        graph = random_graph(2)
+        positions = explicit_coresets(graph, collapse)
+        triple = InvertedDatabase._from_graph_triples(
+            graph, positions, mask_backend=backend
+        )
+        columnar = InvertedDatabase.from_graph(
+            graph, positions, mask_backend=backend
+        )
+        assert fingerprint(columnar) == fingerprint(triple)
 
 
 VALUES = ["a", "b", "c", "d", "e"]
@@ -191,81 +224,12 @@ def attributed_graphs(draw, max_vertices=10):
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_property_columnar_matches_triples(graph):
-    for backend in (
-        BigintMaskBackend(),
-        ChunkedMaskBackend(chunk_bits=64),
-        NumpyChunkedMaskBackend(chunk_bits=64),
-    ):
+    for backend in (BigintMaskBackend(), ChunkedMaskBackend(chunk_bits=64)):
         triple = InvertedDatabase._from_graph_triples(
             graph, mask_backend=backend
         )
         columnar = InvertedDatabase.from_graph(graph, mask_backend=backend)
         assert fingerprint(columnar) == fingerprint(triple)
-
-
-@given(graph=attributed_graphs(), data=st.data())
-@settings(
-    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-def test_property_pure_fallback_matches(graph, data):
-    saved = inverted_db_module._np
-    inverted_db_module._np = None
-    try:
-        pure = InvertedDatabase.from_graph(graph)
-    finally:
-        inverted_db_module._np = saved
-    assert fingerprint(pure) == fingerprint(InvertedDatabase.from_graph(graph))
-
-
-class TestPartitionPlan:
-    """The contiguous, balanced coreset-space slicer."""
-
-    def plan(self, weights):
-        return {
-            frozenset((f"c{i}",)): [f"v{i}_{j}" for j in range(w)]
-            for i, w in enumerate(weights)
-        }
-
-    def test_contiguity_and_coverage(self):
-        plan = self.plan([5, 1, 1, 5, 2, 2])
-        partitions = partition_plan(plan, 3)
-        flattened = [item for part in partitions for item in part]
-        assert flattened == list(plan.items())
-        assert 1 < len(partitions) <= 3
-
-    def test_single_partition_cases(self):
-        plan = self.plan([3, 3])
-        assert partition_plan(plan, 1) == [list(plan.items())]
-        assert len(partition_plan(plan, 5)) <= 2  # capped by item count
-
-    def test_rough_balance(self):
-        plan = self.plan([1] * 100)
-        partitions = partition_plan(plan, 4)
-        sizes = [sum(len(m) for _c, m in part) for part in partitions]
-        assert len(partitions) == 4
-        assert max(sizes) <= 2 * min(sizes)
-
-    def test_workers_validated(self):
-        graph = paper_running_example()
-        with pytest.raises(MiningError, match="construction_workers"):
-            InvertedDatabase.from_graph(
-                graph, construction="partitioned", construction_workers=0
-            )
-
-    def test_unknown_construction_rejected(self):
-        with pytest.raises(MiningError, match="construction"):
-            InvertedDatabase.from_graph(
-                paper_running_example(), construction="sharded"
-            )
-
-    def test_one_worker_runs_serial_in_process(self):
-        graph = paper_running_example()
-        db = InvertedDatabase.from_graph(
-            graph, construction="partitioned", construction_workers=1
-        )
-        assert fingerprint(db) == fingerprint(
-            InvertedDatabase.from_graph(graph)
-        )
 
 
 class TestFrozenVertexOrder:
@@ -299,73 +263,7 @@ class TestFrozenVertexOrder:
 
 
 class TestConfigAndFacade:
-    """The construction knobs across config, facade and CLI."""
-
-    def test_config_validates_construction(self):
-        assert CSPMConfig().construction == "serial"
-        assert CSPMConfig(construction="partitioned").construction == (
-            "partitioned"
-        )
-        with pytest.raises(ConfigError, match="construction"):
-            CSPMConfig(construction="sharded")
-        with pytest.raises(ConfigError, match="construction_workers"):
-            CSPMConfig(construction_workers=0)
-        with pytest.raises(ConfigError, match="construction_workers"):
-            CSPMConfig(construction_workers=True)
-
-    def test_defaults_not_serialised(self):
-        # Schema-v1 result documents (and the CLI golden file) must not
-        # grow fields for execution-engine defaults.
-        document = CSPMConfig().to_dict()
-        assert "construction" not in document
-        assert "construction_workers" not in document
-        assert CSPMConfig.from_dict(document) == CSPMConfig()
-
-    def test_non_defaults_round_trip(self):
-        config = CSPMConfig(construction="partitioned", construction_workers=2)
-        document = config.to_dict()
-        assert document["construction"] == "partitioned"
-        assert document["construction_workers"] == 2
-        assert CSPMConfig.from_dict(document) == config
-
-    def test_facade_partitioned_mines_identically(self, paper_graph):
-        from repro import CSPM
-
-        reference = CSPM().fit(paper_graph)
-        mined = CSPM(construction="partitioned", construction_workers=2).fit(
-            paper_graph
-        )
-        assert mined.inverted_db.snapshot() == reference.inverted_db.snapshot()
-        assert [star.to_dict() for star in mined.astars] == [
-            star.to_dict() for star in reference.astars
-        ]
-        assert mined.trace.final_dl_bits == reference.trace.final_dl_bits
-
-    def test_cli_exposes_construction_flags(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-        from repro.graphs.io import save_json
-
-        path = tmp_path / "graph.json"
-        save_json(paper_running_example(), str(path))
-        assert (
-            main(
-                [
-                    "mine",
-                    str(path),
-                    "--construction",
-                    "partitioned",
-                    "--construction-workers",
-                    "2",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["config"]["construction"] == "partitioned"
-        assert document["config"]["construction_workers"] == 2
+    """The build stage's construction telemetry."""
 
     def test_pipeline_records_construction_seconds(self, paper_graph):
         from repro.pipeline import MiningPipeline

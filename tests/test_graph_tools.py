@@ -115,6 +115,42 @@ class TestIO:
         with pytest.raises(GraphError):
             load_json(path)
 
+    @pytest.mark.parametrize(
+        "document, expected",
+        [
+            # "1" used to become a fresh int twin, leaving the edge's
+            # "1" unattributed.
+            ({"edges": [["1", "2"]], "attributes": {"1": ["a"]}}, {"1": {"a"}}),
+            ({"vertices": ["7"], "attributes": {"7": ["a"]}}, {"7": {"a"}}),
+            ({"edges": [[1, "b"]], "attributes": {"b": ["a"]}}, {"b": {"a"}}),
+            # Keys of int-id files still parse to ints, listed or not.
+            ({"edges": [[1, 2]], "attributes": {"1": ["a"]}}, {1: {"a"}}),
+            ({"vertices": [1], "attributes": {"3": ["c"]}}, {3: {"c"}}),
+            ({"vertices": [1], "attributes": {"x": ["c"]}}, {"x": {"c"}}),
+        ],
+        ids=[
+            "string-ids",
+            "listed-string-vertex",
+            "mixed-ids",
+            "int-ids",
+            "unlisted-int-key",
+            "non-numeric-key",
+        ],
+    )
+    def test_string_vertex_ids_keep_their_attributes(self, document, expected):
+        # A key naming an existing vertex is used as-is; any other key
+        # parses to an int when it can, and no twin vertex appears.
+        graph = from_json_dict(document)
+        assert {
+            vertex: set(graph.attributes_of(vertex))
+            for vertex in graph.vertices()
+            if graph.attributes_of(vertex)
+        } == expected
+        named = set(document.get("vertices", []))
+        for edge in document.get("edges", []):
+            named.update(edge)
+        assert set(graph.vertices()) == named | set(expected)
+
     def test_string_attribute_value_rejected(self):
         # A bare string is iterable: unchecked, "abc" became a, b and c.
         with pytest.raises(GraphError, match="'1'"):

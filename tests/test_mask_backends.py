@@ -1,7 +1,7 @@
 """Equivalence and edge-case suite for the position-mask backends.
 
 The contract (``repro.core.masks``): every backend — ``bigint``,
-``chunked``, ``numpy`` — is bit-exact interchangeable.  Mining-visible
+``chunked`` — is bit-exact interchangeable.  Mining-visible
 quantities are exact integers/booleans, so merge sequences, database
 snapshots and DL floats must be identical whichever backend the
 database was built on.  This file pins that contract three ways:
@@ -35,21 +35,20 @@ from repro.core.masks import (
     get_backend,
     resolve_backend,
 )
-from repro.core.masks.numpy_chunked import NumpyChunkedMaskBackend
 from repro.core.mdl import description_length, initial_description_length
 from repro.errors import ConfigError, MiningError
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
-BACKEND_NAMES = ("bigint", "chunked", "numpy")
+BACKEND_NAMES = ("bigint", "chunked")
 
 # Small-chunk variants stress the chunk boundaries far harder than the
-# production defaults on the same bit ranges.
+# production defaults on the same bit ranges; the 1024-bit variant puts
+# a chunk edge under BOUNDARY_BITS' 1023/1024/1025.
 ALL_BACKENDS = [
     BigintMaskBackend(),
     ChunkedMaskBackend(),
     ChunkedMaskBackend(chunk_bits=64),
-    NumpyChunkedMaskBackend(),
-    NumpyChunkedMaskBackend(chunk_bits=64),
+    ChunkedMaskBackend(chunk_bits=1024),
 ]
 
 # Bits chosen to land on every interesting boundary of 64/256/1024-bit
@@ -241,24 +240,24 @@ class TestBackendOps:
 
 class TestRegistry:
     def test_names_round_trip(self):
-        for name in ("bigint", "chunked", "numpy"):
+        for name in ("bigint", "chunked"):
             assert get_backend(name).name == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(MiningError, match="unknown mask backend"):
             get_backend("roaring")
+        with pytest.raises(MiningError, match="unknown mask backend"):
+            get_backend("numpy")  # retired: lost on every graph measured
 
     def test_auto_resolves_by_size(self):
         assert resolve_backend("auto", 100).name == "bigint"
         assert resolve_backend("auto", AUTO_CHUNKED_MIN_BITS).name == "chunked"
         assert resolve_backend("auto", None).name == "bigint"
-        assert resolve_backend("numpy", 100).name == "numpy"
+        assert resolve_backend("chunked", 100).name == "chunked"
 
     def test_chunk_width_validation(self):
         with pytest.raises(ValueError):
             ChunkedMaskBackend(chunk_bits=100)
-        with pytest.raises(ValueError):
-            NumpyChunkedMaskBackend(chunk_bits=70)
 
     def test_bigint_reference_estimate(self):
         # 30 bits per 4-byte digit on top of the 28-byte header.
@@ -509,8 +508,7 @@ class TestMemoryAccounting:
         assert db.mask_memory_bytes() > 0
         assert db.bigint_mask_bytes_estimate() > 0
 
-    @pytest.mark.parametrize("name", ("chunked", "numpy"))
-    def test_bigint_estimate_is_what_bigint_actually_pays(self, name):
+    def test_bigint_estimate_is_what_bigint_actually_pays(self):
         # The reduction ratio's denominator must be honest: the
         # estimate computed on a chunked database equals the measured
         # mask bytes of the identical database built on bigint masks.
@@ -518,7 +516,7 @@ class TestMemoryAccounting:
 
         graph = pokec_sparse_graph(20)
         sparse = InvertedDatabase.from_graph(
-            graph, mask_backend=get_backend(name)
+            graph, mask_backend=get_backend("chunked")
         )
         bigint = InvertedDatabase.from_graph(
             graph, mask_backend=get_backend("bigint")
@@ -534,7 +532,7 @@ class TestConfigIntegration:
         with pytest.raises(ConfigError, match="mask_backend"):
             CSPMConfig(mask_backend="roaring")
         assert CSPMConfig.__dataclass_fields__.keys() >= {"mask_backend"}
-        assert set(MASK_BACKENDS) == {"auto", "bigint", "chunked", "numpy"}
+        assert MASK_BACKENDS == ("auto", "bigint", "chunked")
 
     def test_default_backend_not_serialised(self):
         # Schema-v1 result documents (and the CLI golden file) must not
@@ -543,9 +541,9 @@ class TestConfigIntegration:
         assert CSPMConfig.from_dict(CSPMConfig().to_dict()) == CSPMConfig()
 
     def test_non_default_backend_round_trips(self):
-        config = CSPMConfig(mask_backend="numpy")
+        config = CSPMConfig(mask_backend="bigint")
         document = config.to_dict()
-        assert document["mask_backend"] == "numpy"
+        assert document["mask_backend"] == "bigint"
         assert CSPMConfig.from_dict(document) == config
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)

@@ -9,8 +9,8 @@ Two families of guarantees are pinned here:
 * the *non-interference* contract: with observability off nothing is
   recorded and ``mine --json`` stays byte-identical to the golden
   file, and with tracing on the merge sequence and every DL float are
-  ``==`` to the untraced run — serially and at all three supervised
-  pool sites under crash fault plans.
+  ``==`` to the untraced run — serially and at both supervised pool
+  sites under crash fault plans.
 """
 
 import json
@@ -63,6 +63,27 @@ def crash_plan(site, times=1):
     return FaultPlan(
         events=(FaultEvent(site=site, index=0, kind="crash", times=times),)
     )
+
+
+def two_component_graph():
+    """Two planted graphs with disjoint vocabularies, side by side."""
+    edges, attributes = [], {}
+    for part in (0, 1):
+        sub, _ = planted_astar_graph(
+            30,
+            70,
+            [PlantedAStar(f"p{part}", (f"q{part}", f"r{part}"), strength=0.9)],
+            noise_values=(f"n{part}",),
+            noise_rate=0.2,
+            seed=part,
+        )
+        offset = part * 1000
+        edges += [(u + offset, v + offset) for u, v in sub.edges()]
+        attributes.update(
+            (vertex + offset, sub.attributes_of(vertex))
+            for vertex in sub.vertices()
+        )
+    return AttributedGraph.from_edges(edges, attributes)
 
 
 def planted(seed=7):
@@ -428,20 +449,37 @@ class TestPipelineSpans:
             "encode.num_coresets"
         ] > 0
 
+    def test_build_spans_carry_the_documented_attributes(self):
+        # docs/OBSERVABILITY.md: one build path, so no build-path
+        # attribute; only build.rows counts its coresets.
+        config = CSPMConfig(trace=True)
+        context = MiningPipeline.default(config).run_context(
+            paper_running_example()
+        )
+        attrs = {
+            record[0]: json.loads(record[4] or "{}")
+            for record in context.obs.tracer.spans
+        }
+        assert attrs["mine.build"] == attrs["build.plan"] == {}
+        assert set(attrs["build.rows"]) == {"coresets"}
+        assert attrs["build.rows"]["coresets"] > 0
+
     def test_supervised_run_adopts_worker_lanes_and_retry_instants(self):
+        # Two components, so the sharded search runs a real pool.
+        graph = two_component_graph()
         config = CSPMConfig(
             trace=True,
-            construction="partitioned",
-            construction_workers=2,
-            fault_plan=crash_plan("construction"),
+            search="sharded",
+            search_workers=2,
+            fault_plan=crash_plan("search"),
         )
-        context = MiningPipeline.default(config).run_context(planted())
+        context = MiningPipeline.default(config).run_context(graph)
         tracer = context.obs.tracer
         lanes = [lane for _pid, lane, _spans in tracer.adopted]
-        assert any(lane.startswith("construction[") for lane in lanes)
+        assert any(lane.startswith("search[") for lane in lanes)
         for _pid, _lane, spans in tracer.adopted:
             assert all(
-                record[0] == "build.partition" for record in spans
+                record[0] == "search.component" for record in spans
             )
         assert "supervisor.retry" in [
             record[0] for record in tracer.events
@@ -464,20 +502,6 @@ class TestTracedBitExactness:
             config=CSPMConfig(trace=True, metrics=True, progress=True)
         ).fit(graph)
         # progress writes to stderr; the signature must still match.
-        assert run_signature(traced) == run_signature(reference)
-
-    def test_partitioned_construction_traced_under_crash(self):
-        graph = planted(seed=11)
-        reference = CSPM().fit(graph)
-        traced = CSPM(
-            config=CSPMConfig(
-                trace=True,
-                metrics=True,
-                construction="partitioned",
-                construction_workers=2,
-                fault_plan=crash_plan("construction"),
-            )
-        ).fit(graph)
         assert run_signature(traced) == run_signature(reference)
 
     def test_sharded_search_traced_under_crash(self):

@@ -12,7 +12,6 @@ import pytest
 from repro.perf.suite import (
     SCHEMA_VERSION,
     _measure_size,
-    _pokec_backend,
     check_bounds,
     construction_report,
     merge_into,
@@ -50,7 +49,7 @@ class TestMeasureSize:
         assert tiny_entry["runs"]["basic/overlap"]["peak_queue_size"] == 0
 
     def test_schema_version_and_lazy_counters(self, tiny_entry):
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
         partial = tiny_entry["runs"]["partial/overlap"]
         # Partial runs use (and record) the library default scope, and
         # the bound-driven refresh skips at least something on any
@@ -78,6 +77,15 @@ class TestMeasureSize:
         # the tiny label has no recorded pre-columnar baseline.
         assert tiny_entry["construction_seconds"] >= 0.0
         assert "construction_baseline_seconds" not in tiny_entry
+
+    def test_schema_v8_drops_build_path_fields(self, tiny_entry):
+        # One build path: neither the suite knobs nor the partitioned
+        # build's retry telemetry are recorded any more.
+        assert "construction_retries" not in tiny_entry
+        assert "construction_degraded_tasks" not in tiny_entry
+        document = run_suite(quick=True, only=["usflight"])
+        assert "construction" not in document
+        assert "construction_workers" not in document
 
     def test_schema_v5_search_fields(self, tiny_entry):
         # Component statistics live on the series entry; the search
@@ -154,7 +162,7 @@ class TestMeasureSize:
             backend: _measure_size(
                 graph, "communities=3", run_basic_too=False, mask_backend=backend
             )
-            for backend in ("bigint", "chunked", "numpy")
+            for backend in ("bigint", "chunked")
         }
         reference = entries["bigint"]["runs"]["partial/overlap"]
         for backend, entry in entries.items():
@@ -299,11 +307,17 @@ class TestPokecSparse:
             pair_sources=("overlap",),
         )
 
-    def test_backend_upgrade_rule(self):
-        assert _pokec_backend("auto") == "chunked"
-        assert _pokec_backend("bigint") == "chunked"
-        assert _pokec_backend("chunked") == "chunked"
-        assert _pokec_backend("numpy") == "numpy"
+    def test_backend_upgrade_rule(self, monkeypatch):
+        import repro.perf.suite as suite_module
+
+        # Every suite-level request runs the family on chunked masks.
+        monkeypatch.setattr(suite_module, "POKEC_SIZES_QUICK", (2,))
+        for requested in ("auto", "bigint", "chunked"):
+            document = run_suite(
+                quick=True, only=["pokec-sparse"], mask_backend=requested
+            )
+            (entry,) = document["workloads"][0]["series"]
+            assert entry["mask_backend"] == "chunked"
 
     def test_overlap_only_runs(self, pokec_entry):
         assert set(pokec_entry["runs"]) == {"partial/overlap"}
@@ -463,7 +477,7 @@ class TestCheckBounds:
         assert check_bounds(self.document(), bounds) == []
         bounds["sparse-scaling"]["communities=48"][
             "require_mask_backend"
-        ] = "numpy"
+        ] = "bigint"
         failures = check_bounds(self.document(), bounds)
         assert len(failures) == 1 and "mask_backend" in failures[0]
 
@@ -611,53 +625,6 @@ class TestConstructionReporting:
         assert construction_report({"workloads": []}, self.BOUNDS) == []
 
 
-class TestPartitionedSuite:
-    """The suite-level construction knob is a bit-exactness gate."""
-
-    def test_partitioned_counters_identical_to_serial(self):
-        graph = sparse_scaling_graph(3)
-        serial = _measure_size(
-            graph, "communities=3", run_basic_too=False
-        )
-        partitioned = _measure_size(
-            graph,
-            "communities=3",
-            run_basic_too=False,
-            construction="partitioned",
-            construction_workers=2,
-        )
-        structural = (
-            "initial_candidate_gains",
-            "total_gain_computations",
-            "peak_queue_size",
-            "refreshes_skipped",
-            "dirty_revalidations",
-            "iterations",
-            "final_dl_bits",
-        )
-        for field in structural:
-            assert (
-                partitioned["runs"]["partial/overlap"][field]
-                == serial["runs"]["partial/overlap"][field]
-            ), field
-
-    def test_run_suite_records_construction_knobs(self):
-        document = run_suite(
-            quick=True,
-            only=["usflight"],
-            construction="partitioned",
-            construction_workers=2,
-        )
-        assert document["construction"] == "partitioned"
-        assert document["construction_workers"] == 2
-
-    def test_unknown_construction_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError, match="unknown construction"):
-            run_suite(quick=True, only=["usflight"], construction="sharded")
-
-
 class TestAtomicWrite:
     """A failed output write must leave no orphaned ``.tmp`` file and
     must not touch an existing output document."""
@@ -686,8 +653,6 @@ class TestAtomicWrite:
             seed=0,
             workloads=None,
             mask_backend=None,
-            construction=None,
-            construction_workers=None,
             search=None,
             search_workers=None,
             out=str(out),

@@ -9,10 +9,10 @@ pool or in-process degradation.  Faults come from deterministic
 :class:`~repro.runtime.faults.FaultPlan` schedules, so every chaos
 scenario here reproduces exactly.
 
-Covered per site (construction partitions, search components, batch
-runs): retry-then-succeed, degrade-to-serial past the retry budget,
-and ``on_worker_failure="raise"``; the search site additionally runs
-across mask backends.
+Covered per site (search components, batch runs): retry-then-succeed,
+degrade-to-serial past the retry budget, and
+``on_worker_failure="raise"``; the search site additionally runs across
+mask backends.
 """
 
 import json
@@ -116,6 +116,8 @@ class TestFaultPlan:
     def test_event_validation(self):
         with pytest.raises(ConfigError, match="site"):
             FaultEvent(site="disk", index=0, kind="crash")
+        with pytest.raises(ConfigError, match="site"):
+            FaultEvent(site="construction", index=0, kind="crash")
         with pytest.raises(ConfigError, match="kind"):
             FaultEvent(site="search", index=0, kind="gamma-ray")
         with pytest.raises(ConfigError, match="index"):
@@ -124,6 +126,24 @@ class TestFaultPlan:
             FaultEvent(site="search", index=0, kind="crash", times=0)
         with pytest.raises(ConfigError, match="hang_seconds"):
             FaultEvent(site="search", index=0, kind="hang", hang_seconds=0)
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            FaultPlan.from_json,
+            lambda text: CSPMConfig(fault_plan=text),
+            lambda text: environment_plan({ENV_VAR: text}),
+        ],
+        ids=["from-json", "config-field", "environment"],
+    )
+    def test_retired_construction_site_rejected(self, load):
+        # A chaos recipe naming the deleted partitioned-build site must
+        # fail loudly, not inject nothing.
+        text = json.dumps(
+            {"events": [{"site": "construction", "index": 0, "kind": "crash"}]}
+        )
+        with pytest.raises(ConfigError, match="site"):
+            load(text)
 
     def test_times_budget_gates_attempts(self):
         plan = crash_plan("search", index=2, times=2)
@@ -147,10 +167,10 @@ class TestFaultPlan:
         assert FaultPlan.seeded(3) != FaultPlan.seeded(4)
         assert not FaultPlan.seeded(3, rate=0.0)
         full = FaultPlan.seeded(3, rate=1.0, max_index=4)
-        assert len(full.events) == 4 * 3  # every (site, index) pair
+        assert len(full.events) == 4 * 2  # every (site, index) pair
 
     def test_round_trip_and_unknown_fields(self):
-        plan = crash_plan("construction", times=3)
+        plan = crash_plan("search", times=3)
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
         with pytest.raises(ConfigError, match="unknown fault plan"):
@@ -292,74 +312,6 @@ class TestSupervisor:
 
 
 # ----------------------------------------------------------------------
-# Construction site: partitions killed, result identical
-# ----------------------------------------------------------------------
-
-
-def construction_graph():
-    graph, _ = planted_astar_graph(
-        50,
-        120,
-        [
-            PlantedAStar("p", ("q", "r"), strength=0.9),
-            PlantedAStar("s", ("t",), strength=0.85),
-        ],
-        noise_values=("n1", "n2"),
-        noise_rate=0.2,
-        seed=11,
-    )
-    return graph
-
-
-def assert_construction_bit_exact(policy):
-    graph = construction_graph()
-    serial = InvertedDatabase.from_graph(graph)
-    supervised = InvertedDatabase.from_graph(
-        graph,
-        construction="partitioned",
-        construction_workers=2,
-        runtime_policy=policy,
-    )
-    assert supervised.snapshot() == serial.snapshot()
-    assert supervised._initial_row_order == serial._initial_row_order
-    assert supervised.construction_report is not None
-    return supervised.construction_report
-
-
-class TestConstructionSite:
-    def test_killed_partition_retries_bit_exact(self):
-        report = assert_construction_bit_exact(
-            quiet_policy(fault_plan=crash_plan("construction", times=1))
-        )
-        assert report.retries >= 1
-        assert report.degraded_tasks == []
-
-    def test_exhausted_partition_degrades_bit_exact(self):
-        report = assert_construction_bit_exact(
-            quiet_policy(
-                fault_plan=crash_plan("construction", times=10),
-                max_task_retries=1,
-            )
-        )
-        assert 0 in report.degraded_tasks
-
-    def test_raise_policy(self):
-        graph = construction_graph()
-        with pytest.raises(WorkerFailure) as excinfo:
-            InvertedDatabase.from_graph(
-                graph,
-                construction="partitioned",
-                construction_workers=2,
-                runtime_policy=quiet_policy(
-                    fault_plan=crash_plan("construction", times=10),
-                    max_task_retries=0,
-                    on_worker_failure="raise",
-                ),
-            )
-        assert excinfo.value.site == "construction"
-
-
-# ----------------------------------------------------------------------
 # Search site: components killed, stitched trace identical
 # ----------------------------------------------------------------------
 
@@ -383,7 +335,7 @@ def assert_search_bit_exact(policy, mask_backend=None, seed=6):
 
 
 class TestSearchSite:
-    @pytest.mark.parametrize("mask_backend", [None, "chunked", "numpy"])
+    @pytest.mark.parametrize("mask_backend", [None, "chunked"])
     def test_killed_component_retries_bit_exact(self, mask_backend):
         report = assert_search_bit_exact(
             quiet_policy(fault_plan=crash_plan("search", times=1)),

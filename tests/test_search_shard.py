@@ -152,7 +152,7 @@ class TestBitExact:
         sharded = assert_bit_exact(multi_component_graph(3), workers=workers)
         assert sharded.num_components >= 3
 
-    @pytest.mark.parametrize("backend", ["bigint", "chunked", "numpy"])
+    @pytest.mark.parametrize("backend", ["bigint", "chunked"])
     def test_mask_backends(self, backend):
         assert_bit_exact(multi_component_graph(4), mask_backend=backend)
 

@@ -4,12 +4,15 @@ import json
 
 import pytest
 
-from repro import CSPM, CSPMConfig, CSPMResult
+from repro import CSPM, CSPMConfig, CSPMResult, ConfigError, MiningError
 from repro.core.astar import AStar
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.instrumentation import RunTrace
 from repro.core.mdl import DescriptionLength
 from repro.graphs.builders import paper_running_example
+
+#: Marks a top-level key the malformed-document rows delete.
+DROP = object()
 
 
 class TestAStarRoundTrip:
@@ -90,6 +93,46 @@ class TestResultRoundTrip:
     def test_json_round_trip(self, mined):
         back = CSPMResult.from_json(mined.to_json())
         assert back.astars == mined.astars
+
+    @pytest.mark.parametrize(
+        "change, error, key",
+        [
+            ({"schema_version": 99}, MiningError, "schema_version"),
+            ({"schema_version": DROP}, MiningError, "schema_version"),
+            ({"astars": DROP}, MiningError, "astars"),
+            ({"trace": DROP}, MiningError, "trace"),
+            ({"astars": "abc"}, MiningError, "astars"),
+            ({"astars": [{"coreset": ["a"]}]}, MiningError, r"astars\[0\]"),
+            ({"astars": [7]}, MiningError, r"astars\[0\]"),
+            (
+                {"astars": [{"coreset": [["a"]], "leafset": ["b"]}]},
+                MiningError,
+                r"astars\[0\]",
+            ),
+            # The retired partitioned-build knob in a config echo.
+            ({"config": {"construction_workers": 2}}, ConfigError, "unknown"),
+        ],
+        ids=[
+            "future-schema",
+            "no-schema",
+            "no-astars",
+            "no-trace",
+            "astars-not-array",
+            "astar-without-leafset",
+            "astar-not-object",
+            "astar-unhashable-value",
+            "retired-config-key",
+        ],
+    )
+    def test_malformed_documents_rejected(self, mined, change, error, key):
+        document = mined.to_dict()
+        for name, value in change.items():
+            if value is DROP:
+                del document[name]
+            else:
+                document[name] = value
+        with pytest.raises(error, match=key):
+            CSPMResult.from_dict(document)
 
     def test_restored_result_still_filters_and_summarises(self, mined):
         back = CSPMResult.from_dict(mined.to_dict())
