@@ -3,7 +3,7 @@
 1. Model-cost term in the gain (Section IV-E): with the term the model
    keeps fewer/cheaper patterns; without it data cost compresses at
    least as far but the code tables grow.
-2. Partial update scope: ``exhaustive`` matches Basic's model exactly;
+2. Partial update scope: ``lazy`` matches Basic's model exactly;
    the paper's ``related`` heuristic computes fewer gains but may stop
    earlier (higher final DL).
 3. Coreset encoder: multi-value coresets (SLIM, Section IV-F) versus
@@ -64,7 +64,7 @@ def test_ablation_update_scope(dblp_graph, report_writer, benchmark):
     basic = benchmark.pedantic(
         lambda: CSPM(config=CSPMConfig(method="basic")).fit(dblp_graph), rounds=1, iterations=1
     )
-    exhaustive = CSPM(config=CSPMConfig(method="partial", partial_update_scope="exhaustive")).fit(
+    lazy = CSPM(config=CSPMConfig(method="partial", partial_update_scope="lazy")).fit(
         dblp_graph
     )
     related = CSPM(config=CSPMConfig(method="partial", partial_update_scope="related")).fit(
@@ -76,7 +76,7 @@ def test_ablation_update_scope(dblp_graph, report_writer, benchmark):
     ]
     for label, result in (
         ("basic", basic),
-        ("exhaustive", exhaustive),
+        ("lazy", lazy),
         ("related", related),
     ):
         lines.append(
@@ -85,18 +85,18 @@ def test_ablation_update_scope(dblp_graph, report_writer, benchmark):
             f"{result.trace.total_gain_computations:>12,}"
         )
     report_writer("ablation_update_scope", "\n".join(lines))
-    # Exhaustive partial == basic, with fewer gain computations.
-    assert exhaustive.final_dl.total_bits == pytest.approx(
+    # Lazy partial == basic, with fewer gain computations.
+    assert lazy.final_dl.total_bits == pytest.approx(
         basic.final_dl.total_bits, abs=1e-6
     )
     assert (
-        exhaustive.trace.total_gain_computations
+        lazy.trace.total_gain_computations
         < basic.trace.total_gain_computations
     )
     # The rdict heuristic computes fewer gains still, at some DL cost.
     assert (
         related.trace.total_gain_computations
-        <= exhaustive.trace.total_gain_computations
+        <= lazy.trace.total_gain_computations
     )
     assert related.final_dl.total_bits >= basic.final_dl.total_bits - 1e-6
 

@@ -57,11 +57,10 @@ def _add_mine(subparsers) -> None:
     parser.add_argument(
         "--scope",
         choices=UPDATE_SCOPES,
-        default="exhaustive",
-        help="partial-update scope (Algorithm 4).  The CLI default "
-        "stays 'exhaustive' — the mine --json golden output pins it — "
-        "while the library default is 'lazy' (same mined model, fewer "
-        "gain evaluations)",
+        default="lazy",
+        help="partial-update scope (Algorithm 4): 'lazy' mines "
+        "CSPM-Basic's exact model, 'related' is the paper's cheaper "
+        "rdict heuristic",
     )
     parser.add_argument(
         "--top",
@@ -261,9 +260,9 @@ def _add_bench(subparsers) -> None:
     parser = subparsers.add_parser(
         "bench",
         help="run the perf suite and write BENCH_cspm.json",
-        description="Measure overlap-driven vs full-scan candidate "
-        "generation and the lazy-refresh counters on the Fig. 5 / "
-        "Table III synthetic workloads (see repro.perf.suite).  With "
+        description="Measure the seeding, gain-evaluation and "
+        "lazy-refresh counters and the search wall-clock on the Fig. 5 "
+        "/ Table III synthetic workloads (see repro.perf.suite).  With "
         "--workload, only the named families are re-measured and the "
         "rest of an existing output document is preserved.",
     )

@@ -28,7 +28,7 @@ from repro.runtime.faults import FaultPlan
 
 METHODS: Tuple[str, ...] = ("partial", "basic")
 ENCODERS: Tuple[str, ...] = ("singleton", "slim", "krimp")
-UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "exhaustive", "related")
+UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "related")
 # Canonical backend-name registry; repro.core.masks re-exports it (this
 # module imports only repro.errors, so that direction is cycle-free;
 # repro.runtime.faults likewise imports only repro.errors).
@@ -61,11 +61,9 @@ class CSPMConfig:
     partial_update_scope:
         For ``method="partial"``: ``"lazy"`` (default; same merges as
         CSPM-Basic, with stored gains kept as sound upper bounds and
-        revalidated only when a dirty pair reaches the queue head),
-        ``"exhaustive"`` (eager neighbourhood refresh after every
-        merge, also exactly CSPM-Basic's model) or ``"related"`` (the
-        paper's Algorithm 4 rdict heuristic, cheapest but may miss
-        late candidates).
+        revalidated only when a dirty pair reaches the queue head) or
+        ``"related"`` (the paper's Algorithm 4 rdict heuristic, cheapest
+        but may miss late candidates).
     top_k:
         Post-filter: keep only the ``top_k`` best-ranked a-stars in the
         result (``None`` = keep all).  Applied by the RankAndFilter
@@ -318,9 +316,14 @@ class CSPMConfig:
     def from_dict(cls, document: Mapping[str, Any]) -> "CSPMConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Unknown keys are rejected so that typos in job descriptions
-        fail loudly instead of silently running with defaults.
+        Anything but a mapping, and unknown keys, are rejected so that
+        typos in job descriptions fail loudly instead of silently
+        running with defaults.
         """
+        if not isinstance(document, Mapping):
+            raise ConfigError(
+                f"config must be an object, got {type(document).__name__}"
+            )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(document) - known)
         if unknown:

@@ -6,29 +6,30 @@ is deliberately the paper's baseline search loop: its per-iteration
 cost is one gain computation per candidate pair, which is what
 Table III and Fig. 5 measure against CSPM-Partial.
 
-Candidate generation is overlap-driven by default
+Candidate generation is overlap-driven
 (:func:`repro.core.pairgen.overlap_pairs`): only pairs sharing a
 coreset with overlapping positions are generated, since no other pair
-can have positive gain.  ``pair_source="full"`` restores the seed's
-quadratic ``O(|SL|^2)`` all-pairs scan; both sources enumerate in the
-same interned-id order, so the merge sequence (including tie-breaks)
-is provably identical — the equivalence tests assert it.
+can have positive gain.  They are enumerated in the interned-id order
+of the paper's quadratic ``O(|SL|^2)`` all-pairs scan, so the merge
+sequence (including tie-breaks) is the one the naive Algorithm 1-2
+oracle in ``tests/oracles.py`` selects — the equivalence tests assert
+it.
 
 Rescan restriction
 ------------------
-The seed re-scanned *every* candidate pair each iteration.  A merge
+The paper re-scans *every* candidate pair each iteration.  A merge
 only changes state at its touched coresets (the common coresets with a
 non-empty positional intersection): only those coresets' rows and
 frequencies move, and every gain term requires a non-empty same-coreset
 intersection, so a pair's gain can change **iff both its leafsets hold
-rows under some touched coreset**.  The default ``rescan="restricted"``
-keeps a store of exact positive gains, re-evaluates only the pairs
-inside the touched coresets' memberships (plus the merge's surviving
-participants) after each merge, and selects the winner from the store
-with the same (max gain, earliest interned pair) tie-break as the full
-enumeration — merges, DL accounting and snapshots are bit-exact with
-``rescan="full"``, while per-iteration ``gains_computed`` drops from
-*all* candidates to the touched neighbourhood.
+rows under some touched coreset**.  The search therefore keeps a store
+of exact positive gains, re-evaluates only the pairs inside the touched
+coresets' memberships (plus the merge's surviving participants) after
+each merge, and selects the winner from the store with the same (max
+gain, earliest interned pair) tie-break as the full enumeration —
+merges, DL accounting and snapshots are bit-exact with the naive
+oracle, while per-iteration ``gains_computed`` drops from *all*
+candidates to the touched neighbourhood.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ from repro.core.gain import GainBreakdown, GainEngine
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
 from repro.core.inverted_db import InvertedDatabase, MergeOutcome
 from repro.core.mdl import description_length
-from repro.core.pairgen import generate_pairs
-from repro.errors import MiningError
+from repro.core.pairgen import overlap_pairs
 
 GAIN_EPS = 1e-9
-
-RESCANS = ("restricted", "full")
 
 _StoreEntry = Tuple[float, GainBreakdown]
 
@@ -210,77 +208,53 @@ def run_basic(
     include_model_cost: bool = True,
     max_iterations: Optional[int] = None,
     initial_dl_bits: Optional[float] = None,
-    pair_source: str = "overlap",
-    rescan: str = "restricted",
 ) -> RunTrace:
     """Run CSPM-Basic to convergence, mutating ``db`` in place.
 
     ``initial_dl_bits`` may carry an already-computed starting
     description length to skip the from-scratch pass over the fresh
-    database.  ``pair_source`` selects the candidate generator
-    (``"overlap"`` default, ``"full"`` reference scan).  ``rescan``
-    selects the per-iteration re-evaluation strategy:
-    ``"restricted"`` (default) re-evaluates only the touched-coreset
-    neighbourhood of the last merge, ``"full"`` is the seed's
-    re-enumerate-everything reference — merge sequences, DL accounting
-    and snapshots are bit-identical, only ``gains_computed`` differs.
-    Returns the :class:`RunTrace` with one entry per accepted merge.
+    database.  The first iteration evaluates every overlapping pair;
+    each later one re-evaluates only the touched-coreset neighbourhood
+    of the last merge (see the module docstring).  Returns the
+    :class:`RunTrace` with one entry per accepted merge.
     """
-    if rescan not in RESCANS:
-        raise MiningError(f"rescan must be one of {RESCANS}, got {rescan!r}")
     trace = RunTrace(algorithm="cspm-basic")
     if initial_dl_bits is None:
         initial_dl_bits = description_length(db, standard_table, core_table).total_bits
     dl = initial_dl_bits
     trace.initial_dl_bits = dl
     engine = GainEngine(db, standard_table, core_table)
-    store = _GainStore(db.interner.pair_key) if rescan == "restricted" else None
+    store = _GainStore(db.interner.pair_key)
     outcome: Optional[MergeOutcome] = None
     iteration = 0
     while max_iterations is None or iteration < max_iterations:
         n = db.num_leafsets
         possible = n * (n - 1) // 2
         gains_computed = 0
-        best_pair = None
-        best_gain = GAIN_EPS
-        best_breakdown = None
-        if store is None:
-            for leaf_x, leaf_y in generate_pairs(db, pair_source):
+        if outcome is None:
+            # First iteration: seed the store from every overlapping
+            # pair — every later iteration only re-touches the merged
+            # neighbourhood.
+            for leaf_x, leaf_y in overlap_pairs(db):
                 breakdown = engine.gain(leaf_x, leaf_y)
                 gains_computed += 1
                 gain = breakdown.net(include_model_cost)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (leaf_x, leaf_y)
-                    best_breakdown = breakdown
-        else:
-            if outcome is None:
-                # First iteration: seed the store from the full
-                # enumeration — every later iteration only re-touches
-                # the merged neighbourhood.
-                for leaf_x, leaf_y in generate_pairs(db, pair_source):
-                    breakdown = engine.gain(leaf_x, leaf_y)
-                    gains_computed += 1
-                    gain = breakdown.net(include_model_cost)
-                    if gain > GAIN_EPS:
-                        store.set((leaf_x, leaf_y), gain, breakdown)
-            else:
-                gains_computed = _rescan_store(
-                    db, engine, include_model_cost, outcome, store
-                )
-            winner = store.best()
-            if winner is not None:
-                best_pair, best_gain, best_breakdown = winner
-        if iteration == 0:
+                if gain > GAIN_EPS:
+                    store.set((leaf_x, leaf_y), gain, breakdown)
             trace.initial_candidate_gains = gains_computed
-        if best_pair is None:
+        else:
+            gains_computed = _rescan_store(
+                db, engine, include_model_cost, outcome, store
+            )
+        winner = store.best()
+        if winner is None:
             break
+        best_pair, best_gain, best_breakdown = winner
         outcome = db.merge(*best_pair)
         engine.drop_views(outcome.removed_leafsets)
-        if store is not None:
-            store.discard(db.interner.canonical_pair(*best_pair))
-            for leaf in db.interner.order(outcome.removed_leafsets):
-                store.purge_leafset(leaf)
+        store.discard(db.interner.canonical_pair(*best_pair))
+        for leaf in db.interner.order(outcome.removed_leafsets):
+            store.purge_leafset(leaf)
         dl -= best_breakdown.total
         trace.record_merge_components(best_breakdown)
         iteration += 1

@@ -3,18 +3,18 @@
 Rather than re-enumerating every leafset pair after each merge,
 CSPM-Partial maintains a priority queue of positive-gain candidates
 and, after a merge, refreshes only the pairs the merge could have
-affected.  Seeding is overlap-driven by default
+affected.  Seeding is overlap-driven
 (:func:`repro.core.pairgen.overlap_pairs`): only pairs sharing a
 coreset with overlapping positions are evaluated, since no other pair
-can have positive gain; ``pair_source="full"`` restores the seed's
-quadratic scan (both enumerate in interned-id order, so the resulting
-queue — and hence the merge sequence — is identical).
+can have positive gain, and they are enumerated in the interned-id
+order of the paper's full pair scan, so queue tie-breaks are
+unchanged.
 
-Three update scopes are provided:
+Two update scopes are provided:
 
 ``lazy`` (default used by the facade)
-    Pushes the exhaustive scope's partial-update idea one level
-    further by exploiting two monotonicity facts:
+    Refreshes only the pairs a merge can have improved, exploiting
+    two monotonicity facts:
 
     * a pair's gain is a sum of per-coreset terms over its common
       coresets, so a stored gain is *exact* until some common coreset
@@ -34,18 +34,10 @@ Three update scopes are provided:
       are disjoint from the rows the merge touched is provably
       unchanged and its refresh is skipped with one mask AND.
 
-    The result is the same merge sequence (and bit-identical DL
-    accounting) as ``exhaustive`` — the equivalence suite asserts it —
-    with far fewer gain evaluations.
-
-``exhaustive``
-    After a merge, the survivors and the new leafset are re-evaluated
-    against *all* leafsets sharing a coreset with them (only such pairs
-    can ever gain — the Section V observation), plus the pairs whose
-    union equals the new leafset (their model cost just dropped).  This
-    provably keeps the queue a superset of all positive-gain pairs, so
-    the search selects exactly the same merges as CSPM-Basic while
-    still touching only an affected neighbourhood per iteration.
+    The result is exactly CSPM-Basic's merge sequence, with
+    bit-identical DL accounting — the equivalence suites assert it
+    against the naive Algorithm 1-2 oracle in ``tests/oracles.py`` —
+    at a fraction of the gain evaluations.
 
 ``related`` (the paper's Algorithm 4, literally)
     ``rdict`` maps each leafset to the leafsets it currently forms a
@@ -57,30 +49,30 @@ Three update scopes are provided:
     survivor that was not a candidate before), so its final model may
     differ slightly from CSPM-Basic's.
 
-The ``exhaustive`` and ``related`` scopes revalidate every popped pair;
-``lazy`` only the dirty ones.  All canonical ordering (pair
-orientation, queue tie-breaks, refresh iteration order) runs on the
-database's :class:`~repro.core.candidates.LeafsetInterner` — integer
-comparisons instead of the seed's repr-string keys.
+The ``related`` scope revalidates every popped pair; ``lazy`` only the
+dirty ones.  All canonical ordering (pair orientation, queue
+tie-breaks, refresh iteration order) runs on the database's
+:class:`~repro.core.candidates.LeafsetInterner` — integer comparisons
+instead of the seed's repr-string keys.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
+from repro.config import UPDATE_SCOPES
 from repro.core.candidates import CandidateQueue, LeafsetInterner, Pair
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.gain import GainEngine
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
 from repro.core.inverted_db import InvertedDatabase, MergeOutcome
 from repro.core.mdl import description_length
-from repro.core.pairgen import generate_pairs
+from repro.core.pairgen import overlap_pairs
 from repro.errors import MiningError
 from repro.obs import current
 
 LeafKey = FrozenSet[Hashable]
 GAIN_EPS = 1e-9
-UPDATE_SCOPES = ("lazy", "exhaustive", "related")
 
 
 class _PartialState:
@@ -141,7 +133,6 @@ def run_partial(
     max_iterations: Optional[int] = None,
     update_scope: str = "lazy",
     initial_dl_bits: Optional[float] = None,
-    pair_source: str = "overlap",
     recorder=None,
 ) -> RunTrace:
     """Run CSPM-Partial to convergence, mutating ``db`` in place.
@@ -176,7 +167,7 @@ def run_partial(
         state.queue = recorder.make_queue(interner)
     initial_gains = 0
     seed_epoch = db.merge_epoch
-    for leaf_x, leaf_y in generate_pairs(db, pair_source):
+    for leaf_x, leaf_y in overlap_pairs(db):
         breakdown, gain = net_gain(leaf_x, leaf_y)
         initial_gains += 1
         if gain > GAIN_EPS:
@@ -226,8 +217,8 @@ def run_partial(
             # so if the fresh gain fell below the next stored gain — or ties
             # it with a larger pair key — push the fresh value back and let
             # the true maximum surface.  The strict comparison (no epsilon
-            # slack) is what keeps the exhaustive and lazy scopes' merge
-            # sequence identical to CSPM-Basic's even when candidates tie.
+            # slack) is what keeps the lazy scope's merge sequence
+            # identical to CSPM-Basic's even when candidates tie.
             next_best = state.queue.peek()
             if next_best is not None:
                 next_pair, next_gain = next_best
@@ -267,8 +258,6 @@ def run_partial(
             refresh_gains = _update_related(
                 db, state, outcome, related_x, related_y, net_gain
             )
-        elif update_scope == "exhaustive":
-            refresh_gains = _update_exhaustive(db, state, outcome, net_gain)
         else:
             refresh_gains = _update_lazy(db, state, outcome, net_gain, trace)
         gains_computed += refresh_gains
@@ -367,61 +356,6 @@ def _subset_union_pairs(
                 yield leaf, rel
 
 
-def _update_exhaustive(
-    db: InvertedDatabase,
-    state: _PartialState,
-    outcome: MergeOutcome,
-    net_gain,
-) -> int:
-    """Re-evaluate every pair the merge could have improved.
-
-    A pair's gain changed only if the merge touched a coreset common
-    to the pair: the merged rows shrank (pairs involving the two
-    survivors), a new row appeared (pairs involving the new leafset),
-    or only ``fe`` shrank — which can only *lower* a gain and is
-    handled by lazy revalidation on pop.  So it suffices to re-evaluate
-    the survivors and the new leafset against the leafsets present
-    under the touched coresets, plus pairs whose union equals the new
-    leafset (their model cost just dropped).  Returns the number of
-    gain computations.
-    """
-    gains = 0
-    interner = state.interner
-    new_leaf = outcome.new_leafset
-    focus, rel_pool = _refresh_pool(db, outcome)
-    rel_ordered = interner.order(rel_pool)
-    refreshed = set()
-    for leaf in interner.order(focus):
-        if not db.has_leafset(leaf):
-            continue
-        for rel in rel_ordered:
-            if rel == leaf or not db.has_leafset(rel):
-                continue
-            pair = interner.canonical_pair(leaf, rel)
-            if pair in refreshed:
-                continue
-            refreshed.add(pair)
-            _breakdown, gain = net_gain(leaf, rel)
-            gains += 1
-            if gain > GAIN_EPS:
-                state.add_candidate(leaf, rel, gain)
-            elif pair in state.queue:
-                state.drop_candidate(leaf, rel)
-    if db.has_leafset(new_leaf):
-        for leaf, rel in _subset_union_pairs(interner, rel_pool, focus, new_leaf):
-            pair = interner.canonical_pair(leaf, rel)
-            if pair in refreshed:
-                continue
-            refreshed.add(pair)
-            _breakdown, gain = net_gain(leaf, rel)
-            gains += 1
-            if gain > GAIN_EPS:
-                state.add_candidate(leaf, rel, gain)
-            else:
-                state.drop_candidate(leaf, rel)
-    return gains
-
-
 def _update_lazy(
     db: InvertedDatabase,
     state: _PartialState,
@@ -431,8 +365,10 @@ def _update_lazy(
 ) -> int:
     """The bound-driven refresh: recompute only pairs that can rise.
 
-    Walks the same neighbourhood as :func:`_update_exhaustive` but
-    skips the pairs whose gain provably did not change for the better.
+    Walks the merge's neighbourhood (:func:`_refresh_pool`: the focus
+    leafsets against every leafset under a touched coreset, plus the
+    subset-union pairs) but skips the pairs whose gain provably did not
+    change for the better.
     The union-level tests are answered in bulk (one
     :meth:`~repro.core.masks.base.MaskBackend.overlaps_many` call per
     focus leafset over all its untested partners), survivors face a

@@ -35,24 +35,20 @@ Pairs are returned in ascending interned-id order, the exact order
 :func:`repro.core.candidates.enumerate_pairs` yields under the same
 interner, so greedy tie-breaking is identical to the full scan — the
 randomized equivalence tests in ``tests/test_pairgen.py`` assert
-merge-sequence and DL bit-exactness for both search variants.
+merge-sequence and DL bit-exactness of both search variants against
+the naive full-scan oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, List, Optional
+from typing import FrozenSet, Hashable, List
 
-from repro.core.candidates import LeafsetInterner, Pair
+from repro.core.candidates import Pair
 
 LeafKey = FrozenSet[Hashable]
 
-PAIR_SOURCES = ("overlap", "full")
 
-
-def overlap_pairs(
-    db,
-    interner: Optional[LeafsetInterner] = None,
-) -> List[Pair]:
+def overlap_pairs(db) -> List[Pair]:
     """Candidate pairs that can have positive gain, in canonical order.
 
     Every returned pair shares at least one coreset with overlapping
@@ -61,8 +57,7 @@ def overlap_pairs(
     interner-driven full scan uses — so downstream first-strictly-better
     selection breaks ties identically to ``enumerate_pairs``.
     """
-    if interner is None:
-        interner = db.interner
+    interner = db.interner
     union_of = db.leaf_union_mask
     overlaps = db.mask_backend.union_overlaps
     leaf_of = interner.leafset_of
@@ -117,28 +112,3 @@ def overlap_pairs(
             out.append((leaf_of(id_x), leaf_of(id_y)))
     return out
 
-
-def generate_pairs(
-    db,
-    pair_source: str = "overlap",
-    interner: Optional[LeafsetInterner] = None,
-):
-    """Dispatch between the overlap generator and the full scan.
-
-    ``pair_source`` is ``"overlap"`` (default: sparse-aware generation)
-    or ``"full"`` (the quadratic reference scan, kept for equivalence
-    testing and perf baselines).  Both enumerate in the same
-    interned-id order.
-    """
-    from repro.core.candidates import enumerate_pairs
-    from repro.errors import MiningError
-
-    if pair_source == "overlap":
-        return overlap_pairs(db, interner=interner)
-    if pair_source == "full":
-        return enumerate_pairs(
-            db.leafsets(), interner=interner if interner is not None else db.interner
-        )
-    raise MiningError(
-        f"pair_source must be one of {PAIR_SOURCES}, got {pair_source!r}"
-    )

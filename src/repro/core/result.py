@@ -55,6 +55,16 @@ def _astar_entry(index: int, entry: Any) -> AStar:
     raise MiningError(f"astars[{index}] is not an a-star entry: {entry!r}")
 
 
+def _section(document: Mapping[str, Any], key: str, decode) -> Any:
+    """``decode(document[key])``, or a :class:`MiningError` naming ``key``."""
+    try:
+        return decode(document[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MiningError(
+            f"result document section {key!r} is malformed: {exc!r}"
+        ) from None
+
+
 @dataclass
 class CSPMResult:
     """Output of a CSPM run.
@@ -236,9 +246,9 @@ class CSPMResult:
 
         The returned result has ``inverted_db=None``.  A document of
         another ``schema_version``, one missing a section of
-        :data:`SECTIONS`, or one holding a malformed ``astars`` entry
-        raises :class:`~repro.errors.MiningError` naming the key; a
-        config echo with an unknown field raises
+        :data:`SECTIONS`, or one holding a malformed section raises
+        :class:`~repro.errors.MiningError` naming the key; a config
+        echo that is not a valid config raises
         :class:`~repro.errors.ConfigError`.
         """
         if not isinstance(document, Mapping):
@@ -264,15 +274,17 @@ class CSPMResult:
         config = document.get("config")
         return cls(
             astars=[_astar_entry(i, entry) for i, entry in enumerate(astars)],
-            trace=RunTrace.from_dict(document["trace"]),
-            initial_dl=DescriptionLength.from_dict(document["initial_dl"]),
-            final_dl=DescriptionLength.from_dict(document["final_dl"]),
-            standard_table=StandardCodeTable.from_dict(
-                document["standard_table"]
+            trace=_section(document, "trace", RunTrace.from_dict),
+            initial_dl=_section(document, "initial_dl", DescriptionLength.from_dict),
+            final_dl=_section(document, "final_dl", DescriptionLength.from_dict),
+            standard_table=_section(
+                document, "standard_table", StandardCodeTable.from_dict
             ),
-            core_table=CoreCodeTable.from_dict(document["core_table"]),
+            core_table=_section(document, "core_table", CoreCodeTable.from_dict),
             inverted_db=None,
-            config=None if config is None else CSPMConfig.from_dict(config),
+            config=None
+            if config is None
+            else _section(document, "config", CSPMConfig.from_dict),
             runtime=document.get("runtime"),
         )
 

@@ -44,14 +44,14 @@ beats every other stored gain of the component), so the component's
 cursor simply stays parked on the merge event until the pair returns —
 cleanly under the lazy scope (no common coreset was touched in
 between, which also costs one synthetic ``refreshes_skipped``), or via
-a fresh revalidation under the other scopes.
+a fresh revalidation under the related scope.
 
 Counters stitch as: ``refreshes_skipped``/``dirty_revalidations`` sum
 over workers (plus the synthetic clean re-pops), ``gains_computed``
 re-flushes a single global pending counter at each replayed merge, and
-``initial_candidate_gains`` is recounted by the parent — the serial
-seeding also evaluates cross-component overlapping pairs that no
-worker ever sees.
+``initial_candidate_gains`` sums over workers: no overlapping pair
+crosses components, since overlapping leaf-union masks at a vertex
+imply a common coreset (the invariant of :mod:`repro.core.pairgen`).
 
 The fork/initializer/in-process triad (docs/INVARIANTS.md, family 3):
 workers receive the database by fork inheritance where possible, and
@@ -65,14 +65,14 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.config import UPDATE_SCOPES
 from repro.core.candidates import CandidateQueue, LeafKey, LeafsetInterner, Pair
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.cspm_partial import UPDATE_SCOPES, run_partial
+from repro.core.cspm_partial import run_partial
 from repro.core.gain import GainBreakdown
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import description_length
-from repro.core.pairgen import PAIR_SOURCES, overlap_pairs
 from repro.errors import MiningError
 from repro.obs import Observation, activate, current
 from repro.runtime.supervisor import RuntimePolicy, SiteReport, run_supervised
@@ -88,8 +88,8 @@ EV_PUSH = 2
 EV_DROP = 3
 
 #: Shared search state in a worker process: ``(database, standard
-#: table, core table, include_model_cost, update_scope, pair_source,
-#: trace enabled)``.  Set by fork inheritance or the pool initializer.
+#: table, core table, include_model_cost, update_scope, trace
+#: enabled)``.  Set by fork inheritance or the pool initializer.
 _WORKER_STATE: Optional[Tuple] = None
 
 
@@ -118,6 +118,7 @@ class ComponentRun:
     leafsets: List[LeafKey]
     ops: List[Tuple[int, int, int, float]]
     events: List[Tuple[int, int, int, float, float, float, float, int, int]]
+    initial_candidate_gains: int
     refreshes_skipped: int
     dirty_revalidations: int
     #: Closed observability spans recorded in the worker (plain str/
@@ -274,7 +275,7 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
     """Worker entrypoint: mine one component on a restricted copy."""
     import os
 
-    db, standard_table, core_table, include_model_cost, scope, source, traced = (
+    db, standard_table, core_table, include_model_cost, scope, traced = (
         _WORKER_STATE
     )
     obs = Observation.for_worker(trace=traced)
@@ -294,7 +295,6 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
                 include_model_cost=include_model_cost,
                 update_scope=scope,
                 initial_dl_bits=0.0,
-                pair_source=source,
                 recorder=recorder,
             )
     local_interner = local.interner
@@ -302,6 +302,7 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
         leafsets=[local_interner.leafset_of(i) for i in range(len(local_interner))],
         ops=recorder.ops,
         events=[tuple(event) for event in recorder.events],
+        initial_candidate_gains=trace.initial_candidate_gains,
         refreshes_skipped=trace.refreshes_skipped,
         dirty_revalidations=trace.dirty_revalidations,
         spans=obs.tracer.export_spans() if traced else None,
@@ -315,7 +316,6 @@ def _mine_components(
     core_table: CoreCodeTable,
     include_model_cost: bool,
     update_scope: str,
-    pair_source: str,
     components: List[List[int]],
     workers: Optional[int],
     policy: Optional[RuntimePolicy] = None,
@@ -346,7 +346,6 @@ def _mine_components(
         core_table,
         include_model_cost,
         update_scope,
-        pair_source,
         obs.tracer.enabled,
     )
     report: Optional[SiteReport] = None
@@ -439,7 +438,6 @@ def _stitch(
     db: InvertedDatabase,
     update_scope: str,
     initial_dl_bits: float,
-    initial_candidate_gains: int,
     runs: List[ComponentRun],
 ) -> RunTrace:
     """Replay the recorded component runs into the serial result.
@@ -461,7 +459,6 @@ def _stitch(
             db,
             update_scope,
             initial_dl_bits,
-            initial_candidate_gains,
             runs,
             obs,
         )
@@ -471,7 +468,6 @@ def _replay(
     db: InvertedDatabase,
     update_scope: str,
     initial_dl_bits: float,
-    initial_candidate_gains: int,
     runs: List[ComponentRun],
     obs,
 ) -> RunTrace:
@@ -479,7 +475,9 @@ def _replay(
     lazy = update_scope == "lazy"
     trace = RunTrace(algorithm=f"cspm-partial/{update_scope}")
     trace.initial_dl_bits = initial_dl_bits
-    trace.initial_candidate_gains = initial_candidate_gains
+    trace.initial_candidate_gains = sum(
+        run.initial_candidate_gains for run in runs
+    )
     dl = initial_dl_bits
     interner = db.interner
     pair_key = interner.pair_key
@@ -659,7 +657,6 @@ def run_sharded(
     include_model_cost: bool = True,
     update_scope: str = "lazy",
     initial_dl_bits: Optional[float] = None,
-    pair_source: str = "overlap",
     workers: Optional[int] = None,
     policy: Optional[RuntimePolicy] = None,
 ) -> ShardedSearch:
@@ -680,10 +677,6 @@ def run_sharded(
         raise MiningError(
             f"update_scope must be one of {UPDATE_SCOPES}, got {update_scope!r}"
         )
-    if pair_source not in PAIR_SOURCES:
-        raise MiningError(
-            f"pair_source must be one of {PAIR_SOURCES}, got {pair_source!r}"
-        )
     if workers is not None and workers < 1:
         raise MiningError(f"search_workers must be >= 1, got {workers!r}")
     if initial_dl_bits is None:
@@ -691,13 +684,6 @@ def run_sharded(
             db, standard_table, core_table
         ).total_bits
     num_leafsets = db.num_leafsets
-    # The serial seeding evaluates cross-component pairs too (their
-    # gain is zero, so they never enter any queue): recount here
-    # instead of summing worker-local counts.
-    if pair_source == "full":
-        initial_gains = num_leafsets * (num_leafsets - 1) // 2
-    else:
-        initial_gains = len(overlap_pairs(db))
     components = connected_components(db)
     current().progress.note(
         "search",
@@ -710,12 +696,11 @@ def run_sharded(
         core_table,
         include_model_cost,
         update_scope,
-        pair_source,
         components,
         workers,
         policy,
     )
-    trace = _stitch(db, update_scope, initial_dl_bits, initial_gains, runs)
+    trace = _stitch(db, update_scope, initial_dl_bits, runs)
     largest = max((len(component) for component in components), default=0)
     return ShardedSearch(
         trace=trace,

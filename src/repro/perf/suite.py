@@ -2,10 +2,11 @@
 
 The suite reproduces the *shape* of the paper's scaling measurements
 (Fig. 5: gain computations touched per step; Table III: runtime of the
-search variants) on deterministic synthetic workloads, and runs every
-configuration twice — once with the overlap-driven candidate generator
-(:mod:`repro.core.pairgen`) and once with the quadratic full scan — so
-the sparse-aware speedup is measured on otherwise identical code.
+search variants) on deterministic synthetic workloads.  Both searches
+seed from the overlap-driven candidate generator
+(:mod:`repro.core.pairgen`); each entry's ``seeding_gain_reduction``
+compares its seeding evaluations with the ``possible_pairs`` the
+paper's quadratic full scan evaluates.
 
 Workloads
 ---------
@@ -32,15 +33,13 @@ Workloads
     the recorded ``bigint_mask_bytes_estimate`` shows gigabytes), so
     this family always runs on the sparse chunked backend
     (:mod:`repro.core.masks`), whatever the suite-level
-    ``--mask-backend`` choice.  CSPM-Partial/overlap only —
-    the quadratic full scan over ~50k leafsets is exactly the blow-up
-    the overlap generator removes.
+    ``--mask-backend`` choice.  CSPM-Partial only.
 ``pokec-xl``
     True paper scale (schema v4): the same family at the source
     paper's pokec size — 32 000 communities = 800k vertices, and
     64 000 communities = 1.6M vertices for the top member.  Full
-    suite only (the quick/CI flavour skips it); CSPM-Partial/overlap
-    on chunked masks, like ``pokec-sparse``.  This family
+    suite only (the quick/CI flavour skips it); CSPM-Partial on chunked
+    masks, like ``pokec-sparse``.  This family
     exists to pin the construction layer: its entries' recorded
     ``construction_seconds`` are what the columnar batch builder is
     accountable for.
@@ -110,6 +109,13 @@ longer records the suite-level build-path knobs, and series entries no
 longer carry the partitioned build's retry/degraded-task telemetry
 (every build is the in-process columnar one).
 
+Schema v9 drops the ``partial/full``/``basic/full`` reference runs
+and their wall-clock ratios.  ``seeding_gain_reduction`` is now
+``possible_pairs`` over the overlap run's seeding gains (the same
+value: the full scan seeded every possible pair), on every entry.  Run
+keys keep their ``/overlap`` suffix so :func:`merge_into` never mixes
+key spellings.
+
 A single workload family can be re-measured without discarding the
 rest of an existing document: ``--workload <name>`` (repeatable)
 restricts the run, and when the output file already exists its other
@@ -117,10 +123,11 @@ workload entries are carried over unchanged (see :func:`merge_into`).
 ``--list-workloads`` (or ``--list``) prints the registered families
 with their quick/full member sizes instead of running anything.
 
-Output document (``BENCH_cspm.json``, schema v5)::
+Output document (``BENCH_cspm.json``, schema v9, abridged — the
+runtime and observability keys of v6/v7 are left out)::
 
     {
-      "schema_version": 5,
+      "schema_version": 9,
       "suite": "cspm-perf",
       "quick": bool,
       "mask_backend": "auto",                    # the suite-level request
@@ -158,11 +165,9 @@ Output document (``BENCH_cspm.json``, schema v5)::
                   "mask_backend": "bigint",
                   "mask_peak_bytes": int
                 },
-                "partial/full": {...}, "basic/overlap": {...}, ...
+                "basic/overlap": {...}            # sparse-scaling only
               },
-              "seeding_gain_reduction": float,   # full/overlap seed gains
-              "partial_wall_speedup": float,     # full/overlap wall
-              "basic_wall_speedup": float|null
+              "seeding_gain_reduction": float    # possible_pairs / seed gains
             }, ...
           ]
         }, ...
@@ -202,7 +207,7 @@ from repro.obs import (
 from repro.pipeline import BuildInvertedDB, EncodeCoresets, PipelineContext
 from repro.runtime.supervisor import RuntimePolicy
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 WORKLOAD_NAMES = (
     "sparse-scaling",
@@ -220,8 +225,7 @@ WORKLOAD_NAMES = (
 SPARSE_POOL_SIZE = 6
 SPARSE_COMMUNITY_SIZE = 25
 
-# Community counts per suite flavour.  Basic (the quadratic search) is
-# capped: its full-scan reference is exactly the blow-up being measured.
+# Community counts per suite flavour.
 SPARSE_SIZES_QUICK = (16, 32, 48)
 SPARSE_SIZES_FULL = (16, 32, 48, 64)
 DATASET_SCALE_QUICK = 0.5
@@ -322,7 +326,6 @@ def _run_case(
     core,
     initial_bits: float,
     algorithm: str,
-    pair_source: str,
     initial_mask_bytes: int,
     search: str = "serial",
     search_workers: Optional[int] = None,
@@ -356,28 +359,20 @@ def _run_case(
     with activate(obs), obs.span(
         "bench.run",
         algorithm=algorithm,
-        pair_source=pair_source,
         search=search,
     ):
         start = clock.perf_counter()
         if algorithm == "basic":
-            trace = run_basic(
-                db, standard, core, initial_dl_bits=initial_bits,
-                pair_source=pair_source,
-            )
+            trace = run_basic(db, standard, core, initial_dl_bits=initial_bits)
         elif search == "sharded":
             sharded = run_sharded(
                 db, standard, core, initial_dl_bits=initial_bits,
-                pair_source=pair_source, workers=search_workers,
-                policy=policy,
+                workers=search_workers, policy=policy,
             )
             trace = sharded.trace
             report = sharded.report
         else:
-            trace = run_partial(
-                db, standard, core, initial_dl_bits=initial_bits,
-                pair_source=pair_source,
-            )
+            trace = run_partial(db, standard, core, initial_dl_bits=initial_bits)
         wall = clock.perf_counter() - start
         emit_run_trace(obs.metrics, trace)
         if obs.metrics.enabled:
@@ -422,14 +417,13 @@ def _measure_size(
     label: str,
     run_basic_too: bool,
     mask_backend: str = "auto",
-    pair_sources: Sequence[str] = ("overlap", "full"),
     search: str = "serial",
     search_workers: Optional[int] = None,
     workload: Optional[str] = None,
     runtime_kwargs: Optional[Dict[str, Any]] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
-    """All (algorithm, pair_source) runs for one workload size."""
+    """All algorithm runs for one workload size."""
     db0, standard, core, initial_bits, construction_seconds = _prepare(
         graph, mask_backend=mask_backend
     )
@@ -447,25 +441,24 @@ def _measure_size(
     runs: Dict[str, Dict[str, Any]] = {}
     algorithms = ["partial"] + (["basic"] if run_basic_too else [])
     for algorithm in algorithms:
-        for pair_source in pair_sources:
-            runs[f"{algorithm}/{pair_source}"] = _run_case(
-                db0,
-                standard,
-                core,
-                initial_bits,
-                algorithm,
-                pair_source,
-                initial_mask_bytes,
-                search=search,
-                search_workers=search_workers,
-                policy=policy,
-                metrics=metrics,
-            )
+        runs[f"{algorithm}/overlap"] = _run_case(
+            db0,
+            standard,
+            core,
+            initial_bits,
+            algorithm,
+            initial_mask_bytes,
+            search=search,
+            search_workers=search_workers,
+            policy=policy,
+            metrics=metrics,
+        )
+    possible_pairs = num_leafsets * (num_leafsets - 1) // 2
     entry: Dict[str, Any] = {
         "label": label,
         "num_vertices": graph.num_vertices,
         "num_leafsets": num_leafsets,
-        "possible_pairs": num_leafsets * (num_leafsets - 1) // 2,
+        "possible_pairs": possible_pairs,
         "num_components": len(components),
         "largest_component_frac": round(
             largest_component / num_leafsets if num_leafsets else 0.0, 6
@@ -478,28 +471,10 @@ def _measure_size(
     baseline = PRE_COLUMNAR_CONSTRUCTION_SECONDS.get((workload, label))
     if baseline is not None:
         entry["construction_baseline_seconds"] = baseline
-    overlap = runs["partial/overlap"]
-    full = runs.get("partial/full")
-    if full is not None:
-        entry["seeding_gain_reduction"] = round(
-            full["initial_candidate_gains"]
-            / max(1, overlap["initial_candidate_gains"]),
-            3,
-        )
-        entry["partial_wall_speedup"] = round(
-            full["wall_seconds"] / max(1e-9, overlap["wall_seconds"]), 3
-        )
-    else:
-        entry["seeding_gain_reduction"] = None
-        entry["partial_wall_speedup"] = None
-    if run_basic_too and "basic/full" in runs:
-        entry["basic_wall_speedup"] = round(
-            runs["basic/full"]["wall_seconds"]
-            / max(1e-9, runs["basic/overlap"]["wall_seconds"]),
-            3,
-        )
-    else:
-        entry["basic_wall_speedup"] = None
+    entry["seeding_gain_reduction"] = round(
+        possible_pairs / max(1, runs["partial/overlap"]["initial_candidate_gains"]),
+        3,
+    )
     return entry
 
 
@@ -524,43 +499,42 @@ def workload_catalog() -> List[Dict[str, Any]]:
             "kind": "synthetic-community",
             "quick": communities(SPARSE_SIZES_QUICK),
             "full": communities(SPARSE_SIZES_FULL),
-            "runs": "partial+basic, overlap+full",
+            "runs": "partial+basic",
         },
         {
             "workload": "dblp",
             "kind": "dataset-analogue",
             "quick": [f"scale={DATASET_SCALE_QUICK}"],
             "full": [f"scale={DATASET_SCALE_FULL}"],
-            "runs": "partial, overlap+full",
+            "runs": "partial",
         },
         {
             "workload": "dblp-trend",
             "kind": "dataset-analogue",
             "quick": [f"scale={DATASET_SCALE_QUICK}"],
             "full": [f"scale={DATASET_SCALE_FULL}"],
-            "runs": "partial, overlap+full",
+            "runs": "partial",
         },
         {
             "workload": "usflight",
             "kind": "dataset-analogue",
             "quick": [f"scale={DATASET_SCALE_QUICK}"],
             "full": [f"scale={DATASET_SCALE_FULL}"],
-            "runs": "partial, overlap+full",
+            "runs": "partial",
         },
         {
             "workload": "pokec-sparse",
             "kind": "synthetic-community",
             "quick": communities(POKEC_SIZES_QUICK),
             "full": communities(POKEC_SIZES_FULL),
-            "runs": "partial/overlap only, chunked masks",
+            "runs": "partial, chunked masks",
         },
         {
             "workload": "pokec-xl",
             "kind": "synthetic-community",
             "quick": [],
             "full": communities(POKEC_XL_SIZES_FULL),
-            "runs": "partial/overlap only, chunked masks "
-            "(full suite only)",
+            "runs": "partial, chunked masks (full suite only)",
         },
     ]
 
@@ -747,7 +721,6 @@ def run_suite(
                     # Whole-graph bigint masks are the very
                     # infeasibility this family demonstrates.
                     mask_backend="chunked",
-                    pair_sources=("overlap",),
                 )
             )
         workloads.append(
@@ -806,7 +779,7 @@ def summarize(document: Dict[str, Any]) -> str:
 
     lines = [
         f"{'workload':<16}{'size':<16}{'|SL|':>7}{'pairs':>11}"
-        f"{'seed red.':>10}{'partial x':>10}{'basic x':>9}"
+        f"{'seed red.':>10}"
         f"{'partial s':>10}{'build s':>9}{'peak Q':>8}{'skipped':>9}{'dirty':>7}"
         f"{'mask':>9}{'mask MB':>9}{'vs bigint':>10}"
     ]
@@ -825,8 +798,6 @@ def summarize(document: Dict[str, Any]) -> str:
                 f"{workload['workload']:<16}{entry['label']:<16}"
                 f"{entry['num_leafsets']:>7}{entry['possible_pairs']:>11}"
                 f"{_ratio(entry.get('seeding_gain_reduction')):>10.2f}"
-                f"{_ratio(entry.get('partial_wall_speedup')):>10.2f}"
-                f"{_ratio(entry.get('basic_wall_speedup')):>9.2f}"
                 f"{partial['wall_seconds']:>10.3f}"
                 f"{_ratio(entry.get('construction_seconds')):>9.3f}"
                 f"{partial['peak_queue_size']:>8}"
@@ -856,7 +827,8 @@ def check_bounds(
         Upper bound on the overlap run's seeding gain evaluations
         (structural: grows only if candidate generation regresses).
     ``min_seeding_gain_reduction``
-        Lower bound on full/overlap seeding gains.
+        Lower bound on ``possible_pairs`` over the overlap run's
+        seeding gain evaluations.
     ``max_total_gain_computations``
         Upper bound on the overlap run's total gain evaluations.
     ``min_refreshes_skipped``
@@ -922,13 +894,11 @@ def check_bounds(
             if floor is not None:
                 reduction = entry.get("seeding_gain_reduction")
                 if reduction is None:
-                    # Overlap-only entries (pokec-sparse) have no full
-                    # scan to compare against — a bound on them is a
-                    # bounds-file mistake, reported, not a crash.
+                    # Entries of a document older than schema v9 may
+                    # lack the ratio: reported, not a crash.
                     failures.append(
                         f"{workload_name}/{label}: seeding_gain_reduction "
-                        f"not measured (overlap-only entry) but bounded "
-                        f">= {floor}"
+                        f"not measured but bounded >= {floor}"
                     )
                 elif reduction < floor:
                     failures.append(

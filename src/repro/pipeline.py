@@ -248,10 +248,8 @@ class Search(PipelineStage):
     """Steps 3-4: greedy MDL merging, basic or partial-update.
 
     Candidate pairs come from the overlap-driven generator
-    (:mod:`repro.core.pairgen`) by default; ``pair_source="full"``
-    switches to the quadratic reference scan — same merge sequence and
-    DL bits, only slower.  The perf harness uses this to measure the
-    sparse-aware speedup on identical pipelines.
+    (:mod:`repro.core.pairgen`), which selects the same merge sequence
+    and DL bits as the paper's quadratic pair scan.
 
     The end-of-run description length is *incremental*: the searches
     accumulate ``initial_dl_bits - sum(breakdown.total)`` (and the
@@ -271,15 +269,6 @@ class Search(PipelineStage):
     ``largest_component_frac``).  Runs the sharded path cannot express
     (basic method, ``max_iterations`` caps) fall back to serial.
     """
-
-    def __init__(self, pair_source: str = "overlap") -> None:
-        from repro.core.pairgen import PAIR_SOURCES
-
-        if pair_source not in PAIR_SOURCES:
-            raise MiningError(
-                f"pair_source must be one of {PAIR_SOURCES}, got {pair_source!r}"
-            )
-        self.pair_source = pair_source
 
     def run(self, context: PipelineContext) -> None:
         config = context.config
@@ -328,7 +317,6 @@ class Search(PipelineStage):
                 include_model_cost=config.include_model_cost,
                 max_iterations=config.max_iterations,
                 initial_dl_bits=initial_bits,
-                pair_source=self.pair_source,
             )
         elif config.search == "sharded" and config.max_iterations is None:
             from repro.core.search_shard import run_sharded
@@ -340,7 +328,6 @@ class Search(PipelineStage):
                 include_model_cost=config.include_model_cost,
                 update_scope=config.partial_update_scope,
                 initial_dl_bits=initial_bits,
-                pair_source=self.pair_source,
                 workers=config.search_workers,
                 policy=RuntimePolicy.from_config(config),
             )
@@ -362,7 +349,6 @@ class Search(PipelineStage):
                 max_iterations=config.max_iterations,
                 update_scope=config.partial_update_scope,
                 initial_dl_bits=initial_bits,
-                pair_source=self.pair_source,
             )
 
 

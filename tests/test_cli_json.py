@@ -62,6 +62,11 @@ class TestMineJson:
         reference = CSPM().fit(paper_running_example())
         assert len(document["astars"]) == len(reference.astars)
 
+    def test_defaults_are_the_library_defaults(self, paper_graph_file, capsys):
+        main(["mine", paper_graph_file, "--json"])
+        document = json.loads(capsys.readouterr().out)
+        assert document["config"] == CSPMConfig().to_dict()
+
     def test_method_and_scope_flow_into_config(self, paper_graph_file, capsys):
         main(
             [
@@ -115,15 +120,16 @@ class TestMalformedGraphFile:
         assert "Traceback" not in err
 
 
-RETIRED_FLAGS = pytest.mark.parametrize(
-    "flags",
-    [
-        ["--construction", "partitioned"],
-        ["--construction-workers", "2"],
-        ["--mask-backend", "numpy"],
-    ],
-    ids=["partitioned-construction", "construction-workers", "numpy-backend"],
-)
+RETIRED_FLAGS = [
+    pytest.param(["--construction", "partitioned"], id="partitioned-construction"),
+    pytest.param(["--construction-workers", "2"], id="construction-workers"),
+    pytest.param(["--mask-backend", "numpy"], id="numpy-backend"),
+]
+# ``bench`` has no ``--scope``; the retired scope value is a mine-only row.
+RETIRED_MINE_FLAGS = [
+    *RETIRED_FLAGS,
+    pytest.param(["--scope", "exhaustive"], id="exhaustive-scope"),
+]
 
 
 class TestRetiredFlags:
@@ -137,10 +143,10 @@ class TestRetiredFlags:
         assert "error: " in err
         assert "Traceback" not in err
 
-    @RETIRED_FLAGS
+    @pytest.mark.parametrize("flags", RETIRED_MINE_FLAGS)
     def test_mine_exits_2(self, paper_graph_file, capsys, flags):
         self.assert_exits_2(["mine", paper_graph_file, *flags], capsys)
 
-    @RETIRED_FLAGS
+    @pytest.mark.parametrize("flags", RETIRED_FLAGS)
     def test_bench_exits_2(self, capsys, flags):
         self.assert_exits_2(["bench", *flags], capsys)

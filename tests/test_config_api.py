@@ -34,6 +34,7 @@ class TestValidation:
             {"min_leafset": 0},
             {"min_leafset": None},
             {"mask_backend": "numpy"},
+            {"partial_update_scope": "exhaustive"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -80,6 +81,9 @@ class TestRoundTrip:
             CSPMConfig.from_dict({"method": "basic", "typo_field": 1})
         with pytest.raises(ConfigError, match="construction"):
             CSPMConfig.from_dict({"construction": "partitioned"})
+        for not_a_mapping in (5, [], "method", None):
+            with pytest.raises(ConfigError, match="config must be an object"):
+                CSPMConfig.from_dict(not_a_mapping)
 
     def test_to_dict_is_json_ready(self):
         import json

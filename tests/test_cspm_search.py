@@ -3,12 +3,14 @@
 The headline invariants:
 
 * both variants converge to a state where no pair has positive gain;
-* CSPM-Basic and CSPM-Partial (exhaustive scope) reach identical DL;
+* CSPM-Basic and CSPM-Partial (lazy scope) reproduce the naive
+  Algorithm 1-2 oracle (``tests/oracles.py``) exactly;
 * every accepted merge strictly decreases the tracked DL, and the
   incremental DL equals a from-scratch recomputation at termination.
 """
 
 import pytest
+from oracles import naive_search, outcome
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
@@ -78,18 +80,16 @@ class TestBasic:
 
 
 class TestPartial:
-    @pytest.mark.parametrize("scope", ["lazy", "exhaustive"])
+    @pytest.mark.parametrize(
+        "search", [run_partial, run_basic], ids=["lazy", "basic"]
+    )
     @pytest.mark.parametrize("seed", range(5))
-    def test_model_preserving_scopes_match_basic(self, seed, scope):
+    def test_model_preserving_searches_match_oracle(self, seed, search):
         graph = random_graph(seed)
-        db_b, standard, core = setup(graph)
-        trace_b = run_basic(db_b, standard, core)
-        db_p, _, _ = setup(graph)
-        trace_p = run_partial(db_p, standard, core, update_scope=scope)
-        assert trace_p.final_dl_bits == pytest.approx(
-            trace_b.final_dl_bits, abs=1e-6
-        )
-        assert db_p.snapshot() == db_b.snapshot()
+        db_o, standard, core = setup(graph)
+        expected = outcome(naive_search(db_o, standard, core), db_o)
+        db, _, _ = setup(graph)
+        assert outcome(search(db, standard, core), db) == expected
 
     def test_related_scope_never_beats_basic(self):
         graph = random_graph(7)
@@ -147,23 +147,19 @@ class TestInstrumentation:
         assert all(0.0 <= ratio <= 1.0 for ratio in ratios)
 
     def test_basic_full_scan_ratio_is_one(self, paper_graph):
-        # The reference configuration: quadratic enumeration with the
-        # seed's re-scan-everything strategy touches every pair.
+        # The reference configuration: the naive oracle's quadratic
+        # re-scan-everything loop touches every pair.
         db, standard, core = setup(paper_graph)
-        trace = run_basic(db, standard, core, pair_source="full", rescan="full")
+        trace = naive_search(db, standard, core)
         assert all(t.update_ratio == 1.0 for t in trace.iterations)
 
     def test_basic_restricted_rescan_never_exceeds_full(self, paper_graph):
         # The touched-neighbourhood rescan computes at most as many
         # gains per iteration as the full re-enumeration.
-        trace = run_basic(*setup(paper_graph), rescan="restricted")
-        full = run_basic(*setup(paper_graph), rescan="full")
+        trace = run_basic(*setup(paper_graph))
+        full = naive_search(*setup(paper_graph))
         for restricted_it, full_it in zip(trace.iterations, full.iterations):
             assert restricted_it.gains_computed <= full_it.gains_computed
-
-    def test_basic_rejects_unknown_rescan(self, paper_graph):
-        with pytest.raises(MiningError, match="rescan"):
-            run_basic(*setup(paper_graph), rescan="partial")
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_basic_restricted_rescan_bit_exact(self, seed):
@@ -172,22 +168,15 @@ class TestInstrumentation:
         # merge sequence, DL floats and final database — with only the
         # per-iteration gain-computation counters allowed to differ.
         graph = random_graph(seed)
-        traces = {}
-        snapshots = {}
-        for rescan in ("restricted", "full"):
-            db, standard, core = setup(graph)
-            traces[rescan] = run_basic(db, standard, core, rescan=rescan)
-            snapshots[rescan] = db.snapshot()
-        assert snapshots["restricted"] == snapshots["full"]
-        restricted, full = traces["restricted"], traces["full"]
+        db, standard, core = setup(graph)
+        restricted = run_basic(db, standard, core)
+        db_full, _, _ = setup(graph)
+        full = naive_search(db_full, standard, core)
+        assert outcome(restricted, db) == outcome(full, db_full)
         assert restricted.initial_dl_bits == full.initial_dl_bits
-        assert restricted.final_dl_bits == full.final_dl_bits
-        assert restricted.initial_candidate_gains == full.initial_candidate_gains
+        assert restricted.initial_candidate_gains <= full.initial_candidate_gains
         assert len(restricted.iterations) == len(full.iterations)
         for left, right in zip(restricted.iterations, full.iterations):
-            assert left.merged_pair == right.merged_pair
-            assert left.gain == right.gain
-            assert left.total_dl_bits == right.total_dl_bits
             assert left.gains_computed <= right.gains_computed
 
     def test_basic_overlap_scan_never_exceeds_full(self, paper_graph):

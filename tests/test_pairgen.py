@@ -2,14 +2,15 @@
 
 The headline guarantee: searching with the sparse-aware generator
 (:func:`repro.core.pairgen.overlap_pairs`) is *bit-exact* with the
-quadratic full scan — identical merge sequences and identical final DL
-— for both CSPM-Basic and CSPM-Partial/exhaustive, on many randomized
-graphs.  Alongside: unit tests of the incremental adjacency/id-list
+quadratic full scan of the naive oracle (``tests/oracles.py``) —
+identical merge sequences, DL floats and final databases — for both
+CSPM-Basic and CSPM-Partial, on many randomized graphs.  Alongside: unit tests of the incremental adjacency/id-list
 maintenance in :class:`InvertedDatabase.merge` (row-vanishing and
 partial-survivor cases) and of the generator's ordering contract.
 """
 
 import pytest
+from oracles import naive_search, outcome
 
 from repro.core.candidates import enumerate_pairs
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
@@ -17,9 +18,8 @@ from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.gain import pair_gain
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.pairgen import generate_pairs, overlap_pairs
+from repro.core.pairgen import overlap_pairs
 from repro.datasets.synthetic import community_attributed_graph
-from repro.errors import MiningError
 from repro.graphs.builders import star_graph
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
@@ -61,10 +61,6 @@ def community_graph(seed, communities=6, pool=5):
         inter_degree=0.2,
         seed=seed,
     )
-
-
-def merge_sequence(trace):
-    return [t.merged_pair for t in trace.iterations]
 
 
 class TestGeneratorContract:
@@ -127,10 +123,6 @@ class TestGeneratorContract:
             ]
             assert overlap_pairs(db) == expected
 
-    def test_generate_pairs_rejects_unknown_source(self, paper_db):
-        with pytest.raises(MiningError):
-            generate_pairs(paper_db, "bogus")
-
     def test_disjoint_leafsets_yield_nothing(self):
         # {x} lives only at the core vertex, {c} only at the leaves:
         # no shared coreset, disjoint unions, no candidates.
@@ -146,46 +138,43 @@ class TestSearchEquivalence:
     def test_basic_same_merges_and_dl(self, seed):
         graph = planted_graph(seed) if seed % 2 else community_graph(seed)
         db_full, standard, core = setup(graph)
-        trace_full = run_basic(db_full, standard, core, pair_source="full")
+        trace_full = naive_search(db_full, standard, core)
         db_overlap, _, _ = setup(graph)
-        trace_overlap = run_basic(db_overlap, standard, core, pair_source="overlap")
-        assert merge_sequence(trace_overlap) == merge_sequence(trace_full)
-        assert trace_overlap.final_dl_bits == trace_full.final_dl_bits
-        assert db_overlap.snapshot() == db_full.snapshot()
+        trace_overlap = run_basic(db_overlap, standard, core)
+        assert outcome(trace_overlap, db_overlap) == outcome(trace_full, db_full)
         assert (
             trace_overlap.initial_candidate_gains
             <= trace_full.initial_candidate_gains
         )
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_partial_exhaustive_same_merges_and_dl(self, seed):
+    def test_partial_same_merges_and_dl(self, seed):
         graph = community_graph(seed) if seed % 2 else planted_graph(seed)
         db_full, standard, core = setup(graph)
-        trace_full = run_partial(db_full, standard, core, pair_source="full")
+        trace_full = naive_search(db_full, standard, core)
         db_overlap, _, _ = setup(graph)
-        trace_overlap = run_partial(db_overlap, standard, core, pair_source="overlap")
-        assert merge_sequence(trace_overlap) == merge_sequence(trace_full)
-        assert trace_overlap.final_dl_bits == trace_full.final_dl_bits
-        assert db_overlap.snapshot() == db_full.snapshot()
+        trace_overlap = run_partial(db_overlap, standard, core)
+        assert outcome(trace_overlap, db_overlap) == outcome(trace_full, db_full)
 
     @pytest.mark.parametrize("seed", [0, 3, 6])
-    def test_partial_related_scope_same_merges(self, seed):
+    def test_partial_related_scope_seeds_like_the_full_scan(self, seed):
+        # The related scope follows its own merge path (it may miss
+        # late candidates), but its overlap-seeded queue must surface
+        # the full scan's first merge, with the very same gain and DL.
         graph = community_graph(seed)
         db_full, standard, core = setup(graph)
-        trace_full = run_partial(
-            db_full, standard, core, update_scope="related", pair_source="full"
-        )
+        trace_full = naive_search(db_full, standard, core)
         db_overlap, _, _ = setup(graph)
         trace_overlap = run_partial(
-            db_overlap, standard, core, update_scope="related", pair_source="overlap"
+            db_overlap, standard, core, update_scope="related"
         )
-        assert merge_sequence(trace_overlap) == merge_sequence(trace_full)
-        assert trace_overlap.final_dl_bits == trace_full.final_dl_bits
+        first = outcome(trace_overlap, db_overlap)["merges"][0]
+        assert first == outcome(trace_full, db_full)["merges"][0]
 
     def test_sparse_seeding_is_cheaper(self):
         db, standard, core = setup(community_graph(2, communities=10))
-        trace_full = run_partial(db.copy(), standard, core, pair_source="full")
-        trace_overlap = run_partial(db.copy(), standard, core, pair_source="overlap")
+        trace_full = naive_search(db.copy(), standard, core)
+        trace_overlap = run_partial(db.copy(), standard, core)
         assert (
             trace_overlap.initial_candidate_gains
             < trace_full.initial_candidate_gains / 2

@@ -6,9 +6,10 @@ global queue (:mod:`repro.core.search_shard`).  The contract is total:
 the stitched :class:`RunTrace` — merge sequence, every DL float, every
 instrumentation counter — and the mutated database must equal the
 serial :func:`run_partial` outcome exactly (``==``, not approx), on
-every update scope, worker count and mask backend.  The golden-file
-test in tests/test_cli_json.py additionally pins that the serial
-default's CLI output is byte-identical (the ``search`` knobs are
+every update scope, worker count and mask backend, and the lazy run
+must reproduce the naive oracle of ``tests/oracles.py``.  The
+golden-file test in tests/test_cli_json.py additionally pins that the
+serial default's CLI output is byte-identical (the ``search`` knobs are
 omitted from ``to_dict`` at their defaults).
 """
 
@@ -17,6 +18,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import naive_search, outcome
 
 from repro.config import SEARCHES, CSPMConfig
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
@@ -106,6 +108,15 @@ def assert_bit_exact(graph, update_scope="lazy", workers=1, mask_backend=None):
     return sharded
 
 
+def assert_matches_oracle(graph):
+    """The sharded lazy search must reproduce the naive oracle."""
+    db_oracle, standard, core = setup(graph)
+    expected = outcome(naive_search(db_oracle, standard, core), db_oracle)
+    db_sharded, _, _ = setup(graph)
+    sharded = run_sharded(db_sharded, standard, core, workers=1)
+    assert outcome(sharded.trace, db_sharded) == expected
+
+
 class TestComponents:
     def test_multi_part_graph_splits(self):
         db, _, _ = setup(multi_component_graph(1, parts=3))
@@ -134,10 +145,14 @@ class TestComponents:
 
 
 class TestBitExact:
-    @pytest.mark.parametrize("scope", ["lazy", "exhaustive", "related"])
+    @pytest.mark.parametrize("scope", ["lazy", "related"])
     @pytest.mark.parametrize("seed", range(4))
     def test_multi_component_in_process(self, seed, scope):
         assert_bit_exact(multi_component_graph(seed), update_scope=scope)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multi_component_matches_oracle(self, seed):
+        assert_matches_oracle(multi_component_graph(seed))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_component_degenerate(self, seed):
@@ -187,12 +202,13 @@ class TestBitExact:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         parts=st.integers(min_value=1, max_value=3),
-        scope=st.sampled_from(["lazy", "exhaustive", "related"]),
+        scope=st.sampled_from(["lazy", "related"]),
     )
     def test_randomized_equivalence(self, seed, parts, scope):
-        assert_bit_exact(
-            multi_component_graph(seed, parts=parts), update_scope=scope
-        )
+        graph = multi_component_graph(seed, parts=parts)
+        assert_bit_exact(graph, update_scope=scope)
+        if scope == "lazy":
+            assert_matches_oracle(graph)
 
 
 class TestPipelineAndConfig:
@@ -218,9 +234,6 @@ class TestPipelineAndConfig:
         db, standard, core = setup(paper_graph)
         with pytest.raises(MiningError, match="update_scope"):
             run_sharded(db, standard, core, update_scope="bogus")
-        db, _, _ = setup(paper_graph)
-        with pytest.raises(MiningError, match="pair_source"):
-            run_sharded(db, standard, core, pair_source="bogus")
         db, _, _ = setup(paper_graph)
         with pytest.raises(MiningError, match="search_workers"):
             run_sharded(db, standard, core, workers=0)

@@ -11,7 +11,8 @@ from repro.core.instrumentation import RunTrace
 from repro.core.mdl import DescriptionLength
 from repro.graphs.builders import paper_running_example
 
-#: Marks a top-level key the malformed-document rows delete.
+#: Marks a top-level key the malformed-document rows delete; a callable
+#: row value maps the section to its malformed replacement.
 DROP = object()
 
 
@@ -111,6 +112,16 @@ class TestResultRoundTrip:
             ),
             # The retired partitioned-build knob in a config echo.
             ({"config": {"construction_workers": 2}}, ConfigError, "unknown"),
+            ({"config": {"partial_update_scope": "exhaustive"}}, ConfigError, "scope"),
+            ({"config": []}, ConfigError, "config"),
+            ({"config": 5}, ConfigError, "config"),
+            ({"trace": {}}, MiningError, "trace"),
+            ({"trace": []}, MiningError, "trace"),
+            ({"trace": lambda t: {**t, "iterations": [{}]}}, MiningError, "trace"),
+            ({"initial_dl": {}}, MiningError, "initial_dl"),
+            ({"final_dl": None}, MiningError, "final_dl"),
+            ({"standard_table": []}, MiningError, "standard_table"),
+            ({"core_table": {}}, MiningError, "core_table"),
         ],
         ids=[
             "future-schema",
@@ -122,6 +133,16 @@ class TestResultRoundTrip:
             "astar-not-object",
             "astar-unhashable-value",
             "retired-config-key",
+            "retired-update-scope",
+            "config-array",
+            "config-number",
+            "trace-empty",
+            "trace-array",
+            "iteration-empty",
+            "initial-dl-empty",
+            "final-dl-null",
+            "standard-table-array",
+            "core-table-empty",
         ],
     )
     def test_malformed_documents_rejected(self, mined, change, error, key):
@@ -129,6 +150,8 @@ class TestResultRoundTrip:
         for name, value in change.items():
             if value is DROP:
                 del document[name]
+            elif callable(value):
+                document[name] = value(document[name])
             else:
                 document[name] = value
         with pytest.raises(error, match=key):
