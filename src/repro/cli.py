@@ -97,7 +97,7 @@ def _add_mine(subparsers) -> None:
         default=None,
         metavar="N",
         help="worker processes for --search sharded "
-        "(default: one per CPU)",
+        "(default: one per usable CPU)",
     )
     parser.add_argument(
         "--worker-timeout",

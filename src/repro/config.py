@@ -84,7 +84,7 @@ class CSPMConfig:
         How the greedy search runs: ``"serial"`` (default — one
         process) or ``"sharded"`` (connected components of the
         shares-a-coreset relation mined in parallel worker processes
-        and replayed into the identical result,
+        and interleaved into the identical result,
         :mod:`repro.core.search_shard`).  Another pure
         execution-engine choice — the mined model, trace and result
         document are bit-identical — so it is serialised only when
@@ -92,8 +92,8 @@ class CSPMConfig:
         iteration cap; other runs fall back to the serial path.
     search_workers:
         Worker-process count for ``search="sharded"`` (``None`` = one
-        per CPU, capped by the component count).  Ignored under serial
-        search.
+        per CPU the process may run on, capped by the component
+        count).  Ignored under serial search.
     worker_timeout:
         Per-task deadline, in seconds, for every supervised worker
         pool (:mod:`repro.runtime.supervisor`); ``None`` (default)

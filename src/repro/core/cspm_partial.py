@@ -138,12 +138,13 @@ def run_partial(
     """Run CSPM-Partial to convergence, mutating ``db`` in place.
 
     ``recorder`` (duck-typed, see
-    :class:`repro.core.search_shard.ComponentRecorder`) captures every
-    queue operation and queue-head decision the run makes, which is
-    what lets the component-sharded search replay a worker's run
-    through the stitched global queue bit-exactly.  ``None`` (the
-    default) records nothing and adds no overhead beyond the ``is
-    None`` checks.
+    :class:`repro.core.search_shard.ComponentRecorder`) watches the
+    queue and is told every queue-head decision the run makes, with
+    the popped entry's stored gain, each merge's breakdown and its
+    refresh-pass gain count — what lets the component-sharded search
+    interleave a worker's run with the other components' bit-exactly.
+    ``None`` (the default) records nothing and adds no overhead beyond
+    the ``is None`` checks.
     """
     if update_scope not in UPDATE_SCOPES:
         raise MiningError(
@@ -164,7 +165,7 @@ def run_partial(
 
     state = _PartialState(interner)
     if recorder is not None:
-        state.queue = recorder.make_queue(interner)
+        recorder.attach(state.queue, interner)
     initial_gains = 0
     seed_epoch = db.merge_epoch
     for leaf_x, leaf_y in overlap_pairs(db):
@@ -208,7 +209,7 @@ def run_partial(
                 trace.dirty_revalidations += 1
             if gain <= GAIN_EPS:
                 if recorder is not None:
-                    recorder.on_drop(leaf_x, leaf_y)
+                    recorder.on_drop(leaf_x, leaf_y, stored_gain)
                 state.drop_candidate(leaf_x, leaf_y)
                 continue
             # Revalidation: merge the popped pair only while it is still the
@@ -228,7 +229,7 @@ def run_partial(
                     and interner.pair_key(pair) > interner.pair_key(next_pair)
                 ):
                     if recorder is not None:
-                        recorder.on_push(leaf_x, leaf_y)
+                        recorder.on_push(leaf_x, leaf_y, stored_gain)
                     state.queue.set(
                         pair,
                         gain,
@@ -237,7 +238,7 @@ def run_partial(
                     continue
 
         if recorder is not None:
-            recorder.on_merge(leaf_x, leaf_y, gain, breakdown, clean)
+            recorder.on_merge(leaf_x, leaf_y, stored_gain, gain, breakdown, clean)
         num_leafsets = db.num_leafsets
         possible = num_leafsets * (num_leafsets - 1) // 2
         related_x = state.related(leaf_x)
@@ -262,7 +263,7 @@ def run_partial(
             refresh_gains = _update_lazy(db, state, outcome, net_gain, trace)
         gains_computed += refresh_gains
         if recorder is not None:
-            recorder.on_refresh_gains(refresh_gains)
+            recorder.on_refresh(refresh_gains, db.num_leafsets)
 
         trace.iterations.append(
             IterationTrace(

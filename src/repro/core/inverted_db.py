@@ -1187,6 +1187,67 @@ class InvertedDatabase:
         }
         return db
 
+    def adopt_components(self, parts: Iterable[Tuple], merges: int) -> None:
+        """Take over the final state of independently searched components.
+
+        The inverse of :meth:`restricted_copy`: this database's leafsets
+        were partitioned into coreset-closed components, each searched
+        on its own restricted copy, and ``merges`` merges happened in
+        all.  ``parts`` yields one ``(state, ids, epochs)`` per
+        component.  ``state`` carries the copy's final columns as
+        attributes — ``leafsets`` (its interner table), ``rows``,
+        ``row_freq``, ``core_freq``, ``leaf_cores``, ``leaf_union``,
+        ``core_leaf_ids``, ``core_epoch`` and ``leaf_epoch`` (see
+        :class:`repro.core.search_shard.ComponentRun`).  ``ids[i]`` is
+        this database's interned id of the copy's local id ``i``, and
+        ``epochs[k]`` this database's merge index of the copy's
+        ``k``-th merge.
+
+        Rows, frequencies, union masks and each leafset's coreset order
+        are taken over as they are; the per-coreset id lists and the
+        merge epochs are translated.  ``ids`` must be increasing — true
+        when merged leafsets were interned here in a merge order that
+        keeps each component's own — so translated id lists stay sorted.
+        The vertex order and the interner stay this database's own.
+        """
+        rows: Dict[RowKey, Mask] = {}
+        row_freq: Dict[RowKey, int] = {}
+        core_freq: Dict[CoreKey, int] = {}
+        leaf_to_cores: Dict[LeafKey, Dict[CoreKey, None]] = {}
+        leaf_union: Dict[LeafKey, Mask] = {}
+        core_to_leaves: Dict[CoreKey, Set[LeafKey]] = {}
+        core_leaf_ids: Dict[CoreKey, List[int]] = {}
+        core_epoch: Dict[CoreKey, int] = {}
+        leaf_epoch: Dict[LeafKey, int] = {}
+        for state, ids, epochs in parts:
+            rows.update(state.rows)
+            row_freq.update(state.row_freq)
+            core_freq.update(state.core_freq)
+            leaf_to_cores.update(state.leaf_cores)
+            leaf_union.update(state.leaf_union)
+            leafset_of = state.leafsets.__getitem__
+            global_id = ids.__getitem__
+            for core, local_ids in state.core_leaf_ids.items():
+                core_to_leaves[core] = set(map(leafset_of, local_ids))
+                core_leaf_ids[core] = list(map(global_id, local_ids))
+            for core, epoch in state.core_epoch.items():
+                core_epoch[core] = epochs[epoch]
+            for leaf, epoch in state.leaf_epoch.items():
+                leaf_epoch[leaf] = epochs[epoch]
+        self._rows = rows
+        self._row_freq = row_freq
+        self._core_freq = core_freq
+        self._leaf_to_cores = leaf_to_cores
+        self._leaf_union = leaf_union
+        self._core_to_leaves = core_to_leaves
+        self._core_leaf_ids = core_leaf_ids
+        self._core_epoch = core_epoch
+        self._leaf_epoch = leaf_epoch
+        self._merge_index = merges
+        if merges:
+            # The construction-order row list is only valid pre-merge.
+            self._initial_row_order = None
+
     def __repr__(self) -> str:
         return (
             f"InvertedDatabase(rows={len(self._rows)}, "

@@ -1,6 +1,6 @@
 """Component-sharded CSPM-Partial: mine independent components in
-parallel, then replay their runs into one bit-exact serial-equivalent
-result.
+parallel, then interleave their runs into one bit-exact
+serial-equivalent result.
 
 Why components shard cleanly
 ----------------------------
@@ -16,42 +16,49 @@ Each component can be mined on a
 :meth:`~repro.core.inverted_db.InvertedDatabase.restricted_copy` with
 no communication at all.
 
-Why a replay pass is still needed
----------------------------------
-Per-iteration instrumentation (``gains_computed`` flushes at each
-merge) and the queue-head revalidation of :func:`run_partial` depend on
-the *global interleaving* of merges by gain, which no worker can see.
-So each worker records its run — every queue operation and every
-queue-head decision, in local interned ids — and the parent replays
-all recordings through one real global :class:`CandidateQueue`,
-performing the merges on the global database in the order the queue
-dictates.  Replay is sound because worker floats are bit-identical to
-what the serial search would compute (gains only read component-local
-rows/frequencies, and all float accumulation orders are deterministic
-— see the ordered ``_leaf_to_cores`` invariant), and because local
-canonical pair orientation equals global canonical orientation
-(construction ids are a repr-sort restriction; merged leafsets are
-interned in merge order, which replay preserves per component).
+The stitch: a k-way merge of the component logs
+-----------------------------------------------
+The serial queue holds the union of the component queues, so its head
+is the best of the component heads under the queue's (gain, pair key)
+order.  Each worker therefore logs only its queue-head decisions, in
+local interned ids, with the popped entry's stored gain; the parent
+orders all logs with a heap over the k component heads keyed by
+(stored gain, global pair key) and never builds a queue of its own.
+Worker floats are bit-identical to what the serial search computes
+(gains only read component-local rows and frequencies, and all float
+accumulation orders are deterministic — see the ordered
+``_leaf_to_cores`` invariant).  Local canonical pair orientation equals
+the global one: construction ids are a repr-sort restriction, and the
+parent interns merged leafsets in global merge order, which keeps each
+component's own order.
 
-The one divergence replay must synthesise: the serial run revalidates
-a dirty queue head against the *global* runner-up, while a worker only
-saw its local runner-up.  A locally-merged pair can therefore lose the
-global comparison and be pushed back (the reverse cannot happen: a
-local push-back implies the fresh gain already lost to a local rival,
-and the global head is at least that rival).  While pushed back, no
-other pair of that component can surface (the fresh gain still ties or
-beats every other stored gain of the component), so the component's
-cursor simply stays parked on the merge event until the pair returns —
-cleanly under the lazy scope (no common coreset was touched in
-between, which also costs one synthetic ``refreshes_skipped``), or via
-a fresh revalidation under the related scope.
+The one divergence the merge must synthesise: the serial run
+revalidates a dirty queue head against the *global* runner-up, while a
+worker only saw its local runner-up.  A locally-merged pair can
+therefore lose to another component's head and be pushed back (the
+reverse cannot happen: a local push-back implies the fresh gain
+already lost to a local rival, and the global runner-up is at least
+that rival).  While pushed back, no other pair of that component can
+surface (the fresh gain beat every other stored gain of the
+component), so the component stays parked on the merge until the pair
+returns — cleanly under the lazy scope (no common coreset was touched
+in between, which costs one synthetic ``refreshes_skipped``), or via a
+fresh revalidation under the related scope.
+
+The parent performs no merge either: each worker ships its component's
+final rows home as plain columns, and
+:meth:`~repro.core.inverted_db.InvertedDatabase.adopt_components`
+installs their disjoint union, translating local ids and merge epochs
+to the global ones the k-way merge assigned.
 
 Counters stitch as: ``refreshes_skipped``/``dirty_revalidations`` sum
 over workers (plus the synthetic clean re-pops), ``gains_computed``
-re-flushes a single global pending counter at each replayed merge, and
-``initial_candidate_gains`` sums over workers: no overlapping pair
+flushes a single global pending counter at each merge,
+``initial_candidate_gains`` sums over workers (no overlapping pair
 crosses components, since overlapping leaf-union masks at a vertex
-imply a common coreset (the invariant of :mod:`repro.core.pairgen`).
+imply a common coreset — the invariant of :mod:`repro.core.pairgen`),
+and ``peak_queue_size`` is the high-water mark of the summed component
+queue sizes, rebuilt from each decision's local window peak.
 
 The fork/initializer/in-process triad (docs/INVARIANTS.md, family 3):
 workers receive the database by fork inheritance where possible, and
@@ -61,25 +68,23 @@ columns.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import UPDATE_SCOPES
-from repro.core.candidates import CandidateQueue, LeafKey, LeafsetInterner, Pair
+from repro.core.candidates import LeafKey, LeafsetInterner
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
-from repro.core.gain import GainBreakdown
+from repro.core.gain import ZERO_GAIN, GainBreakdown
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
-from repro.core.inverted_db import InvertedDatabase
+from repro.core.inverted_db import CoreKey, InvertedDatabase, Mask, RowKey
 from repro.core.mdl import description_length
 from repro.errors import MiningError
 from repro.obs import Observation, activate, current
 from repro.runtime.supervisor import RuntimePolicy, SiteReport, run_supervised
-
-#: Queue-operation kinds in a :class:`ComponentRun` op log.
-OP_SET = 0
-OP_DISCARD = 1
 
 #: Queue-head decision kinds in a :class:`ComponentRun` event log.
 EV_CLEAN_MERGE = 0
@@ -100,27 +105,46 @@ def _set_worker_state(state: Optional[Tuple]) -> None:
 
 @dataclass
 class ComponentRun:
-    """One worker's recorded search over a single component.
+    """One worker's search over a single component, as plain columns.
 
-    ``leafsets`` is the worker's full local-id -> leafset table (the
-    component's construction leafsets followed by every merged leafset
-    in merge order); ``ops`` and ``events`` reference leafsets by local
-    id only.  Each op is ``(kind, id_a, id_b, gain)`` — a queue ``set``
-    or ``discard`` in execution order.  Each event is a queue-head
-    decision ``(kind, id_a, id_b, gain, data_leaf_gain, model_gain,
-    data_core_gain, refresh_gains, op_start)``: the ops recorded at
-    index ``op_start`` up to the next event's ``op_start`` belong to it
-    (ops before the first event are the seeding), ``gain`` and the
-    breakdown components are only meaningful on merge events, and
-    ``refresh_gains`` is the merge's refresh-pass gain count.
+    ``leafsets`` is the worker's local-id -> leafset table (the
+    component's construction leafsets, then each merged leafset at its
+    first creation); events reference leafsets by local id only.  Each
+    event is one queue-head decision ``(kind, id_a, id_b, stored, gain,
+    data_leaf_gain, model_gain, data_core_gain, refresh_gains,
+    leafsets, peak, size)``:
+
+    * ``stored`` is the popped entry's queued gain, the key the serial
+      queue popped it by;
+    * ``gain``, the breakdown components, ``refresh_gains`` (the
+      merge's refresh-pass gain count) and ``leafsets`` (the local
+      leafset count after the merge) are only meaningful on merges;
+    * ``peak`` and ``size`` are the local queue's high-water mark and
+      final size between this pop and the next.
+
+    ``seeded`` is the local queue size after seeding.  ``rows`` through
+    ``leaf_epoch`` are the restricted database's final state in local
+    ids and local merge epochs, the columns
+    :meth:`~repro.core.inverted_db.InvertedDatabase.adopt_components`
+    takes over.
     """
 
     leafsets: List[LeafKey]
-    ops: List[Tuple[int, int, int, float]]
-    events: List[Tuple[int, int, int, float, float, float, float, int, int]]
+    events: List[
+        Tuple[int, int, int, float, float, float, float, float, int, int, int, int]
+    ]
+    seeded: int
     initial_candidate_gains: int
     refreshes_skipped: int
     dirty_revalidations: int
+    rows: Dict[RowKey, Mask]
+    row_freq: Dict[RowKey, int]
+    core_freq: Dict[CoreKey, int]
+    leaf_cores: Dict[LeafKey, Dict[CoreKey, None]]
+    leaf_union: Dict[LeafKey, Mask]
+    core_leaf_ids: Dict[CoreKey, List[int]]
+    core_epoch: Dict[CoreKey, int]
+    leaf_epoch: Dict[LeafKey, int]
     #: Closed observability spans recorded in the worker (plain str/
     #: float/int tuples) plus the recording pid, shipped home through
     #: the ordinary result path when tracing is on.
@@ -145,102 +169,84 @@ class ShardedSearch(NamedTuple):
     report: Optional[SiteReport] = None
 
 
-class _RecordingQueue(CandidateQueue):
-    """A :class:`CandidateQueue` that logs every explicit mutation.
-
-    Only ``set``/``set_many``/``discard`` are logged — pops and stale
-    drops are decisions of the search loop, captured separately as
-    events — so replaying the op log against another queue with the
-    same content reproduces versions, peak size and pop order exactly.
-    """
-
-    def __init__(self, interner: LeafsetInterner, ops: List[Tuple]) -> None:
-        super().__init__(interner)
-        self._ops = ops
-
-    def set(self, pair: Pair, gain: float, payload: object = None) -> None:
-        key = self._pair_key(pair)
-        self._ops.append((OP_SET, key[0], key[1], gain))
-        super().set(pair, gain, payload)
-
-    def set_many(self, entries) -> None:
-        entries = list(entries)
-        ops = self._ops
-        pair_key = self._pair_key
-        for pair, gain, _payload in entries:
-            key = pair_key(pair)
-            ops.append((OP_SET, key[0], key[1], gain))
-        super().set_many(entries)
-
-    def discard(self, pair: Pair) -> None:
-        key = self._pair_key(pair)
-        self._ops.append((OP_DISCARD, key[0], key[1], 0.0))
-        super().discard(pair)
-
-
 class ComponentRecorder:
-    """Captures a worker run for replay (see :func:`run_partial`).
+    """Captures a worker run's queue-head decisions (see
+    :func:`run_partial`).
 
-    ``make_queue`` hands the search a :class:`_RecordingQueue`; the
-    ``on_*`` hooks log the queue-head decisions.  Events are recorded
-    as mutable lists so ``on_refresh_gains`` can patch the merge event
-    it follows, and tuple-ised when the payload is built.
+    Events are recorded as mutable lists so the merge's refresh hook
+    and the next decision can complete them, and tuple-ised when the
+    payload is built.  At every decision the recorder reads and then
+    rewinds the queue's ``peak_size``, so at the next decision it holds
+    the peak of the window in between; the worker's own
+    ``peak_queue_size`` is therefore meaningless (the parent rebuilds
+    the global one).  :meth:`close` ends the last window.
     """
 
     def __init__(self) -> None:
-        self.ops: List[Tuple[int, int, int, float]] = []
         self.events: List[List] = []
+        self.seeded = 0
+        self._queue = None
         self._interner: Optional[LeafsetInterner] = None
 
-    def make_queue(self, interner: LeafsetInterner) -> CandidateQueue:
+    def attach(self, queue, interner: LeafsetInterner) -> None:
+        """Watch the run's candidate queue; called before seeding."""
+        self._queue = queue
         self._interner = interner
-        return _RecordingQueue(interner, self.ops)
+
+    def close(self, popped: int = 0) -> None:
+        """End the open window; ``popped`` entries just left the queue."""
+        queue = self._queue
+        size = len(queue) + popped
+        if self.events:
+            self.events[-1][10:] = (queue.peak_size, size)
+        else:
+            self.seeded = size
+        queue.peak_size = len(queue)
 
     def _event(
         self,
         kind: int,
         leaf_x: LeafKey,
         leaf_y: LeafKey,
-        gain: float,
-        breakdown: Optional[GainBreakdown],
+        stored: float,
+        gain: float = 0.0,
+        breakdown: GainBreakdown = ZERO_GAIN,
     ) -> None:
+        self.close(popped=1)
         intern = self._interner.intern
         id_x, id_y = intern(leaf_x), intern(leaf_y)
         if id_x > id_y:
             id_x, id_y = id_y, id_x
+        breakdown_floats = (
+            breakdown.data_leaf_gain,
+            breakdown.model_gain,
+            breakdown.data_core_gain,
+        )
+        # refresh_gains, leafsets, peak and size are patched in later.
         self.events.append(
-            [
-                kind,
-                id_x,
-                id_y,
-                gain,
-                breakdown.data_leaf_gain if breakdown is not None else 0.0,
-                breakdown.model_gain if breakdown is not None else 0.0,
-                breakdown.data_core_gain if breakdown is not None else 0.0,
-                0,
-                len(self.ops),
-            ]
+            [kind, id_x, id_y, stored, gain, *breakdown_floats, 0, 0, 0, 0]
         )
 
     def on_merge(
         self,
         leaf_x: LeafKey,
         leaf_y: LeafKey,
+        stored: float,
         gain: float,
         breakdown: GainBreakdown,
         clean: bool,
     ) -> None:
         kind = EV_CLEAN_MERGE if clean else EV_DIRTY_MERGE
-        self._event(kind, leaf_x, leaf_y, gain, breakdown)
+        self._event(kind, leaf_x, leaf_y, stored, gain, breakdown)
 
-    def on_push(self, leaf_x: LeafKey, leaf_y: LeafKey) -> None:
-        self._event(EV_PUSH, leaf_x, leaf_y, 0.0, None)
+    def on_push(self, leaf_x: LeafKey, leaf_y: LeafKey, stored: float) -> None:
+        self._event(EV_PUSH, leaf_x, leaf_y, stored)
 
-    def on_drop(self, leaf_x: LeafKey, leaf_y: LeafKey) -> None:
-        self._event(EV_DROP, leaf_x, leaf_y, 0.0, None)
+    def on_drop(self, leaf_x: LeafKey, leaf_y: LeafKey, stored: float) -> None:
+        self._event(EV_DROP, leaf_x, leaf_y, stored)
 
-    def on_refresh_gains(self, refresh_gains: int) -> None:
-        self.events[-1][7] = refresh_gains
+    def on_refresh(self, refresh_gains: int, num_leafsets: int) -> None:
+        self.events[-1][8:10] = (refresh_gains, num_leafsets)
 
 
 def connected_components(db: InvertedDatabase) -> List[List[int]]:
@@ -273,8 +279,6 @@ def connected_components(db: InvertedDatabase) -> List[List[int]]:
 
 def _mine_component(leaf_ids: List[int]) -> ComponentRun:
     """Worker entrypoint: mine one component on a restricted copy."""
-    import os
-
     db, standard_table, core_table, include_model_cost, scope, traced = (
         _WORKER_STATE
     )
@@ -285,7 +289,7 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
             local = db.restricted_copy(leafset_of(i) for i in leaf_ids)
             recorder = ComponentRecorder()
             # ``initial_dl_bits=0.0`` skips the from-scratch DL pass:
-            # replay reconstructs the global DL from the recorded
+            # the stitch rebuilds the global DL from the recorded
             # breakdowns, so the worker's local DL floats are never
             # read.
             trace = run_partial(
@@ -297,17 +301,37 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
                 initial_dl_bits=0.0,
                 recorder=recorder,
             )
+            recorder.close()
     local_interner = local.interner
+    # The restricted copy's columns are handed over as they are: the
+    # copy is discarded, and in a pool the pickle copies them anyway.
     return ComponentRun(
         leafsets=[local_interner.leafset_of(i) for i in range(len(local_interner))],
-        ops=recorder.ops,
         events=[tuple(event) for event in recorder.events],
+        seeded=recorder.seeded,
         initial_candidate_gains=trace.initial_candidate_gains,
         refreshes_skipped=trace.refreshes_skipped,
         dirty_revalidations=trace.dirty_revalidations,
+        rows=local._rows,
+        row_freq=local._row_freq,
+        core_freq=local._core_freq,
+        leaf_cores=local._leaf_to_cores,
+        leaf_union=local._leaf_union,
+        core_leaf_ids=local._core_leaf_ids,
+        core_epoch=local._core_epoch,
+        leaf_epoch=local._leaf_epoch,
         spans=obs.tracer.export_spans() if traced else None,
         pid=os.getpid(),
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` and cgroup cpusets shrink it below
+    the host count), else the host count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return multiprocessing.cpu_count() or 1  # pragma: no cover - macOS/Windows
 
 
 def _mine_components(
@@ -325,16 +349,15 @@ def _mine_components(
     Jobs are submitted largest-component-first (the tail of small
     components then packs the stragglers), but results are returned in
     component order.  One worker — or one component — runs in-process
-    with no supervision (report ``None``).  Pool execution goes
+    with no supervision (report ``None``); ``workers=None`` means one
+    per usable CPU.  Pool execution goes
     through :func:`repro.runtime.supervisor.run_supervised` (site
     ``"search"``, task index = position in the largest-first
     submission order): the parent keeps ``_WORKER_STATE`` installed on
     every platform so an exhausted component degrades to an in-process
     — bit-exact — re-mine.
     """
-    requested = (
-        workers if workers is not None else (multiprocessing.cpu_count() or 1)
-    )
+    requested = workers if workers is not None else _usable_cpus()
     order = sorted(
         range(len(components)), key=lambda i: (-len(components[i]), i)
     )
@@ -400,254 +423,165 @@ def _mine_components(
     return runs, report
 
 
-#: Human-readable names for the event/op kind codes, for diagnostics.
-EV_NAMES = {
-    EV_CLEAN_MERGE: "clean-merge",
-    EV_DIRTY_MERGE: "dirty-merge",
-    EV_PUSH: "push",
-    EV_DROP: "drop",
-}
-OP_NAMES = {OP_SET: "set", OP_DISCARD: "discard"}
-
-
-def _desync(
-    detail: str,
-    component: Optional[int] = None,
-    event_index: Optional[int] = None,
-    kind: Optional[int] = None,
-) -> MiningError:
-    """A stitch mismatch, with enough context to localise the bug.
-
-    A desync is always an implementation bug (the replay contract is
-    exact), so the message carries the coordinates a debugger needs:
-    which component's recording diverged, at which event cursor, on
-    what kind of decision.
-    """
-    context = []
-    if component is not None:
-        context.append(f"component {component}")
-    if event_index is not None:
-        context.append(f"event {event_index}")
-    if kind is not None:
-        context.append(f"kind {EV_NAMES.get(kind, repr(kind))}")
-    suffix = f" ({', '.join(context)})" if context else ""
-    return MiningError(f"sharded replay desync: {detail}{suffix}")
-
-
 def _stitch(
     db: InvertedDatabase,
     update_scope: str,
     initial_dl_bits: float,
+    components: List[List[int]],
     runs: List[ComponentRun],
 ) -> RunTrace:
-    """Replay the recorded component runs into the serial result.
+    """Interleave the component runs into the serial result.
 
-    Drives one real global queue: seeding applies every component's
-    recorded seed entries in global pair-key order, then each pop is
-    matched against the owning component's next recorded event —
-    merges execute on the global database (which also interns merged
-    leafsets in the serial order), pushes and drops just apply their
-    recorded queue ops, and a locally-merged pair that loses the global
-    head comparison is pushed back with its component cursor parked
-    (see the module docstring).  Any mismatch between the queue head
-    and the recorded decision stream raises a ``MiningError`` rather
-    than silently diverging from the serial search.
+    :func:`_merge_logs` rebuilds the serial trace and interns merged
+    leafsets in the serial order; the components' final rows then
+    replace ``db``'s own.
     """
     obs = current()
     with obs.span("search.stitch", components=len(runs)):
-        return _replay(
-            db,
-            update_scope,
-            initial_dl_bits,
-            runs,
-            obs,
+        trace, ids, epochs = _merge_logs(
+            db, update_scope, initial_dl_bits, components, runs, obs
         )
+        for index, run in enumerate(runs):
+            if len(ids[index]) != len(run.leafsets):
+                raise MiningError(
+                    f"sharded stitch desync: component {index} created "
+                    f"{len(run.leafsets) - len(ids[index])} leafsets its "
+                    "event log never merged"
+                )
+        db.adopt_components(zip(runs, ids, epochs), trace.num_iterations)
+    return trace
 
 
-def _replay(
+def _merge_logs(
     db: InvertedDatabase,
     update_scope: str,
     initial_dl_bits: float,
+    components: List[List[int]],
     runs: List[ComponentRun],
     obs,
-) -> RunTrace:
-    """The :func:`_stitch` body, under the stitch span."""
+) -> Tuple[RunTrace, List[List[int]], List[List[int]]]:
+    """The k-way merge of the component event logs.
+
+    A heap holds each component's next decision keyed by (negated
+    stored gain, global pair key) — the serial queue's pop order.
+    Besides the trace, returns each component's local -> global id
+    table and its local -> global merge index table (index 0: never
+    merged), which is what the row adoption translates through.
+    """
     lazy = update_scope == "lazy"
     trace = RunTrace(algorithm=f"cspm-partial/{update_scope}")
     trace.initial_dl_bits = initial_dl_bits
     trace.initial_candidate_gains = sum(
         run.initial_candidate_gains for run in runs
     )
-    dl = initial_dl_bits
-    interner = db.interner
-    pair_key = interner.pair_key
-    queue = CandidateQueue(interner)
-    leaf_component: Dict[LeafKey, int] = {}
-    for index, run in enumerate(runs):
-        for leaf in run.leafsets:
-            leaf_component[leaf] = index
+    trace.refreshes_skipped = sum(run.refreshes_skipped for run in runs)
+    trace.dirty_revalidations = sum(run.dirty_revalidations for run in runs)
+    intern = db.interner.intern
+    # Construction leafsets: local ids are the repr-sorted order of the
+    # component, i.e. its ascending global ids.
+    ids = [list(component) for component in components]
+    epochs: List[List[int]] = [[0] for _ in runs]
     cursors = [0] * len(runs)
-    pushed: List[Optional[Pair]] = [None] * len(runs)
+    parked = [False] * len(runs)
+    sizes = [run.seeded for run in runs]
+    counts = [len(component) for component in components]
+    size = peak = sum(sizes)
+    leafsets = sum(counts)
+    heap: List[Tuple[float, int, int, int]] = []
 
-    def apply_ops(run: ComponentRun, cursor: int) -> None:
-        events = run.events
-        start = events[cursor][8]
-        end = (
-            events[cursor + 1][8]
-            if cursor + 1 < len(events)
-            else len(run.ops)
-        )
-        leafsets = run.leafsets
-        for kind, id_a, id_b, gain in run.ops[start:end]:
-            target = (leafsets[id_a], leafsets[id_b])
-            if kind == OP_SET:
-                queue.set(target, gain, None)
-            else:
-                queue.discard(target)
-
-    seed_entries: List[Tuple[Pair, float]] = []
-    for index, run in enumerate(runs):
-        end = run.events[0][8] if run.events else len(run.ops)
-        leafsets = run.leafsets
-        for op_index, (kind, id_a, id_b, gain) in enumerate(run.ops[:end]):
-            if kind != OP_SET:
-                raise _desync(
-                    f"op {OP_NAMES.get(kind, repr(kind))} recorded during "
-                    f"seeding at op index {op_index}",
-                    component=index,
-                )
-            seed_entries.append(((leafsets[id_a], leafsets[id_b]), gain))
-    seed_entries.sort(key=lambda entry: pair_key(entry[0]))
-    queue.set_many((pair, gain, None) for pair, gain in seed_entries)
-
-    pending = 0
-    refreshes_skipped = sum(run.refreshes_skipped for run in runs)
-    dirty_revalidations = sum(run.dirty_revalidations for run in runs)
-    iteration = 0
-    while True:
-        entry = queue.pop_entry()
-        if entry is None:
-            break
-        pair = entry[0]
-        comp = leaf_component.get(pair[0])
-        if comp is None:
-            raise _desync(f"queue head {pair!r} belongs to no component")
-        run = runs[comp]
+    def push_head(comp: int) -> None:
+        events = runs[comp].events
         cursor = cursors[comp]
-        if cursor >= len(run.events):
-            raise _desync(
-                "component's event log exhausted early",
-                component=comp,
-                event_index=cursor,
+        if cursor < len(events):
+            event = events[cursor]
+            table = ids[comp]
+            heapq.heappush(
+                heap, (-event[3], table[event[1]], table[event[2]], comp)
             )
-        event = run.events[cursor]
-        kind = event[0]
-        if pushed[comp] is not None:
-            # The parked merge event resurfacing (no other pair of the
-            # component can beat its fresh gain in the meantime).
-            if pushed[comp] != pair or kind != EV_DIRTY_MERGE:
-                raise _desync(
-                    "pushed-back pair did not resurface first",
-                    component=comp,
-                    event_index=cursor,
-                    kind=kind,
-                )
-            pushed[comp] = None
-            if lazy:
-                # The serial re-pop is clean: only other components
-                # merged in between, touching no common coreset.
-                refreshes_skipped += 1
-            else:
-                # The serial re-pop revalidates again (same floats:
-                # the component's state did not change in between).
-                pending += 1
-                if _loses_head(queue, pair_key, pair, event[3]):
-                    queue.set(pair, event[3], None)
-                    pushed[comp] = pair
-                    continue
-        else:
-            expected = (run.leafsets[event[1]], run.leafsets[event[2]])
-            if expected != pair:
-                raise _desync(
-                    "queue head does not match the next event",
-                    component=comp,
-                    event_index=cursor,
-                    kind=kind,
-                )
-            if kind == EV_DIRTY_MERGE:
-                pending += 1
-                if _loses_head(queue, pair_key, pair, event[3]):
-                    queue.set(pair, event[3], None)
-                    pushed[comp] = pair
-                    continue
-            elif kind in (EV_PUSH, EV_DROP):
-                pending += 1
-                apply_ops(run, cursor)
-                cursors[comp] = cursor + 1
+
+    for comp in range(len(runs)):
+        push_head(comp)
+    dl = initial_dl_bits
+    pending = 0
+    iteration = 0
+    while heap:
+        _, id_a, id_b, comp = heapq.heappop(heap)
+        run = runs[comp]
+        (
+            kind,
+            local_a,
+            local_b,
+            _stored,
+            gain,
+            leaf_gain,
+            model_gain,
+            core_gain,
+            refresh_gains,
+            count,
+            window_peak,
+            window_size,
+        ) = run.events[cursors[comp]]
+        if parked[comp] and lazy:
+            # The serial re-pop of a parked pair is clean: only other
+            # components merged since, touching none of its coresets.
+            parked[comp] = False
+            trace.refreshes_skipped += 1
+        elif kind == EV_DIRTY_MERGE:
+            # A revalidation (under the related scope also every re-pop
+            # of a parked pair, with the same fresh gain).  Serial
+            # merges only while the fresh gain still beats the global
+            # runner-up — ties broken by the smaller pair key — and the
+            # local runner-up already lost, so only the other
+            # components' heads can win.
+            parked[comp] = False
+            pending += 1
+            if heap and (-gain, id_a, id_b) > heap[0][:3]:
+                heapq.heappush(heap, (-gain, id_a, id_b, comp))
+                parked[comp] = True
                 continue
-            elif kind != EV_CLEAN_MERGE:
-                raise _desync(
-                    f"unknown event kind {kind!r}",
-                    component=comp,
-                    event_index=cursor,
+        elif kind != EV_CLEAN_MERGE:
+            # A push-back or drop: serial makes the same decision.
+            pending += 1
+        if kind in (EV_CLEAN_MERGE, EV_DIRTY_MERGE):
+            leaf_a = run.leafsets[local_a]
+            leaf_b = run.leafsets[local_b]
+            new_leaf = leaf_a | leaf_b
+            # Interned at merge time, as ``db.merge`` would; a leafset
+            # new to the component takes the next local id.
+            new_id = intern(new_leaf)
+            table = ids[comp]
+            if len(table) < len(run.leafsets) and run.leafsets[len(table)] == new_leaf:
+                table.append(new_id)
+            iteration += 1
+            epochs[comp].append(iteration)
+            breakdown = GainBreakdown(leaf_gain, model_gain, core_gain)
+            dl -= breakdown.total
+            trace.record_merge_components(breakdown)
+            trace.iterations.append(
+                IterationTrace(
+                    iteration=iteration,
+                    gains_computed=pending + refresh_gains,
+                    possible_pairs=leafsets * (leafsets - 1) // 2,
+                    num_leafsets=leafsets,
+                    merged_pair=merged_pair_record(leaf_a, leaf_b),
+                    gain=gain,
+                    total_dl_bits=dl,
                 )
-        gain = event[3]
-        breakdown = GainBreakdown(event[4], event[5], event[6])
-        num_leafsets = db.num_leafsets
-        possible = num_leafsets * (num_leafsets - 1) // 2
-        db.merge(pair[0], pair[1])
-        dl -= breakdown.total
-        trace.record_merge_components(breakdown)
-        iteration += 1
-        gains_computed = pending + event[7]
-        pending = 0
-        apply_ops(run, cursor)
-        cursors[comp] = cursor + 1
-        trace.iterations.append(
-            IterationTrace(
-                iteration=iteration,
-                gains_computed=gains_computed,
-                possible_pairs=possible,
-                num_leafsets=num_leafsets,
-                merged_pair=merged_pair_record(pair[0], pair[1]),
-                gain=gain,
-                total_dl_bits=dl,
             )
-        )
-        obs.progress.heartbeat(
-            "search.stitch", merges=iteration, queue=len(queue)
-        )
-    for index, run in enumerate(runs):
-        if cursors[index] != len(run.events) or pushed[index] is not None:
-            raise _desync(
-                f"component replay incomplete at termination "
-                f"({len(run.events) - cursors[index]} events unconsumed"
-                f"{', pair still pushed back' if pushed[index] is not None else ''})",
-                component=index,
-                event_index=cursors[index],
-            )
+            pending = 0
+            leafsets += count - counts[comp]
+            counts[comp] = count
+            obs.progress.heartbeat("search.stitch", merges=iteration, queue=size)
+        # The decision's window: every other component's queue holds
+        # still while this one's refresh runs.
+        peak = max(peak, size - sizes[comp] + window_peak)
+        size += window_size - sizes[comp]
+        sizes[comp] = window_size
+        cursors[comp] += 1
+        push_head(comp)
     trace.final_dl_bits = dl
-    trace.peak_queue_size = queue.peak_size
-    trace.refreshes_skipped = refreshes_skipped
-    trace.dirty_revalidations = dirty_revalidations
-    return trace
-
-
-def _loses_head(
-    queue: CandidateQueue,
-    pair_key,
-    pair: Pair,
-    gain: float,
-) -> bool:
-    """The serial revalidation comparison: push back when the fresh
-    gain falls below the runner-up, or ties it with a larger key."""
-    next_best = queue.peek()
-    if next_best is None:
-        return False
-    next_pair, next_gain = next_best
-    return gain < next_gain or (
-        gain == next_gain and pair_key(pair) > pair_key(next_pair)
-    )
+    trace.peak_queue_size = peak
+    return trace, ids, epochs
 
 
 def run_sharded(
@@ -665,7 +599,7 @@ def run_sharded(
     Mutates ``db`` exactly as :func:`run_partial` would and returns the
     identical :class:`RunTrace` (merge sequence, DL floats, every
     counter) wrapped with the component statistics.  ``workers`` is the
-    worker-process cap (``None``: the CPU count); iteration caps are
+    worker-process cap (``None``: the usable CPU count); iteration caps are
     not supported — a cap cuts the global merge sequence at a point no
     worker can locate, so the pipeline falls back to the serial path.
     ``policy`` configures the supervised pool (timeouts, retries,
@@ -700,7 +634,7 @@ def run_sharded(
         workers,
         policy,
     )
-    trace = _stitch(db, update_scope, initial_dl_bits, runs)
+    trace = _stitch(db, update_scope, initial_dl_bits, components, runs)
     largest = max((len(component) for component in components), default=0)
     return ShardedSearch(
         trace=trace,

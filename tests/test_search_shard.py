@@ -1,10 +1,11 @@
 """The component-sharded search must be bit-exact with the serial run.
 
 ``run_sharded`` mines the connected components of the coreset-overlap
-graph in worker processes and replays the recorded runs through one
-global queue (:mod:`repro.core.search_shard`).  The contract is total:
-the stitched :class:`RunTrace` — merge sequence, every DL float, every
-instrumentation counter — and the mutated database must equal the
+graph in worker processes, k-way merges their decision logs and adopts
+their final rows (:mod:`repro.core.search_shard`).  The contract is
+total: the stitched :class:`RunTrace` — merge sequence, every DL float,
+every instrumentation counter — and the mutated database, down to its
+interner order, epochs and per-leafset coreset order, must equal the
 serial :func:`run_partial` outcome exactly (``==``, not approx), on
 every update scope, worker count and mask backend, and the lazy run
 must reproduce the naive oracle of ``tests/oracles.py``.  The
@@ -14,6 +15,8 @@ omitted from ``to_dict`` at their defaults).
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -85,6 +88,92 @@ def multi_component_graph(seed, parts=3):
     return graph
 
 
+def twin_tenant_graph(seed, twins=3):
+    """``twins`` copies of one planted graph, values renamed per copy.
+
+    The copies are isomorphic and every renamed vocabulary keeps the
+    original's relative order, so each component's run is the same
+    run: heads of different components tie on gain exactly, and only
+    the global pair key decides which merges first.  Noise values sort
+    by twin and pattern values against it, so that key favours the
+    first twin on some ties and the last twin on others — never just
+    the component order.
+    """
+    noise = ("na", "nb")
+    base, _ = planted_astar_graph(
+        40,
+        90,
+        [PlantedAStar("p", ("q", "r"), strength=0.9)],
+        noise_values=noise,
+        noise_rate=0.25,
+        seed=seed,
+    )
+    graph = AttributedGraph()
+    for twin in range(twins):
+        offset = twin * 10_000
+        names = {
+            value: f"0{twin}{value}"
+            if value in noise
+            else f"1{twins - 1 - twin}{value}"
+            for value in base.attribute_values()
+        }
+        for vertex in base.vertices():
+            graph.add_vertex(vertex + offset)
+            graph.set_attributes(
+                vertex + offset,
+                {names[value] for value in base.attributes_of(vertex)},
+            )
+        for left, right in base.edges():
+            graph.add_edge(left + offset, right + offset)
+    return graph
+
+
+def twin_of(merged_pair, twins=3):
+    """The :func:`twin_tenant_graph` twin a traced merge happened in."""
+    name = merged_pair[0][0]  # a value repr: "'0<twin>..." or "'1<last - twin>..."
+    digit = int(name[2])
+    return digit if name[1] == "0" else twins - 1 - digit
+
+
+def search_state(trace, db):
+    """Everything a search leaves behind, keyed for readable diffs.
+
+    Beyond the serialised trace and the rows: the process-local
+    counters, the incremental DL component sums, and the database's
+    bookkeeping — interner order, merge epochs, per-coreset id lists,
+    frequencies, union masks and each leafset's coreset order (the
+    order gain terms accumulate in).
+    """
+    return {
+        "trace": trace.to_dict(),
+        "counters": (
+            trace.refreshes_skipped,
+            trace.dirty_revalidations,
+            trace.peak_queue_size,
+        ),
+        "component_sums": (
+            trace.data_leaf_gain_bits,
+            trace.model_gain_bits,
+            trace.data_core_gain_bits,
+        ),
+        "snapshot": db.snapshot(),
+        "interner": [
+            db.interner.leafset_of(i) for i in range(len(db.interner))
+        ],
+        "merge_index": db._merge_index,
+        "core_epoch": db._core_epoch,
+        "leaf_epoch": db._leaf_epoch,
+        "core_leaf_ids": db._core_leaf_ids,
+        "core_to_leaves": db._core_to_leaves,
+        "row_freq": db._row_freq,
+        "core_freq": db._core_freq,
+        "leaf_union": db._leaf_union,
+        "leaf_cores": {
+            leaf: list(cores) for leaf, cores in db._leaf_to_cores.items()
+        },
+    }
+
+
 def assert_bit_exact(graph, update_scope="lazy", workers=1, mask_backend=None):
     """Serial and sharded runs on ``graph`` must be indistinguishable."""
     db_serial, standard, core = setup(graph, mask_backend)
@@ -95,16 +184,11 @@ def assert_bit_exact(graph, update_scope="lazy", workers=1, mask_backend=None):
     sharded = run_sharded(
         db_sharded, standard, core, update_scope=update_scope, workers=workers
     )
-    assert sharded.trace.to_dict() == trace_serial.to_dict()
-    assert db_sharded.snapshot() == db_serial.snapshot()
-    # Merged leafsets must have been interned in the serial order.
-    assert [
-        db_sharded.interner.leafset_of(i)
-        for i in range(len(db_sharded.interner))
-    ] == [
-        db_serial.interner.leafset_of(i)
-        for i in range(len(db_serial.interner))
-    ]
+    expected = search_state(trace_serial, db_serial)
+    got = search_state(sharded.trace, db_sharded)
+    for key, value in expected.items():
+        assert got[key] == value, key
+    db_sharded.validate(graph)
     return sharded
 
 
@@ -157,7 +241,7 @@ class TestBitExact:
     @pytest.mark.parametrize("seed", range(3))
     def test_single_component_degenerate(self, seed):
         # One component: the sharded path runs in-process and must
-        # still reproduce the serial trace through the replay.
+        # still reproduce the serial trace through the stitch.
         sharded = assert_bit_exact(single_component_graph(seed))
         assert sharded.num_components >= 1
 
@@ -166,6 +250,24 @@ class TestBitExact:
         # Fork-pool path: results cross a process boundary.
         sharded = assert_bit_exact(multi_component_graph(3), workers=workers)
         assert sharded.num_components >= 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scope", ["lazy", "related"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_component_ties(self, seed, scope, workers):
+        # Equal-gain heads of different components must break ties on
+        # the global pair key exactly as the serial queue does.
+        graph = twin_tenant_graph(seed)
+        sharded = assert_bit_exact(graph, update_scope=scope, workers=workers)
+        assert sharded.num_components >= 3
+        steps = sharded.trace.iterations
+        tied = {
+            (twin_of(left.merged_pair), twin_of(right.merged_pair))
+            for left, right in zip(steps, steps[1:])
+            if left.gain == right.gain
+        }
+        # Ties go both ways round: the key, not the component order.
+        assert any(a < b for a, b in tied) and any(a > b for a, b in tied)
 
     @pytest.mark.parametrize("backend", ["bigint", "chunked"])
     def test_mask_backends(self, backend):
@@ -229,6 +331,18 @@ class TestPipelineAndConfig:
         assert explicit["search"] == "sharded"
         assert explicit["search_workers"] == 2
         assert CSPMConfig.from_dict(explicit).search == "sharded"
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        # A process pinned to one CPU (taskset, a cgroup cpuset) mines
+        # in-process by default, however many CPUs the host has.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
+        db, standard, core = setup(multi_component_graph(2))
+        sharded = run_sharded(db, standard, core)
+        assert sharded.num_components >= 3
+        assert sharded.report is None
 
     def test_run_sharded_validates_arguments(self, paper_graph):
         db, standard, core = setup(paper_graph)
