@@ -8,7 +8,7 @@ An a-star ``S = (Sc, SL)`` (paper, Section IV-A) consists of a *coreset*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
 
 from repro.graphs.attributed_graph import AttributedGraph
 
@@ -16,7 +16,30 @@ Value = Hashable
 
 
 def _sorted_values(values: Iterable[Value]) -> Tuple[Value, ...]:
+    """A set's values in canonical (``repr``) order."""
     return tuple(sorted(values, key=repr))
+
+
+def _value_key(value: Value) -> Tuple:
+    if isinstance(value, str):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (0, value)
+    return (2, type(value).__name__, repr(value))
+
+
+def tie_key(values: Iterable[Value]) -> Tuple[Tuple, ...]:
+    """The tie order of a set, given its values in canonical order.
+
+    Compares element-wise by (class, value): numbers (``int``,
+    ``float``, ``bool``) before strings before any other type, which is
+    ordered by (type name, ``repr``).  On number-only or string-only
+    sets this is the order of the value tuples themselves; unlike that
+    order it is total, so mixed int/str values compare too.  Ranking
+    breaks code-length ties with it (:meth:`AStar.sort_key` and
+    :func:`repro.core.mdl.rank_rows`).
+    """
+    return tuple(map(_value_key, values))
 
 
 @dataclass(frozen=True)
@@ -47,6 +70,26 @@ class AStar:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coreset", frozenset(self.coreset))
         object.__setattr__(self, "leafset", frozenset(self.leafset))
+
+    @classmethod
+    def _of_row(
+        cls,
+        coreset: FrozenSet[Value],
+        leafset: FrozenSet[Value],
+        frequency: int,
+        coreset_frequency: int,
+        code_length: float,
+    ) -> "AStar":
+        """An a-star of a database row, whose keys are frozensets
+        already: the fields are set without ``__post_init__``."""
+        star = cls.__new__(cls)
+        set_ = object.__setattr__
+        set_(star, "coreset", coreset)
+        set_(star, "leafset", leafset)
+        set_(star, "frequency", frequency)
+        set_(star, "coreset_frequency", coreset_frequency)
+        set_(star, "code_length", code_length)
+        return star
 
     # ------------------------------------------------------------------
     # Semantics
@@ -80,13 +123,7 @@ class AStar:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable representation (sets as sorted lists)."""
-        return {
-            "coreset": list(_sorted_values(self.coreset)),
-            "leafset": list(_sorted_values(self.leafset)),
-            "frequency": self.frequency,
-            "coreset_frequency": self.coreset_frequency,
-            "code_length": self.code_length,
-        }
+        return astar_entries([self])[0]
 
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "AStar":
@@ -119,9 +156,38 @@ class AStar:
         )
 
     def sort_key(self) -> Tuple:
-        """Deterministic ordering: code length, then lexicographic sets."""
+        """Deterministic total ordering: code length, then the
+        :func:`tie_key` of the coreset and of the leafset."""
         return (
             self.code_length,
-            _sorted_values(self.coreset),
-            _sorted_values(self.leafset),
+            tie_key(_sorted_values(self.coreset)),
+            tie_key(_sorted_values(self.leafset)),
         )
+
+
+def astar_entries(astars: Iterable[AStar]) -> List[Dict[str, Any]]:
+    """``[star.to_dict() for star in astars]``, one value list per set.
+
+    Entries of a-stars that share a coreset or leafset share its value
+    list, so a document of thousands of a-stars over a few hundred
+    distinct sets sorts each set once.
+    """
+    listed: Dict[FrozenSet[Value], List[Value]] = {}
+    entries = []
+    for star in astars:
+        coreset = listed.get(star.coreset)
+        if coreset is None:
+            coreset = listed[star.coreset] = list(_sorted_values(star.coreset))
+        leafset = listed.get(star.leafset)
+        if leafset is None:
+            leafset = listed[star.leafset] = list(_sorted_values(star.leafset))
+        entries.append(
+            {
+                "coreset": coreset,
+                "leafset": leafset,
+                "frequency": star.frequency,
+                "coreset_frequency": star.coreset_frequency,
+                "code_length": star.code_length,
+            }
+        )
+    return entries

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
+from repro.errors import MiningError
+
 
 def merged_pair_record(
     leaf_x: FrozenSet[Hashable], leaf_y: FrozenSet[Hashable]
@@ -69,9 +71,29 @@ class IterationTrace:
         }
 
     @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "IterationTrace":
-        """Rebuild an iteration trace from :meth:`to_dict` output."""
+    def from_dict(
+        cls, document: Mapping[str, Any], path: str = "iteration"
+    ) -> "IterationTrace":
+        """Rebuild an iteration trace from :meth:`to_dict` output.
+
+        A document that is not an object, or whose ``merged_pair`` is
+        neither null nor a pair of arrays, raises
+        :class:`~repro.errors.MiningError` naming ``path``.
+        """
+        if not isinstance(document, Mapping):
+            raise MiningError(
+                f"{path} must be an object, got {type(document).__name__}"
+            )
         merged = document.get("merged_pair")
+        if merged is not None and not (
+            type(merged) is list
+            and len(merged) == 2
+            and all(type(side) is list for side in merged)
+        ):
+            raise MiningError(
+                f"{path}.merged_pair must be null or a pair of arrays, "
+                f"got {merged!r}"
+            )
         return cls(
             iteration=document["iteration"],
             gains_computed=document["gains_computed"],
@@ -150,14 +172,30 @@ class RunTrace:
 
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "RunTrace":
-        """Rebuild a run trace from :meth:`to_dict` output."""
+        """Rebuild a run trace from :meth:`to_dict` output.
+
+        ``iterations`` must be an array of iteration objects; a
+        malformed one raises :class:`~repro.errors.MiningError` naming
+        its path in the result document, e.g.
+        ``trace.iterations[0].merged_pair``.
+        """
+        if not isinstance(document, Mapping):
+            raise MiningError(
+                f"trace must be an object, got {type(document).__name__}"
+            )
+        iterations = document.get("iterations", [])
+        if type(iterations) is not list:
+            raise MiningError(
+                f"trace.iterations must be an array, "
+                f"got {type(iterations).__name__}"
+            )
         return cls(
             algorithm=document["algorithm"],
             initial_dl_bits=document.get("initial_dl_bits", 0.0),
             final_dl_bits=document.get("final_dl_bits", 0.0),
             initial_candidate_gains=document.get("initial_candidate_gains", 0),
             iterations=[
-                IterationTrace.from_dict(entry)
-                for entry in document.get("iterations", [])
+                IterationTrace.from_dict(entry, f"trace.iterations[{index}]")
+                for index, entry in enumerate(iterations)
             ],
         )

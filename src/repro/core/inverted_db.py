@@ -177,7 +177,7 @@ class InvertedDatabase:
         self._leaf_union: Dict[LeafKey, Mask] = {}
         # Row keys in (sorted-coreset, sorted-leafset) order, recorded
         # while ``from_graph`` finalises each coreset — the exact order
-        # ``mdl._sorted_rows`` would produce, captured for free so the
+        # ``mdl.canonical_order`` gives, captured for free so the
         # initial description length needs no global re-sort.  Valid
         # only for the freshly-built database; dropped on first merge.
         self._initial_row_order: Optional[List[RowKey]] = None
@@ -1042,11 +1042,15 @@ class InvertedDatabase:
                 union = masks.or_(union, self._rows[(core, leaf)])
             if not masks.equals(self.leaf_union_mask(leaf), union):
                 raise MiningError(f"stale union mask for leafset {set(leaf)}")
-        if self._initial_row_order is not None:
-            if sorted(self._initial_row_order, key=_row_key_of) != sorted(
-                self._rows, key=_row_key_of
-            ) or self._initial_row_order != sorted(
-                self._initial_row_order, key=_row_key_of
+        order = self._initial_row_order
+        if order is not None:
+            key_of = {key: _key_of(key) for key in self._core_to_leaves}
+            key_of.update((key, _key_of(key)) for key in self._leaf_to_cores)
+            keys = [(key_of[core], key_of[leaf]) for core, leaf in order]
+            if (
+                len(order) != len(self._rows)
+                or set(order) != set(self._rows)
+                or keys != sorted(keys)
             ):
                 raise MiningError("stale initial row order")
         for leaf in self._leaf_to_cores:
@@ -1257,13 +1261,8 @@ class InvertedDatabase:
 
 
 # The deterministic frozenset sort key.  This must be *the same
-# function* ``mdl._sorted_rows`` sorts by: ``from_graph`` records its
+# function* ``mdl.canonical_order`` sorts by: ``from_graph`` records its
 # row order under this key and ``initial_description_length`` promises
-# byte-identical floats to the ``_sorted_rows``-ordered recompute, so
-# the two orders may never drift apart.
+# byte-identical floats to the canonically ordered recompute, so the
+# two orders may never drift apart.
 _key_of = leafset_sort_key
-
-
-def _row_key_of(row: RowKey) -> Tuple[Tuple, Tuple]:
-    """Deterministic sort key for ``(coreset, leafset)`` row keys."""
-    return (_key_of(row[0]), _key_of(row[1]))

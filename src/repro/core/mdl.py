@@ -3,7 +3,9 @@
 The search procedures use the incremental gain of
 :mod:`repro.core.gain`; this module recomputes description lengths from
 scratch so tests can assert that the incremental bookkeeping matches
-the definitions exactly.
+the definitions exactly.  :func:`rank_rows` is the one production pass
+over the final rows: the ranked a-stars and the final breakdown,
+pinned ``==`` to :func:`description_length`.
 
 Cost model
 ----------
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from operator import attrgetter
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
+from repro.core.astar import AStar, _sorted_values, tie_key
 from repro.core.candidates import leafset_sort_key
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.inverted_db import InvertedDatabase
+from repro.core.inverted_db import CoreKey, InvertedDatabase, LeafKey
 
 
 def xlog2x(x: float) -> float:
@@ -87,34 +91,53 @@ class DescriptionLength:
         )
 
 
-def _sorted_rows(db: InvertedDatabase):
-    """Rows in a hash-seed-independent order.
+def canonical_order(db: InvertedDatabase) -> List[Tuple[CoreKey, List[LeafKey]]]:
+    """The live rows in canonical order, grouped by coreset.
 
-    Floating-point sums depend on term order, and set/dict iteration
-    order varies with ``PYTHONHASHSEED``; sorting here makes every
-    *recomputed* description length (``initial_dl``/``final_dl`` and
-    the per-a-star code lengths) bit-for-bit reproducible across
-    processes — the serialised results and the CLI golden file rely on
-    this.  The per-iteration trace bits are accumulated incrementally
-    through the unsorted hot gain loop and may still differ in the
-    last ulp on large graphs.
+    Coresets in :func:`leafset_sort_key` order, each with its leafsets
+    in the same key's order: rows sorted by (coreset key, leafset key),
+    the order :meth:`InvertedDatabase.from_graph` records and every
+    recomputed float sums in.  Set and dict iteration order varies with
+    ``PYTHONHASHSEED`` and construction history, so this is what makes
+    ``initial_dl``, ``final_dl`` and the per-a-star code lengths
+    bit-for-bit reproducible across processes — the serialised results
+    and the CLI golden file rely on it.  The key is built once per
+    distinct set: the leafsets are sorted once globally, and each
+    coreset's leafsets by their integer position in that order.  (The
+    per-iteration trace bits accumulate through the unsorted hot gain
+    loop and may still differ in the last ulp on large graphs.)
     """
-    return sorted(
-        db.row_items(),
-        key=lambda item: (leafset_sort_key(item[0]), leafset_sort_key(item[1])),
-    )
+    position = {
+        leaf: index
+        for index, leaf in enumerate(sorted(db.leafsets(), key=leafset_sort_key))
+    }
+    leaves_of = db.coreset_leafset_index()
+    return [
+        (core, sorted(leaves_of[core], key=position.__getitem__))
+        for core in sorted(db.coresets(), key=leafset_sort_key)
+    ]
+
+
+def canonical_rows(db: InvertedDatabase) -> List[Tuple[CoreKey, LeafKey, int]]:
+    """``(core, leaf, frequency)`` triples in :func:`canonical_order`."""
+    frequency_of = db.row_frequency
+    return [
+        (core, leaf, frequency_of(core, leaf))
+        for core, leaves in canonical_order(db)
+        for leaf in leaves
+    ]
 
 
 def data_leaf_bits(db: InvertedDatabase, rows=None) -> float:
     """Eq. 8: ``sum_j c_j log2 c_j - sum_ij l_ij log2 l_ij``.
 
     ``rows`` may carry an already-sorted row list (from
-    :func:`_sorted_rows`) to avoid re-sorting.
+    :func:`canonical_rows`) to avoid re-sorting.
     """
     total = 0.0
     for core in sorted(db.coresets(), key=leafset_sort_key):
         total += xlog2x(db.coreset_frequency(core))
-    for _core, _leaf, frequency in rows if rows is not None else _sorted_rows(db):
+    for _core, _leaf, frequency in rows if rows is not None else canonical_rows(db):
         total -= xlog2x(frequency)
     return total
 
@@ -130,7 +153,7 @@ def conditional_entropy(db: InvertedDatabase) -> float:
     if s == 0:
         return 0.0
     entropy = 0.0
-    for core, _leaf, l_ij in _sorted_rows(db):
+    for core, _leaf, l_ij in canonical_rows(db):
         c_j = db.coreset_frequency(core)
         entropy -= (l_ij / s) * math.log2(l_ij / c_j)
     return entropy
@@ -145,7 +168,7 @@ def description_length(
     """Recompute the full DL breakdown from scratch (Eq. 1-8).
 
     Sums run in sorted order so the result is identical for any
-    ``PYTHONHASHSEED`` — see :func:`_sorted_rows` and
+    ``PYTHONHASHSEED`` — see :func:`canonical_order` and
     :meth:`StandardCodeTable.set_cost`.  ``rows`` may carry the
     ``(core, leaf, frequency)`` triples *already in that canonical
     order* (e.g. from the database's construction-order record) to
@@ -153,7 +176,7 @@ def description_length(
     is identical either way.
     """
     if rows is None:
-        rows = _sorted_rows(db)
+        rows = canonical_rows(db)
     model_core = 0.0
     if core_table is not None:
         for coreset in sorted(core_table.coresets(), key=leafset_sort_key):
@@ -195,7 +218,7 @@ def initial_description_length(
 
     ``InvertedDatabase.from_graph`` records its row keys in canonical
     (coreset, leafset) sorted order as each coreset finalises — the
-    same order :func:`_sorted_rows` would produce — so the Eq. 1-8
+    same order :func:`canonical_order` gives — so the Eq. 1-8
     terms can be summed straight over that record.  Byte-identical to
     :func:`description_length` (tests assert it); falls back to the
     full recompute when the record is unavailable (e.g. after a
@@ -223,3 +246,77 @@ def astar_code_length(
 ) -> float:
     """``L(Scode) = L(Code_c) + L(Code_L)`` (Eq. 4)."""
     return core_table.code_length(core) + row_code_length(db, core, leaf)
+
+
+def _tie_positions(sets: Iterable[FrozenSet]) -> Dict[FrozenSet, int]:
+    """Each set's position in :func:`~repro.core.astar.tie_key` order."""
+    keys = {key: tie_key(_sorted_values(key)) for key in sets}
+    ranked = sorted(keys, key=keys.__getitem__)
+    return {key: position for position, key in enumerate(ranked)}
+
+
+def rank_rows(
+    db: InvertedDatabase,
+    standard_table: StandardCodeTable,
+    core_table: CoreCodeTable,
+) -> Tuple[List[AStar], DescriptionLength]:
+    """Every live row as an a-star, ranked, plus the final DL breakdown.
+
+    One pass over the rows in :func:`canonical_order` yields each row's
+    code length (Eq. 4, 6), its :class:`AStar` and its Eq. 1-8 terms.
+    The sort work is per distinct set, not per row: one canonical key
+    and one :func:`~repro.core.astar.tie_key` position per coreset and
+    leafset.  The a-stars come back in :meth:`AStar.sort_key` order:
+    code length, then the coreset's and the leafset's tie keys.
+
+    Float contract: the breakdown equals ``description_length(db,
+    standard_table, core_table)`` bit for bit — the same terms summed
+    in the same order (model-core over the sorted code-table coresets;
+    per row the leaf cost, then the pointer, with ``f * pointer`` on
+    the data-core side; data-leaf ``sum xlog2x(fc)`` over the sorted
+    live coresets, then ``- xlog2x(f)`` per row) — and each code
+    length equals :func:`astar_code_length`.
+    """
+    order = canonical_order(db)
+    core_tie = _tie_positions(core for core, _leaves in order)
+    leaf_tie = _tie_positions(db.leafsets())
+    leaf_cost = {leaf: standard_table.set_cost(leaf) for leaf in leaf_tie}
+    model_core = 0.0
+    for coreset in sorted(core_table.coresets(), key=leafset_sort_key):
+        model_core += standard_table.set_cost(coreset)
+        model_core += core_table.code_length(coreset)
+    coreset_frequency = db.coreset_frequency
+    data_leaf = 0.0
+    for core, _leaves in order:
+        data_leaf += xlog2x(coreset_frequency(core))
+    model_leaf = 0.0
+    data_core = 0.0
+    frequency_of = db.row_frequency
+    log2 = math.log2
+    of_row = AStar._of_row
+    stride = len(leaf_tie)
+    stars: List[AStar] = []
+    ties: List[int] = []
+    for core, leaves in order:
+        pointer = core_table.code_length(core)
+        f_c = coreset_frequency(core)
+        tie_base = core_tie[core] * stride
+        for leaf in leaves:
+            f_l = frequency_of(core, leaf)
+            model_leaf += leaf_cost[leaf]
+            model_leaf += pointer
+            data_core += f_l * pointer
+            data_leaf -= xlog2x(f_l)
+            code = pointer + -log2(f_l / f_c)
+            stars.append(of_row(core, leaf, f_l, f_c, code))
+            ties.append(tie_base + leaf_tie[leaf])
+    # Tie order first, then a stable sort by code length: the
+    # AStar.sort_key order with an int and a float compared per row.
+    ranked = [stars[i] for i in sorted(range(len(ties)), key=ties.__getitem__)]
+    ranked.sort(key=attrgetter("code_length"))
+    return ranked, DescriptionLength(
+        model_core_bits=model_core,
+        model_leaf_bits=model_leaf,
+        data_leaf_bits=data_leaf,
+        data_core_bits=data_core,
+    )

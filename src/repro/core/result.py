@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional
 
 from repro.config import CSPMConfig
-from repro.core.astar import AStar
+from repro.core.astar import AStar, astar_entries
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.instrumentation import RunTrace
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.mdl import DescriptionLength, description_length
+from repro.core.mdl import DescriptionLength
 from repro.errors import MiningError
 
 Value = Hashable
@@ -41,6 +41,15 @@ SECTIONS = (
 )
 
 
+#: The numeric fields of an ``astars`` entry and the types each takes
+#: (``type``, not ``isinstance``: a JSON ``true`` is no count).
+_ASTAR_NUMBERS = {
+    "frequency": (int,),
+    "coreset_frequency": (int,),
+    "code_length": (int, float),
+}
+
+
 def _astar_entry(index: int, entry: Any) -> AStar:
     """One ``astars`` entry, or a :class:`MiningError` naming it."""
     if (
@@ -48,6 +57,13 @@ def _astar_entry(index: int, entry: Any) -> AStar:
         and type(entry.get("coreset")) is list
         and type(entry.get("leafset")) is list
     ):
+        for key, kinds in _ASTAR_NUMBERS.items():
+            if key in entry and type(entry[key]) not in kinds:
+                raise MiningError(
+                    f"astars[{index}].{key} must be "
+                    f"{' or '.join(kind.__name__ for kind in kinds)}, "
+                    f"got {entry[key]!r}"
+                )
         try:
             return AStar.from_dict(entry)
         except TypeError:  # an unhashable value
@@ -77,21 +93,15 @@ class CSPMResult:
     ``config`` records the :class:`~repro.config.CSPMConfig` that
     produced the run, when known.
 
-    ``final_dl`` may be constructed as ``None``: the pipeline hands the
-    incremental end-of-run total over in the trace
-    (:attr:`final_dl_bits`) and defers the *component* breakdown — whose
-    serialised floats must be accumulation-order-independent, i.e. come
-    from a sorted from-scratch pass — until something actually reads it.
-    The first access recomputes it from the live database (falling back
-    to the trace's incremental component sums when the database is
-    gone) and caches it, so mining no longer pays a full
-    ``description_length`` pass per run.
+    ``final_dl`` is the end-of-run breakdown summed in canonical order
+    by the pipeline's rank pass (:func:`repro.core.mdl.rank_rows`);
+    :attr:`final_dl_bits` is the search's incremental total.
     """
 
     astars: List[AStar]
     trace: RunTrace
     initial_dl: DescriptionLength
-    final_dl: Optional[DescriptionLength]
+    final_dl: DescriptionLength
     standard_table: StandardCodeTable
     core_table: CoreCodeTable
     inverted_db: Optional[InvertedDatabase] = field(default=None, repr=False)
@@ -102,43 +112,11 @@ class CSPMResult:
     #: which keeps schema-v1 documents byte-identical.
     runtime: Optional[Dict[str, Any]] = None
 
-    def __post_init__(self) -> None:
-        # A None final_dl means "compute on demand": remove the
-        # instance attribute so lookups fall through to __getattr__
-        # (which only ever fires for missing attributes — no per-access
-        # overhead on any other field).
-        if self.__dict__.get("final_dl") is None:
-            self.__dict__.pop("final_dl", None)
-
-    def __getattr__(self, name):
-        if name == "final_dl":
-            value = self._compute_final_dl()
-            self.__dict__["final_dl"] = value
-            return value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _compute_final_dl(self) -> DescriptionLength:
-        if self.inverted_db is not None:
-            return description_length(
-                self.inverted_db, self.standard_table, self.core_table
-            )
-        trace = self.trace
-        initial = self.initial_dl
-        return DescriptionLength(
-            model_core_bits=initial.model_core_bits,
-            model_leaf_bits=initial.model_leaf_bits - trace.model_gain_bits,
-            data_leaf_bits=initial.data_leaf_bits - trace.data_leaf_gain_bits,
-            data_core_bits=initial.data_core_bits - trace.data_core_gain_bits,
-        )
-
     @property
     def final_dl_bits(self) -> float:
         """End-of-run total DL, tracked incrementally by the search.
 
-        Equal to ``final_dl.total_bits`` up to float accumulation order;
-        reading it never triggers the deferred component recompute.
+        Equal to ``final_dl.total_bits`` up to float accumulation order.
         """
         return self.trace.final_dl_bits
 
@@ -229,7 +207,7 @@ class CSPMResult:
         document = {
             "schema_version": SCHEMA_VERSION,
             "config": None if self.config is None else self.config.to_dict(),
-            "astars": [star.to_dict() for star in self.astars],
+            "astars": astar_entries(self.astars),
             "trace": self.trace.to_dict(),
             "initial_dl": self.initial_dl.to_dict(),
             "final_dl": self.final_dl.to_dict(),

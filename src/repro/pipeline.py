@@ -55,7 +55,7 @@ from repro.core.mdl import (
     DescriptionLength,
     description_length,
     initial_description_length,
-    row_code_length,
+    rank_rows,
 )
 from repro.core.result import CSPMResult
 from repro.errors import MiningError
@@ -253,13 +253,12 @@ class Search(PipelineStage):
 
     The end-of-run description length is *incremental*: the searches
     accumulate ``initial_dl_bits - sum(breakdown.total)`` (and the
-    per-component sums) in the trace, so this stage no longer runs a
-    full ``description_length`` pass — which on small ``fit_many``
-    graphs used to cost more than the whole partial search.  The
-    component breakdown ``CSPMResult.final_dl`` is recomputed lazily,
-    in sorted order, only when first accessed (e.g. at serialisation,
-    whose floats must be hash-seed- and accumulation-order-independent);
-    tests validate the incremental totals against that recompute.
+    per-component sums) in the trace, so this stage runs no
+    ``description_length`` pass.  The component breakdown
+    ``CSPMResult.final_dl``, whose serialised floats must be hash-seed-
+    and accumulation-order-independent, comes from
+    :class:`RankAndFilter`'s canonical row pass; tests validate the
+    incremental totals against it.
 
     ``config.search="sharded"`` routes uncapped partial runs through
     the component-sharded parallel search
@@ -298,10 +297,6 @@ class Search(PipelineStage):
             merges=len(context.trace.iterations),
             seconds=round(elapsed, 3),
         )
-        # No final description_length pass here: the incremental total
-        # lives in context.trace.final_dl_bits, and the result computes
-        # the component breakdown lazily on first access.
-        context.final_dl = None
 
     def _dispatch(
         self,
@@ -355,9 +350,12 @@ class Search(PipelineStage):
 class RankAndFilter(PipelineStage):
     """Rank surviving a-stars and apply the config post-filters.
 
-    Ordering is the paper's: ascending code length.  ``min_leafset``
-    and ``top_k`` only trim the reported list; they never influence the
-    search itself.
+    Ordering is the paper's: ascending code length, ties broken by
+    :meth:`AStar.sort_key`.  The same canonical pass over the rows
+    (:func:`repro.core.mdl.rank_rows`) also sums the final
+    description length, so the result carries ``final_dl`` eagerly.
+    ``min_leafset`` and ``top_k`` only trim the reported list; they
+    never influence the search itself.
     """
 
     def run(self, context: PipelineContext) -> None:
@@ -372,20 +370,9 @@ class RankAndFilter(PipelineStage):
 
     def _rank(self, context: PipelineContext, config: CSPMConfig) -> None:
         db = context.inverted_db
-        core_table = context.core_table
-        astars = []
-        for core, leaf, frequency in db.row_items():
-            code = core_table.code_length(core) + row_code_length(db, core, leaf)
-            astars.append(
-                AStar(
-                    coreset=core,
-                    leafset=leaf,
-                    frequency=frequency,
-                    coreset_frequency=db.coreset_frequency(core),
-                    code_length=code,
-                )
-            )
-        astars.sort(key=AStar.sort_key)
+        astars, context.final_dl = rank_rows(
+            db, context.standard_table, context.core_table
+        )
         if config.min_leafset > 1:
             astars = [
                 star for star in astars if len(star.leafset) >= config.min_leafset

@@ -1,4 +1,4 @@
-"""The naive reference search every exact production search is pinned to.
+"""The naive references exact production code is pinned to.
 
 :func:`naive_search` is CSPM-Basic as Algorithms 1-2 of the paper state
 it: each iteration evaluates every leafset pair of the current database
@@ -7,9 +7,13 @@ greatest gain above ``GAIN_EPS``.  It shares only the gain engine and
 the database with production, so a search whose :func:`outcome` equals
 the oracle's reproduces the greedy merge sequence and every
 description-length float exactly.
+
+:func:`sorted_rows` is the canonical row order as one global sort with
+a key per row, the order ``repro.core.mdl.canonical_order`` builds from
+per-set keys.
 """
 
-from repro.core.candidates import enumerate_pairs
+from repro.core.candidates import enumerate_pairs, leafset_sort_key
 from repro.core.cspm_basic import GAIN_EPS
 from repro.core.gain import GainEngine
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
@@ -72,3 +76,11 @@ def outcome(trace, db):
         ),
         "snapshot": db.snapshot(),
     }
+
+
+def sorted_rows(db):
+    """``(core, leaf, frequency)`` rows sorted by (coreset key, leafset key)."""
+    return sorted(
+        db.row_items(),
+        key=lambda item: (leafset_sort_key(item[0]), leafset_sort_key(item[1])),
+    )

@@ -783,7 +783,7 @@ class TestShippedTree:
         import repro.core.mdl as mdl_module
 
         source = Path(mdl_module.__file__).read_text()
-        target = "for core, _leaf, l_ij in _sorted_rows(db):"
+        target = "for core, _leaf, l_ij in canonical_rows(db):"
         assert target in source
         mutated = source.replace(
             target, "for core, _leaf, l_ij in db.row_items():"

@@ -10,6 +10,9 @@ MDL accounting moves it, regenerate with::
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,10 @@ from repro.graphs.builders import paper_running_example
 from repro.graphs.io import save_json
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
+#: Edges 1-2 and 3-4; vertex 1 carries the int 7, the others strings, so
+#: code-length ties are broken between an int and a str value.
+MIXED_GRAPH = DATA_DIR / "mixed_int_str_graph.json"
 
 
 @pytest.fixture()
@@ -82,6 +89,58 @@ class TestMineJson:
         document = json.loads(capsys.readouterr().out)
         assert document["config"]["method"] == "basic"
         assert document["trace"]["algorithm"].startswith("cspm-basic")
+
+
+class TestMixedValueTypes:
+    """Valid graphs whose attribute values mix ints and strings."""
+
+    def test_mine_json_exits_zero(self, capsys):
+        assert main(["mine", str(MIXED_GRAPH), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        values = {
+            value
+            for star in document["astars"]
+            for value in star["coreset"] + star["leafset"]
+        }
+        assert values == {7, "q", "z"}
+
+    def test_mine_text_exits_zero(self, capsys):
+        assert main(["mine", str(MIXED_GRAPH)]) == 0
+        assert "->" in capsys.readouterr().out
+
+
+def mine_json_under_hash_seed(path, seed):
+    """``repro mine --json`` stdout from a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "mine", str(path), "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+class TestOutputAcrossProcesses:
+    """``mine --json`` bytes do not depend on ``PYTHONHASHSEED``."""
+
+    def test_paper_graph_matches_golden_under_two_hash_seeds(
+        self, paper_graph_file
+    ):
+        golden = (DATA_DIR / "mine_paper_golden.json").read_text()
+        for seed in (0, 1):
+            assert mine_json_under_hash_seed(paper_graph_file, seed) == golden
+
+    def test_mixed_type_graph_under_two_hash_seeds(self):
+        first, second = (
+            mine_json_under_hash_seed(MIXED_GRAPH, seed) for seed in (0, 1)
+        )
+        assert first == second
 
 
 class TestMineText:

@@ -322,23 +322,20 @@ class TestGainEngineMemoisation:
 
 
 class TestIncrementalFinalDL:
-    """The pipeline derives the end-of-run DL without a full pass."""
+    """The search tracks the end-of-run DL total incrementally; the rank
+    pass sums the component breakdown."""
 
-    def test_result_defers_component_recompute(self, paper_graph):
+    def test_result_carries_final_dl_from_rank_pass(self, paper_graph):
         from repro import CSPM
 
         result = CSPM().fit(paper_graph)
-        # The component breakdown is absent until accessed ...
-        assert "final_dl" not in result.__dict__
         assert result.final_dl_bits == result.trace.final_dl_bits
-        assert "final_dl" not in result.__dict__
-        # ... and the first access recomputes (sorted, reference-exact)
-        # and caches.
+        # The breakdown arrives with the result, sorted and
+        # reference-exact.
         reference = description_length(
             result.inverted_db, result.standard_table, result.core_table
         )
         assert result.final_dl == reference
-        assert result.__dict__["final_dl"] == reference
 
     @pytest.mark.parametrize("seed", range(4))
     def test_incremental_total_matches_recompute(self, seed):
@@ -373,32 +370,4 @@ class TestIncrementalFinalDL:
         mined = CSPM().fit(paper_graph)
         restored = CSPMResult.from_json(mined.to_json())
         assert restored.inverted_db is None
-        assert "final_dl" in restored.__dict__  # no recompute needed
         assert restored.final_dl == mined.final_dl
-
-    def test_incremental_fallback_without_database(self, paper_graph):
-        from dataclasses import replace
-
-        from repro import CSPM
-
-        mined = CSPM().fit(paper_graph)
-        # A result whose database is gone and whose breakdown was never
-        # materialised falls back to the trace's component sums.
-        orphan = replace(mined, final_dl=None, inverted_db=None)
-        assert "final_dl" not in orphan.__dict__
-        fallback = orphan.final_dl
-        trace = mined.trace
-        initial = mined.initial_dl
-        assert fallback.model_core_bits == initial.model_core_bits
-        assert fallback.model_leaf_bits == (
-            initial.model_leaf_bits - trace.model_gain_bits
-        )
-        assert fallback.data_leaf_bits == (
-            initial.data_leaf_bits - trace.data_leaf_gain_bits
-        )
-        assert fallback.data_core_bits == (
-            initial.data_core_bits - trace.data_core_gain_bits
-        )
-        assert fallback.total_bits == pytest.approx(
-            mined.final_dl.total_bits, abs=1e-6
-        )

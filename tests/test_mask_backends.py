@@ -430,12 +430,21 @@ class TestInitialDescriptionLength:
         assert folded == recomputed
 
     def test_row_order_matches_global_sort(self, paper_graph):
-        from repro.core.mdl import _sorted_rows
+        from oracles import sorted_rows
 
         db = InvertedDatabase.from_graph(paper_graph)
         order = db.initial_row_order()
         assert order is not None
-        assert [(core, leaf) for core, leaf, _f in _sorted_rows(db)] == order
+        assert [(core, leaf) for core, leaf, _f in sorted_rows(db)] == order
+
+    def test_validate_rejects_a_stale_record(self, paper_graph):
+        db = InvertedDatabase.from_graph(paper_graph)
+        db.validate(paper_graph)
+        order = db.initial_row_order()
+        for stale in (order[::-1], order[:-1], order[:-1] + order[:1]):
+            db._initial_row_order = stale
+            with pytest.raises(MiningError, match="stale initial row order"):
+                db.validate()
 
     def test_record_dropped_on_merge(self, paper_graph):
         db = InvertedDatabase.from_graph(paper_graph)

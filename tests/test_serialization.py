@@ -16,6 +16,12 @@ from repro.graphs.builders import paper_running_example
 DROP = object()
 
 
+def with_merged_pair(trace, merged_pair):
+    """``trace`` with its first iteration's ``merged_pair`` replaced."""
+    first = {**trace["iterations"][0], "merged_pair": merged_pair}
+    return {**trace, "iterations": [first, *trace["iterations"][1:]]}
+
+
 class TestAStarRoundTrip:
     def test_round_trip_equality(self):
         star = AStar(
@@ -118,6 +124,31 @@ class TestResultRoundTrip:
             ({"trace": {}}, MiningError, "trace"),
             ({"trace": []}, MiningError, "trace"),
             ({"trace": lambda t: {**t, "iterations": [{}]}}, MiningError, "trace"),
+            (
+                {"trace": lambda t: {**t, "iterations": [[1, 2]]}},
+                MiningError,
+                r"trace\.iterations\[0\] must be an object",
+            ),
+            (
+                {"trace": lambda t: {**t, "iterations": {"a": 1}}},
+                MiningError,
+                r"trace\.iterations must be an array",
+            ),
+            (
+                {"trace": lambda t: with_merged_pair(t, "x")},
+                MiningError,
+                r"trace\.iterations\[0\]\.merged_pair",
+            ),
+            (
+                {"trace": lambda t: with_merged_pair(t, "")},
+                MiningError,
+                r"trace\.iterations\[0\]\.merged_pair",
+            ),
+            (
+                {"astars": lambda a: [{**a[0], "frequency": "x"}]},
+                MiningError,
+                r"astars\[0\]\.frequency",
+            ),
             ({"initial_dl": {}}, MiningError, "initial_dl"),
             ({"final_dl": None}, MiningError, "final_dl"),
             ({"standard_table": []}, MiningError, "standard_table"),
@@ -139,6 +170,11 @@ class TestResultRoundTrip:
             "trace-empty",
             "trace-array",
             "iteration-empty",
+            "iteration-array",
+            "iterations-object",
+            "merged-pair-string",
+            "merged-pair-empty-string",
+            "astar-frequency-string",
             "initial-dl-empty",
             "final-dl-null",
             "standard-table-array",
