@@ -86,9 +86,7 @@ def test_ablation_update_scope(dblp_graph, report_writer, benchmark):
         )
     report_writer("ablation_update_scope", "\n".join(lines))
     # Lazy partial == basic, with fewer gain computations.
-    assert lazy.final_dl.total_bits == pytest.approx(
-        basic.final_dl.total_bits, abs=1e-6
-    )
+    assert lazy.final_dl.total_bits == basic.final_dl.total_bits
     assert (
         lazy.trace.total_gain_computations
         < basic.trace.total_gain_computations

@@ -3,10 +3,10 @@
 ``InvertedDatabase.copy`` shares mask *values* between copies, and the
 lazy refresh keeps masks cached across merges — both are sound only
 because every :class:`~repro.core.masks.base.MaskBackend` operation
-except the construction-time setters (``make``/``make_batch``/
-``set_bit``/``set_bits_bulk``) is pure: it never mutates ``self`` or an
-argument.  These rules check that contract statically for every class
-that subclasses ``MaskBackend`` (see docs/INVARIANTS.md, family 2).
+except the two fresh-value constructors (``make``/``make_batch``) is
+pure: it never mutates ``self`` or an argument.  These rules check that
+contract statically for every class that subclasses ``MaskBackend``
+(see docs/INVARIANTS.md, family 2).
 
 The protocol *specification* is derived from the ``MaskBackend`` class
 definition itself at lint time (methods whose body raises
@@ -31,11 +31,9 @@ from repro.analysis.core import (
 
 BACKEND_BASE_CLASS = "MaskBackend"
 
-#: The construction-time ops that MAY mutate (owner-exclusive masks
-#: only, per the protocol docstring); everything else must be pure.
-CONSTRUCTION_OPS = frozenset(
-    {"make", "make_batch", "set_bit", "set_bits_bulk"}
-)
+#: The fresh-value constructors, which may build their result in
+#: place; everything else must be pure.
+CONSTRUCTION_OPS = frozenset({"make", "make_batch"})
 
 #: Method names that mutate their receiver (list/set/dict/ndarray).
 MUTATING_METHODS = frozenset(
@@ -124,7 +122,7 @@ class BackendSurfaceRule(Rule):
 
     Required methods are those whose ``MaskBackend`` body raises
     ``NotImplementedError``; methods with a default body (``make_batch``,
-    ``set_bits_bulk``) are optional overrides.  Arity is compared
+    ``overlaps_many``) are optional overrides.  Arity is compared
     positionally (``self`` included); a ``*args`` signature on either
     side skips the comparison.  A partial backend would fail at the
     first missed dispatch *on some input* — this rule fails it at lint
@@ -179,17 +177,17 @@ class PureOpMutationRule(Rule):
     """MSK002: no statement in a pure mask op mutates ``self`` or an
     argument.
 
-    Pure ops are every protocol method except ``make``/``make_batch``/
-    ``set_bit``/``set_bits_bulk``.  Flagged shapes, on any name derived
-    from ``self`` or a parameter (tracking aliases through plain
-    ``a, b = b, a`` rebinds and loop targets over tracked containers):
+    Pure ops are every protocol method except ``make``/``make_batch``.
+    Flagged shapes, on any name derived from ``self`` or a parameter
+    (tracking aliases through plain ``a, b = b, a`` rebinds and loop
+    targets over tracked containers):
     attribute/subscript assignment, augmented assignment (in-place
     operators are flagged even where the element type happens to be
     immutable — the representation is backend-private, so the safe
     spelling is ``x = x op y``), ``del``, known-mutating method calls
     (``.update``, ``.append``, ``np.*.at(tracked, ...)``).  Private
     helpers (leading underscore) are exempt: they are not protocol
-    surface and the in-place builders legitimately share them.  See
+    surface and the constructors legitimately share them.  See
     docs/INVARIANTS.md (family 2).
     """
 

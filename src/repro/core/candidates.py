@@ -82,10 +82,6 @@ class LeafsetInterner:
         """The leafset registered under ``leaf_id``."""
         return self._leafsets[leaf_id]
 
-    def sort_key(self, leaf: LeafKey) -> int:
-        """Integer ordering key (interns unseen leafsets)."""
-        return self.intern(leaf)
-
     def canonical_pair(self, leaf_x: LeafKey, leaf_y: LeafKey) -> Pair:
         """The unordered pair in canonical (ascending-id) order."""
         if self.intern(leaf_x) <= self.intern(leaf_y):
@@ -110,36 +106,15 @@ class LeafsetInterner:
         return f"LeafsetInterner({len(self._ids)} leafsets)"
 
 
-def canonical_pair(leaf_x: LeafKey, leaf_y: LeafKey) -> Pair:
-    """The unordered pair in canonical (repr-sorted) order.
-
-    Registry-free fallback; search code paths use
-    :meth:`LeafsetInterner.canonical_pair`.
-    """
-    if leafset_sort_key(leaf_x) <= leafset_sort_key(leaf_y):
-        return (leaf_x, leaf_y)
-    return (leaf_y, leaf_x)
-
-
-def pair_sort_key(pair: Pair) -> Tuple:
-    return (leafset_sort_key(pair[0]), leafset_sort_key(pair[1]))
-
-
 def enumerate_pairs(
-    leafsets: Iterable[LeafKey],
-    interner: Optional[LeafsetInterner] = None,
+    leafsets: Iterable[LeafKey], interner: LeafsetInterner
 ) -> Iterator[Pair]:
-    """All unordered pairs, in deterministic order (Alg. 2, line 2).
+    """All unordered pairs in interned-id order (Alg. 2, line 2).
 
-    With an ``interner``, ordering (and hence tie-breaking downstream)
-    follows interned ids; without one it falls back to repr order.
-    This is the quadratic full scan — the sparse-aware generator is
-    :func:`repro.core.pairgen.overlap_pairs`.
+    This is the quadratic full scan of CSPM-Basic; the sparse-aware
+    generator is :func:`repro.core.pairgen.overlap_pairs`.
     """
-    key = interner.sort_key if interner is not None else leafset_sort_key
-    ordered = sorted(leafsets, key=key)
-    for leaf_x, leaf_y in itertools.combinations(ordered, 2):
-        yield (leaf_x, leaf_y)
+    return itertools.combinations(interner.order(leafsets), 2)
 
 
 class CandidateQueue:
@@ -147,9 +122,8 @@ class CandidateQueue:
 
     Entries are ``(-gain, tiebreak, version, pair)`` in a binary heap;
     a side table maps each pair to its current gain, version and an
-    opaque payload so stale heap entries are skipped on pop.  With an
-    ``interner`` the tiebreak is an ``(id, id)`` integer tuple; without
-    one it falls back to repr-based keys.
+    opaque payload so stale heap entries are skipped on pop.  The
+    tiebreak is the pair's ``(id, id)`` key under ``interner``.
 
     The payload carries whatever the caller needs to revalidate an
     entry lazily — CSPM-Partial's lazy scope stores the full gain
@@ -161,11 +135,11 @@ class CandidateQueue:
     by the perf harness).
     """
 
-    def __init__(self, interner: Optional[LeafsetInterner] = None) -> None:
+    def __init__(self, interner: LeafsetInterner) -> None:
         self._heap: List[Tuple[float, Tuple, int, Pair]] = []
         self._current: Dict[Pair, Tuple[float, int, object]] = {}
         self._version = 0
-        self._pair_key = interner.pair_key if interner is not None else pair_sort_key
+        self._pair_key = interner.pair_key
         self.peak_size = 0
 
     def __len__(self) -> int:

@@ -36,8 +36,8 @@ Two update scopes are provided:
 
     The result is exactly CSPM-Basic's merge sequence, with
     bit-identical DL accounting — the equivalence suites assert it
-    against the naive Algorithm 1-2 oracle in ``tests/oracles.py`` —
-    at a fraction of the gain evaluations.
+    against Basic, the Algorithm 1-2 oracle ``tests/oracles.py``
+    re-exports — at a fraction of the gain evaluations.
 
 ``related`` (the paper's Algorithm 4, literally)
     ``rdict`` maps each leafset to the leafsets it currently forms a
@@ -63,7 +63,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 from repro.config import UPDATE_SCOPES
 from repro.core.candidates import CandidateQueue, LeafsetInterner, Pair
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.gain import GainEngine
+from repro.core.gain import GAIN_EPS, GainEngine
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
 from repro.core.inverted_db import InvertedDatabase, MergeOutcome
 from repro.core.mdl import description_length
@@ -72,7 +72,6 @@ from repro.errors import MiningError
 from repro.obs import current
 
 LeafKey = FrozenSet[Hashable]
-GAIN_EPS = 1e-9
 
 
 class _PartialState:

@@ -72,6 +72,10 @@ class GainBreakdown:
 
 ZERO_GAIN = GainBreakdown(0.0, 0.0, 0.0)
 
+#: The smallest net gain a search accepts as positive: a pair merges
+#: only when its gain is strictly above this, in every search.
+GAIN_EPS = 1e-9
+
 
 class _DirectXlogx:
     """:func:`~repro.core.mdl.xlog2x` behind the xlogx table's indexing.

@@ -14,19 +14,18 @@ at Pokec scale.  The mask *representation* is pluggable
 (:mod:`repro.core.masks`): whole-graph Python ints (``bigint``, the
 default) or sparse dict-of-chunk bitmaps (``chunked``) — bit-exact
 interchangeable, selected per database at construction.  The
-vertex->bit table is precomputed once per construction (in first-touch
+vertex->bit table is assigned once per construction (in first-touch
 order over repr-sorted coresets, so community positions land in
-adjacent bits) and shared by every mask the database owns; after
-construction the order is *frozen* (see
-:meth:`InvertedDatabase._bit_of`).
+adjacent bits) and shared by every mask the database owns; nothing
+adds a position after construction, so the order never changes.
 
 Construction itself is **columnar**: phase 1 plans the iteration and
 assigns vertex bits, phase 2 collects, per ``(coreset, leafset)`` row,
 the full sorted bit list and materialises each coreset's rows with one
 bulk ``MaskBackend.make_batch`` call, deriving row/coreset frequencies
-from batch lengths instead of per-bit increments.  The per-triple
-reference path survives as :meth:`InvertedDatabase._from_graph_triples`
-(the equivalence suite's oracle).
+from batch lengths instead of per-bit increments.  The construction
+equivalence suite pins it to a one-triple-at-a-time reference builder,
+``tests/oracles.py::triples_database``.
 
 Invariants maintained by this class (checked by :meth:`validate`):
 
@@ -203,10 +202,6 @@ class InvertedDatabase:
         self._merge_index: int = 0
         self._core_epoch: Dict[CoreKey, int] = {}
         self._leaf_epoch: Dict[LeafKey, int] = {}
-        # ``from_graph`` freezes the vertex order once construction
-        # finishes: batch-built masks trust the precomputed table, so
-        # implicit lazy extension afterwards would desynchronise them.
-        self._vertex_order_frozen: bool = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -257,49 +252,13 @@ class InvertedDatabase:
         db._finalise_construction()
         return db
 
-    @classmethod
-    def _from_graph_triples(
-        cls,
-        graph: AttributedGraph,
-        coreset_positions: Optional[Mapping[CoreKey, Iterable[Vertex]]] = None,
-        mask_backend: Optional[MaskBackend] = None,
-    ) -> "InvertedDatabase":
-        """The pre-columnar reference builder: one ``_add_position``
-        call per ``(coreset, vertex, leaf-value)`` triple.
-
-        Kept verbatim as the oracle the construction-equivalence suite
-        compares the columnar builder against; production code always
-        goes through :meth:`from_graph`.
-        """
-        db = cls(mask_backend=mask_backend)
-        if coreset_positions is None:
-            coreset_positions = {
-                frozenset([value]): vertices
-                for value, vertices in graph.value_positions().items()
-            }
-        plan, neighbor_values = db._plan_construction(graph, coreset_positions)
-        row_order: List[RowKey] = []
-        for core_key, members in plan.items():
-            for vertex in members:
-                for leaf_value in neighbor_values[vertex]:
-                    db._add_position(core_key, frozenset([leaf_value]), vertex)
-            leaves = db._core_to_leaves.get(core_key)
-            if leaves:
-                row_order.extend(
-                    (core_key, leaf) for leaf in sorted(leaves, key=_key_of)
-                )
-        db._initial_row_order = row_order
-        db._finalise_construction()
-        return db
-
     def _plan_coresets(
         self, coreset_positions: Mapping[CoreKey, Iterable[Vertex]]
     ) -> Dict[CoreKey, List[Vertex]]:
         """The (coreset, sorted members) iteration plan, keys sorted.
 
-        Pure ordering work — no per-vertex graph access; the columnar
-        builder fuses that into the row loop, the reference builder
-        adds it in :meth:`_plan_construction`.
+        Pure ordering work — no per-vertex graph access; the builder
+        fuses that into the row loop.
         """
         plan: Dict[CoreKey, List[Vertex]] = {}
         for coreset, vertices in sorted(
@@ -315,37 +274,6 @@ class InvertedDatabase:
                 plan[core_key] = members
         return plan
 
-    def _plan_construction(
-        self,
-        graph: AttributedGraph,
-        coreset_positions: Mapping[CoreKey, Iterable[Vertex]],
-    ) -> Tuple[Dict[CoreKey, List[Vertex]], Dict[Vertex, FrozenSet[Value]]]:
-        """Phase 1 with the per-vertex tables fully materialised.
-
-        Computes each vertex's neighbour-value set exactly once (a
-        vertex with k attribute values is visited k times) and
-        precomputes the vertex->bit table in the same first-touch order
-        the row loop uses — one shared vertex order for every mask the
-        database will ever hold.  The columnar builder skips this pass
-        and assigns bits lazily at first encounter, which produces the
-        identical table because the encounters happen in the same
-        order.
-        """
-        plan = self._plan_coresets(coreset_positions)
-        neighbor_values: Dict[Vertex, FrozenSet[Value]] = {}
-        vertex_bit = self._vertex_bit
-        vertex_ids = self._vertex_ids
-        for members in plan.values():
-            for vertex in members:
-                values = neighbor_values.get(vertex)
-                if values is None:
-                    values = graph.neighbor_values(vertex)
-                    neighbor_values[vertex] = values
-                if values and vertex not in vertex_bit:
-                    vertex_bit[vertex] = len(vertex_ids)
-                    vertex_ids.append(vertex)
-        return plan, neighbor_values
-
     def _vertex_info(
         self,
         vertex: Vertex,
@@ -354,9 +282,9 @@ class InvertedDatabase:
     ) -> Tuple:
         """First-encounter record: ``(bit, ordinals, [bit]*k)`` or ``()``.
 
-        Lazy bit assignment happens here; the encounters run in plan
-        order over per-coreset member order, so the table comes out
-        exactly as ``_plan_construction`` would precompute it.
+        Bit assignment happens here, at a vertex's first encounter in
+        plan order over per-coreset member order, and only for vertices
+        with neighbour values.
         """
         values = neighbor_values(vertex)
         if not values:
@@ -585,13 +513,13 @@ class InvertedDatabase:
             leaf_union[leaf_by_ordinal[ordinal]] = union
 
     def _finalise_construction(self) -> None:
-        """Shared epilogue of every construction path.
+        """The epilogue of :meth:`from_graph`.
 
         Interns the initial leafsets in repr-sorted order — first-sight
         ids then coincide with the repr ordering the seed used, so
         seeding-time tie-breaks are unchanged and independent of the
-        (hash-seed-dependent) set iteration order — builds the
-        per-coreset sorted id lists, and freezes the vertex order.
+        (hash-seed-dependent) set iteration order — and builds the
+        per-coreset sorted id lists.
         """
         ordered = sorted(self._leaf_to_cores, key=_key_of)
         self._interner.intern_all(ordered)
@@ -601,54 +529,6 @@ class InvertedDatabase:
             core: sorted(id_of[leaf] for leaf in leaves)
             for core, leaves in self._core_to_leaves.items()
         }
-        self._vertex_order_frozen = True
-
-    def _bit_of(self, vertex: Vertex) -> int:
-        """The vertex's bit index under the shared vertex order.
-
-        ``from_graph`` precomputes the full table and then *freezes*
-        it: batch-built masks trust precomputed bit lists, so an
-        unknown vertex on a frozen database raises
-        :class:`MiningError` instead of silently extending the order
-        (which would let masks and table diverge).  Direct
-        ``_add_position`` callers on a hand-built database (one that
-        never went through ``from_graph``) still get lazy first-touch
-        assignment.
-        """
-        bit = self._vertex_bit.get(vertex)
-        if bit is None:
-            if self._vertex_order_frozen:
-                raise MiningError(
-                    f"unknown vertex {vertex!r}: the vertex order is frozen "
-                    "after from_graph (every mask shares one vertex->bit "
-                    "table); build a new database instead of appending "
-                    "positions"
-                )
-            bit = len(self._vertex_ids)
-            self._vertex_bit[vertex] = bit
-            self._vertex_ids.append(vertex)
-        return bit
-
-    def _add_position(self, core: CoreKey, leaf: LeafKey, vertex: Vertex) -> None:
-        key = (core, leaf)
-        bit = self._bit_of(vertex)
-        masks = self._masks
-        current = self._rows.get(key)
-        if current is None:
-            self._rows[key] = masks.make((bit,))
-            self._row_freq[key] = 1
-            self._leaf_to_cores.setdefault(leaf, {})[core] = None
-            self._core_to_leaves.setdefault(core, set()).add(leaf)
-            self._core_freq[core] = self._core_freq.get(core, 0) + 1
-            union = self._leaf_union.get(leaf)
-            self._leaf_union[leaf] = (
-                masks.make((bit,)) if union is None else masks.set_bit(union, bit)
-            )
-        elif not masks.has_bit(current, bit):
-            self._rows[key] = masks.set_bit(current, bit)
-            self._row_freq[key] += 1
-            self._core_freq[core] += 1
-            self._leaf_union[leaf] = masks.set_bit(self._leaf_union[leaf], bit)
 
     def _to_vertices(self, mask: Mask) -> FrozenSet[Vertex]:
         ids = self._vertex_ids
@@ -1126,7 +1006,6 @@ class InvertedDatabase:
         db._merge_index = self._merge_index
         db._core_epoch = dict(self._core_epoch)
         db._leaf_epoch = dict(self._leaf_epoch)
-        db._vertex_order_frozen = self._vertex_order_frozen
         db._initial_row_order = (
             list(self._initial_row_order)
             if self._initial_row_order is not None
@@ -1156,7 +1035,6 @@ class InvertedDatabase:
         db = InvertedDatabase(mask_backend=self._masks)
         db._vertex_ids = self._vertex_ids
         db._vertex_bit = self._vertex_bit
-        db._vertex_order_frozen = True
         rows = db._rows
         row_freq = db._row_freq
         cores: Set[CoreKey] = set()

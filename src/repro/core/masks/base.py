@@ -21,11 +21,11 @@ backend choice:
 A backend is a *stateless* strategy object: masks are plain values
 (``int`` / ``dict``) interpreted through the backend that made them,
 and two databases built with the same backend class can share one
-instance.  Mutation discipline: :meth:`MaskBackend.set_bit` (the
-construction-time bit setter) may mutate its argument in place and must
-be called only on masks the caller exclusively owns; every other
-operation is pure, which is what lets ``InvertedDatabase.copy`` share
-mask values between copies.
+instance.  Mutation discipline: no operation mutates ``self`` or a
+mask it is given.  The two construction ops, :meth:`MaskBackend.make`
+and :meth:`MaskBackend.make_batch`, build fresh values (and only they
+may build one in place); every other operation is pure, which is what
+lets ``InvertedDatabase.copy`` share mask values between copies.
 
 All backends are **bit-exact** interchangeable: every mining-visible
 quantity (popcounts, intersection counts, overlap booleans, decoded bit
@@ -82,15 +82,6 @@ class MaskBackend:
         """A fresh mask with exactly ``bits`` set."""
         raise NotImplementedError
 
-    def set_bit(self, mask: Mask, bit: int) -> Mask:
-        """``mask`` with ``bit`` set — MAY mutate ``mask`` in place.
-
-        Construction-time only: call it solely on masks the caller
-        exclusively owns (the database's build loop does), and always
-        use the returned value.
-        """
-        raise NotImplementedError
-
     def make_batch(self, bit_lists: Sequence[Sequence[int]]) -> List[Mask]:
         """One fresh mask per bit list, materialised in one bulk call.
 
@@ -106,26 +97,7 @@ class MaskBackend:
         """
         return [self.make(bits) for bits in bit_lists]
 
-    def set_bits_bulk(self, mask: Mask, bits: Sequence[int]) -> Mask:
-        """``mask`` with every bit of sorted ``bits`` set — MAY mutate.
-
-        The bulk counterpart of :meth:`set_bit`, under the same
-        construction-time ownership discipline: ``bits`` must be
-        ascending (duplicates allowed), and callers must use the
-        returned value.  The in-place complement of
-        :meth:`make_batch` for builders that accumulate into an
-        existing mask (custom pipeline stages, external index
-        construction); the database's own builder materialises fresh
-        masks through ``make_batch`` only.
-        """
-        for bit in bits:
-            mask = self.set_bit(mask, bit)
-        return mask
-
     # -- predicates ----------------------------------------------------
-
-    def has_bit(self, mask: Mask, bit: int) -> bool:
-        raise NotImplementedError
 
     def is_empty(self, mask: Mask) -> bool:
         raise NotImplementedError

@@ -50,15 +50,6 @@ class BigintMaskBackend(MaskBackend):
     def make_batch(self, bit_lists: Sequence[Sequence[int]]) -> List[int]:
         return [_int_from_sorted_bits(bits) for bits in bit_lists]
 
-    def set_bit(self, mask: int, bit: int) -> int:
-        return mask | (1 << bit)
-
-    def set_bits_bulk(self, mask: int, bits: Sequence[int]) -> int:
-        return mask | _int_from_sorted_bits(bits)
-
-    def has_bit(self, mask: int, bit: int) -> bool:
-        return bool((mask >> bit) & 1)
-
     def is_empty(self, mask: int) -> bool:
         return not mask
 

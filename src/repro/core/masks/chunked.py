@@ -93,30 +93,6 @@ class ChunkedMaskBackend(MaskBackend):
             append(mask)
         return out
 
-    def set_bit(self, mask: ChunkMask, bit: int) -> ChunkMask:
-        chunk = bit >> self._shift
-        mask[chunk] = mask.get(chunk, 0) | (1 << (bit & self._low))
-        return mask
-
-    def set_bits_bulk(self, mask: ChunkMask, bits: Sequence[int]) -> ChunkMask:
-        shift = self._shift
-        low = self._low
-        index = 0
-        count = len(bits)
-        while index < count:
-            chunk = bits[index] >> shift
-            word = 0
-            while index < count and bits[index] >> shift == chunk:
-                word |= 1 << (bits[index] & low)
-                index += 1
-            have = mask.get(chunk)
-            mask[chunk] = word if have is None else have | word
-        return mask
-
-    def has_bit(self, mask: ChunkMask, bit: int) -> bool:
-        word = mask.get(bit >> self._shift)
-        return word is not None and bool((word >> (bit & self._low)) & 1)
-
     def is_empty(self, mask: ChunkMask) -> bool:
         return not mask
 

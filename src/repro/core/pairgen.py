@@ -3,10 +3,10 @@
 Only leafset pairs whose position sets overlap under a common coreset
 can ever have a positive merge gain: the gain formulas (Eq. 9-15) sum
 over common coresets with non-empty position intersections, and every
-component vanishes when there are none.  The seed nevertheless seeded
-both search variants with the full ``O(|SL|^2)`` pair scan and relied
-on the gain engine to short-circuit the disjoint pairs — paying a gain
-*evaluation* per pair either way.
+component vanishes when there are none.  CSPM-Basic, the paper's
+baseline, scans all ``O(|SL|^2)`` pairs anyway and pays a gain
+*evaluation* per pair; CSPM-Partial seeds its queue from this module
+instead.
 
 This module turns the observation into the generator itself.  Two
 enumeration strategies produce the identical candidate set:
@@ -35,8 +35,8 @@ Pairs are returned in ascending interned-id order, the exact order
 :func:`repro.core.candidates.enumerate_pairs` yields under the same
 interner, so greedy tie-breaking is identical to the full scan — the
 randomized equivalence tests in ``tests/test_pairgen.py`` assert
-merge-sequence and DL bit-exactness of both search variants against
-the naive full-scan oracle in ``tests/oracles.py``.
+CSPM-Partial's merge sequence and DL floats bit-exact against
+CSPM-Basic's full scan.
 """
 
 from __future__ import annotations

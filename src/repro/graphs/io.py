@@ -44,10 +44,12 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
     ``int_vertices`` is true, the key is parsed back to an int when
     possible.
 
-    Raises :class:`~repro.errors.GraphError` for an edge that is not a
-    ``[u, v]`` pair of vertex ids or an attribute entry that is not an
-    array of values, naming the offending edge index or vertex key.
-    Each check is O(1) per entry.
+    Raises :class:`~repro.errors.GraphError` naming the bad field for
+    a document that is not an object, a ``vertices``/``edges`` that is
+    not an array, an ``attributes`` that is not an object, an
+    unhashable id in ``vertices``, an edge that is not a ``[u, v]``
+    pair of vertex ids, or an attribute entry that is not an array of
+    values.  Each check is O(1) per entry.
     """
 
     def parse(key: str):
@@ -58,10 +60,33 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
                 return key
         return key
 
+    if type(document) is not dict:
+        raise GraphError(
+            "a graph document must be a JSON object, "
+            f"got {type(document).__name__}"
+        )
+    vertices = document.get("vertices", [])
+    edges = document.get("edges", [])
+    attributes = document.get("attributes", {})
+    for name, value, kind, noun in (
+        ("vertices", vertices, list, "an array"),
+        ("edges", edges, list, "an array"),
+        ("attributes", attributes, dict, "an object"),
+    ):
+        if type(value) is not kind:
+            raise GraphError(
+                f"{name!r} must be {noun}, got {type(value).__name__}"
+            )
     graph = AttributedGraph()
-    for vertex in document.get("vertices", []):
-        graph.add_vertex(vertex)
-    for index, edge in enumerate(document.get("edges", [])):
+    for index, vertex in enumerate(vertices):
+        try:
+            graph.add_vertex(vertex)
+        except TypeError:
+            raise GraphError(
+                f"'vertices' entry {index} is not a hashable vertex id: "
+                f"{vertex!r}"
+            ) from None
+    for index, edge in enumerate(edges):
         if type(edge) is not list or len(edge) != 2:
             raise GraphError(f"edge {index} is not a [u, v] pair: {edge!r}")
         try:
@@ -70,7 +95,7 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
             raise GraphError(
                 f"edge {index} has an unhashable vertex id: {edge!r}"
             ) from None
-    for key, values in document.get("attributes", {}).items():
+    for key, values in attributes.items():
         if type(values) is not list:
             raise GraphError(
                 f"attributes of vertex {key!r} must be an array of values, "

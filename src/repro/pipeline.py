@@ -247,9 +247,9 @@ class BuildInvertedDB(PipelineStage):
 class Search(PipelineStage):
     """Steps 3-4: greedy MDL merging, basic or partial-update.
 
-    Candidate pairs come from the overlap-driven generator
-    (:mod:`repro.core.pairgen`), which selects the same merge sequence
-    and DL bits as the paper's quadratic pair scan.
+    ``basic`` is the paper's quadratic pair scan; ``partial`` seeds
+    from the overlap-driven generator (:mod:`repro.core.pairgen`) and
+    selects the same merge sequence and DL bits.
 
     The end-of-run description length is *incremental*: the searches
     accumulate ``initial_dl_bits - sum(breakdown.total)`` (and the

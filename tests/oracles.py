@@ -1,65 +1,27 @@
 """The naive references exact production code is pinned to.
 
-:func:`naive_search` is CSPM-Basic as Algorithms 1-2 of the paper state
-it: each iteration evaluates every leafset pair of the current database
-and merges the first pair, in interned-id order, with the strictly
-greatest gain above ``GAIN_EPS``.  It shares only the gain engine and
-the database with production, so a search whose :func:`outcome` equals
-the oracle's reproduces the greedy merge sequence and every
-description-length float exactly.
+:func:`naive_search` is CSPM-Basic itself
+(:func:`repro.core.cspm_basic.run_basic`), which runs Algorithms 1-2 of
+the paper verbatim: each iteration evaluates every leafset pair of the
+current database and merges the first pair, in interned-id order, with
+the strictly greatest gain above ``GAIN_EPS``.  A search whose
+:func:`outcome` equals the oracle's reproduces the greedy merge
+sequence and every description-length float exactly.
+
+:func:`triples_database` builds the initial inverted database one
+``(coreset, vertex, leaf value)`` triple at a time, the reference the
+columnar ``InvertedDatabase.from_graph`` is pinned to.
 
 :func:`sorted_rows` is the canonical row order as one global sort with
 a key per row, the order ``repro.core.mdl.canonical_order`` builds from
 per-set keys.
 """
 
-from repro.core.candidates import enumerate_pairs, leafset_sort_key
-from repro.core.cspm_basic import GAIN_EPS
-from repro.core.gain import GainEngine
-from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
-from repro.core.mdl import description_length
+from repro.core.candidates import leafset_sort_key
+from repro.core.cspm_basic import run_basic as naive_search
+from repro.core.inverted_db import InvertedDatabase
 
-
-def naive_search(db, standard_table, core_table, include_model_cost=True):
-    """Run the naive Algorithm 1-2 search to convergence, mutating ``db``."""
-    trace = RunTrace(algorithm="cspm-basic")
-    dl = description_length(db, standard_table, core_table).total_bits
-    trace.initial_dl_bits = dl
-    engine = GainEngine(db, standard_table, core_table)
-    iteration = 0
-    while True:
-        n = db.num_leafsets
-        possible = n * (n - 1) // 2
-        gains_computed = 0
-        best_pair, best_gain, best_breakdown = None, GAIN_EPS, None
-        for leaf_x, leaf_y in enumerate_pairs(db.leafsets(), interner=db.interner):
-            breakdown = engine.gain(leaf_x, leaf_y)
-            gains_computed += 1
-            gain = breakdown.net(include_model_cost)
-            if gain > best_gain:
-                best_pair, best_gain, best_breakdown = (leaf_x, leaf_y), gain, breakdown
-        if iteration == 0:
-            trace.initial_candidate_gains = gains_computed
-        if best_pair is None:
-            break
-        merge = db.merge(*best_pair)
-        engine.drop_views(merge.removed_leafsets)
-        dl -= best_breakdown.total
-        trace.record_merge_components(best_breakdown)
-        iteration += 1
-        trace.iterations.append(
-            IterationTrace(
-                iteration=iteration,
-                gains_computed=gains_computed,
-                possible_pairs=possible,
-                num_leafsets=n,
-                merged_pair=merged_pair_record(*best_pair),
-                gain=best_gain,
-                total_dl_bits=dl,
-            )
-        )
-    trace.final_dl_bits = dl
-    return trace
+__all__ = ["naive_search", "outcome", "sorted_rows", "triples_database"]
 
 
 def outcome(trace, db):
@@ -76,6 +38,62 @@ def outcome(trace, db):
         ),
         "snapshot": db.snapshot(),
     }
+
+
+def triples_database(graph, coreset_positions=None, mask_backend=None):
+    """The initial inverted database, built one triple at a time.
+
+    Coresets are walked in ``leafset_sort_key`` order (keys that
+    collapse to one frozenset pool their members) and each coreset's
+    members in repr order.  A vertex gets the next bit at its first
+    encounter, if it has neighbour values.  Every ``(coreset, vertex,
+    leaf value)`` triple adds the vertex's bit to a plain set; each row
+    and union mask is then made once with ``backend.make``.
+    """
+    db = InvertedDatabase(mask_backend=mask_backend)
+    make = db.mask_backend.make
+    if coreset_positions is None:
+        coreset_positions = {
+            frozenset([value]): vertices
+            for value, vertices in graph.value_positions().items()
+        }
+    plan = {}
+    for coreset, vertices in sorted(
+        coreset_positions.items(), key=lambda item: leafset_sort_key(item[0])
+    ):
+        plan.setdefault(frozenset(coreset), []).extend(sorted(vertices, key=repr))
+    row_bits = {}
+    for core, members in plan.items():
+        for vertex in members:
+            values = graph.neighbor_values(vertex)
+            if not values:
+                continue
+            bit = db._vertex_bit.setdefault(vertex, len(db._vertex_ids))
+            if bit == len(db._vertex_ids):
+                db._vertex_ids.append(vertex)
+            for value in values:
+                row_bits.setdefault((core, frozenset([value])), set()).add(bit)
+    union_bits = {}
+    for (core, leaf), bits in row_bits.items():
+        db._rows[(core, leaf)] = make(sorted(bits))
+        db._row_freq[(core, leaf)] = len(bits)
+        db._core_freq[core] = db._core_freq.get(core, 0) + len(bits)
+        db._leaf_to_cores.setdefault(leaf, {})[core] = None
+        db._core_to_leaves.setdefault(core, set()).add(leaf)
+        union_bits.setdefault(leaf, set()).update(bits)
+    for leaf, bits in union_bits.items():
+        db._leaf_union[leaf] = make(sorted(bits))
+    db._initial_row_order = [
+        (core, leaf)
+        for core in plan
+        for leaf in sorted(db._core_to_leaves.get(core, ()), key=leafset_sort_key)
+    ]
+    db._interner.intern_all(sorted(db._leaf_to_cores, key=leafset_sort_key))
+    db._core_leaf_ids = {
+        core: sorted(map(db._interner.intern, leaves))
+        for core, leaves in db._core_to_leaves.items()
+    }
+    return db
 
 
 def sorted_rows(db):

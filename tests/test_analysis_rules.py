@@ -180,9 +180,6 @@ class MaskBackend:
     def make(self, bits):
         raise NotImplementedError
 
-    def set_bit(self, mask, bit):
-        raise NotImplementedError
-
     def or_(self, a, b):
         raise NotImplementedError
 
@@ -201,9 +198,6 @@ class GoodBackend(MaskBackend):
             value |= 1 << bit
         return value
 
-    def set_bit(self, mask, bit):
-        return mask | (1 << bit)
-
     def or_(self, a, b):
         return a | b
 """
@@ -215,9 +209,6 @@ class PartialBackend(MaskBackend):
 
     def make(self, bits):
         return 0
-
-    def set_bit(self, mask, bit):
-        return mask | (1 << bit)
 """
 
 MSK_ARITY = """
@@ -227,9 +218,6 @@ class WrongArity(MaskBackend):
 
     def make(self, bits):
         return 0
-
-    def set_bit(self, mask, bit):
-        return mask | (1 << bit)
 
     def or_(self, a):
         return a
@@ -241,11 +229,8 @@ class MutatingBackend(MaskBackend):
         return set()
 
     def make(self, bits):
+        bits.sort()
         return set(bits)
-
-    def set_bit(self, mask, bit):
-        mask.add(bit)
-        return mask
 
     def or_(self, a, b):
         a.update(b)
@@ -259,9 +244,6 @@ class AugBackend(MaskBackend):
 
     def make(self, bits):
         return 0
-
-    def set_bit(self, mask, bit):
-        return mask | (1 << bit)
 
     def or_(self, a, b):
         a |= b
@@ -302,7 +284,7 @@ class TestMSK002:
     def test_mutating_pure_op_flagged(self):
         report = lint_backend(MSK_MUTATES, ["MSK002"])
         assert rules_of(report) == ["MSK002"]
-        # set_bit is a construction op: its mask.add() is allowed, so
+        # make is a construction op: its bits.sort() is allowed, so
         # the only finding is or_'s a.update(b).
         assert len(report.findings) == 1
         assert "or_()" in report.findings[0].message

@@ -3,15 +3,20 @@
 from repro.core.candidates import (
     CandidateQueue,
     LeafsetInterner,
-    canonical_pair,
     enumerate_pairs,
     leafset_sort_key,
-    pair_sort_key,
 )
 
 
 def fs(*values):
     return frozenset(values)
+
+
+def abc_interner():
+    """An interner holding {a}, {b}, {c} with ids 0, 1, 2."""
+    interner = LeafsetInterner()
+    interner.intern_all([fs("a"), fs("b"), fs("c")])
+    return interner
 
 
 class TestLeafsetInterner:
@@ -53,44 +58,47 @@ class TestLeafsetInterner:
         second = LeafsetInterner()
         first.intern_all([fs("a"), fs("b")])
         second.intern_all([fs("b"), fs("a")])
-        assert first.sort_key(fs("a")) == 0
-        assert second.sort_key(fs("a")) == 1
+        assert first.intern(fs("a")) == 0
+        assert second.intern(fs("a")) == 1
 
 
 class TestOrdering:
     def test_leafset_sort_key_deterministic(self):
         assert leafset_sort_key(fs("b", "a")) == ("'a'", "'b'")
 
-    def test_canonical_pair_is_order_insensitive(self):
-        assert canonical_pair(fs("b"), fs("a")) == canonical_pair(fs("a"), fs("b"))
-
     def test_enumerate_pairs_count_and_order(self):
-        leafsets = [fs("c"), fs("a"), fs("b")]
-        pairs = list(enumerate_pairs(leafsets))
-        assert len(pairs) == 3
-        assert pairs[0] == (fs("a"), fs("b"))
-        assert all(pair == canonical_pair(*pair) for pair in pairs)
+        interner = abc_interner()
+        pairs = list(enumerate_pairs([fs("c"), fs("a"), fs("b")], interner))
+        assert pairs == [
+            (fs("a"), fs("b")),
+            (fs("a"), fs("c")),
+            (fs("b"), fs("c")),
+        ]
+        assert all(pair == interner.canonical_pair(*pair) for pair in pairs)
 
-    def test_pair_sort_key_orders_lexicographically(self):
-        early = (fs("a"), fs("b"))
-        late = (fs("a"), fs("c"))
-        assert pair_sort_key(early) < pair_sort_key(late)
+    def test_enumerate_pairs_follows_ids_not_repr(self):
+        interner = LeafsetInterner()
+        interner.intern_all([fs("z"), fs("a")])
+        pairs = list(enumerate_pairs([fs("a"), fs("z")], interner))
+        assert pairs == [(fs("z"), fs("a"))]
 
 
 class TestCandidateQueue:
     def test_pop_returns_best_gain(self):
-        queue = CandidateQueue()
-        queue.set(canonical_pair(fs("a"), fs("b")), 1.0)
-        queue.set(canonical_pair(fs("a"), fs("c")), 3.0)
-        queue.set(canonical_pair(fs("b"), fs("c")), 2.0)
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        queue.set(interner.canonical_pair(fs("a"), fs("b")), 1.0)
+        queue.set(interner.canonical_pair(fs("a"), fs("c")), 3.0)
+        queue.set(interner.canonical_pair(fs("b"), fs("c")), 2.0)
         pair, gain = queue.pop()
         assert gain == 3.0
-        assert pair == canonical_pair(fs("a"), fs("c"))
+        assert pair == interner.canonical_pair(fs("a"), fs("c"))
         assert len(queue) == 2
 
     def test_update_replaces_gain(self):
-        queue = CandidateQueue()
-        pair = canonical_pair(fs("a"), fs("b"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        pair = interner.canonical_pair(fs("a"), fs("b"))
         queue.set(pair, 1.0)
         queue.set(pair, 5.0)
         assert queue.gain_of(pair) == 5.0
@@ -99,9 +107,10 @@ class TestCandidateQueue:
         assert queue.pop() is None
 
     def test_discard_removes_lazily(self):
-        queue = CandidateQueue()
-        best = canonical_pair(fs("a"), fs("b"))
-        other = canonical_pair(fs("a"), fs("c"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        best = interner.canonical_pair(fs("a"), fs("b"))
+        other = interner.canonical_pair(fs("a"), fs("c"))
         queue.set(best, 9.0)
         queue.set(other, 1.0)
         queue.discard(best)
@@ -110,31 +119,35 @@ class TestCandidateQueue:
         assert pair == other and gain == 1.0
 
     def test_peek_does_not_remove(self):
-        queue = CandidateQueue()
-        pair = canonical_pair(fs("a"), fs("b"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        pair = interner.canonical_pair(fs("a"), fs("b"))
         queue.set(pair, 2.0)
         assert queue.peek() == (pair, 2.0)
         assert len(queue) == 1
 
     def test_tie_break_is_deterministic(self):
-        queue = CandidateQueue()
-        first = canonical_pair(fs("a"), fs("b"))
-        second = canonical_pair(fs("a"), fs("c"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        first = interner.canonical_pair(fs("a"), fs("b"))
+        second = interner.canonical_pair(fs("a"), fs("c"))
         queue.set(second, 1.0)
         queue.set(first, 1.0)
         pair, _gain = queue.pop()
-        assert pair == first  # lexicographically smaller wins ties
+        assert pair == first  # (0, 1) beats (0, 2) on equal gain
 
     def test_empty_queue(self):
-        queue = CandidateQueue()
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
         assert queue.pop() is None
         assert queue.pop_entry() is None
         assert queue.peek() is None
         assert len(queue) == 0
 
     def test_payload_travels_with_entry(self):
-        queue = CandidateQueue()
-        pair = canonical_pair(fs("a"), fs("b"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        pair = interner.canonical_pair(fs("a"), fs("b"))
         queue.set(pair, 2.0, payload=("breakdown", 7))
         assert queue.payload_of(pair) == ("breakdown", 7)
         popped_pair, gain, payload = queue.pop_entry()
@@ -143,16 +156,18 @@ class TestCandidateQueue:
         assert queue.payload_of(pair) is None
 
     def test_payload_replaced_on_update(self):
-        queue = CandidateQueue()
-        pair = canonical_pair(fs("a"), fs("b"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        pair = interner.canonical_pair(fs("a"), fs("b"))
         queue.set(pair, 2.0, payload="old")
         queue.set(pair, 3.0, payload="new")
         assert queue.payload_of(pair) == "new"
         assert queue.pop_entry() == (pair, 3.0, "new")
 
     def test_payload_defaults_to_none(self):
-        queue = CandidateQueue()
-        pair = canonical_pair(fs("a"), fs("b"))
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        pair = interner.canonical_pair(fs("a"), fs("b"))
         queue.set(pair, 1.0)
         assert queue.payload_of(pair) is None
         assert queue.pop_entry() == (pair, 1.0, None)
@@ -169,11 +184,12 @@ class TestCandidateQueue:
         assert pair == first  # (0, 2) beats (1, 2) on equal gain
 
     def test_peak_size_tracks_high_water_mark(self):
-        queue = CandidateQueue()
-        queue.set(canonical_pair(fs("a"), fs("b")), 1.0)
-        queue.set(canonical_pair(fs("a"), fs("c")), 2.0)
+        interner = abc_interner()
+        queue = CandidateQueue(interner)
+        queue.set(interner.canonical_pair(fs("a"), fs("b")), 1.0)
+        queue.set(interner.canonical_pair(fs("a"), fs("c")), 2.0)
         queue.pop()
         queue.pop()
-        queue.set(canonical_pair(fs("b"), fs("c")), 3.0)
+        queue.set(interner.canonical_pair(fs("b"), fs("c")), 3.0)
         assert len(queue) == 1
         assert queue.peak_size == 2

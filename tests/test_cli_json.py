@@ -90,6 +90,15 @@ class TestMineJson:
         assert document["config"]["method"] == "basic"
         assert document["trace"]["algorithm"].startswith("cspm-basic")
 
+    def test_basic_scores_every_pair_every_iteration(self, paper_graph_file, capsys):
+        # --method basic is the paper's loop, so its result document
+        # records a full scan on every iteration.
+        main(["mine", paper_graph_file, "--json", "--method", "basic"])
+        iterations = json.loads(capsys.readouterr().out)["trace"]["iterations"]
+        assert iterations
+        for step in iterations:
+            assert step["gains_computed"] == step["possible_pairs"]
+
 
 class TestMixedValueTypes:
     """Valid graphs whose attribute values mix ints and strings."""
@@ -168,6 +177,12 @@ class TestMalformedGraphFile:
             {"edges": [[1]]},
             {"edges": [[[1], 2]]},
             {"edges": [[1, 2]], "attributes": {"1": "abc"}},
+            # Shapes that used to escape the loader with a traceback.
+            [],
+            {"vertices": [{}]},
+            {"attributes": 1.5},
+            {"vertices": 3},
+            {"edges": 5},
         ],
     )
     def test_mine_exits_2_without_traceback(self, tmp_path, capsys, document):
@@ -176,6 +191,7 @@ class TestMalformedGraphFile:
         assert main(["mine", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
 

@@ -1,27 +1,27 @@
 """Construction-equivalence suite: batched == triples.
 
 The columnar batch builder (``InvertedDatabase.from_graph``) must
-reproduce the pre-columnar reference builder (``_from_graph_triples``
-— one ``_add_position`` per (coreset, vertex, leaf-value) triple)
-*exactly*: identical row masks, row frequencies, interner ids,
+reproduce the reference builder (``tests/oracles.py::triples_database``
+— one (coreset, vertex, leaf-value) triple at a time) *exactly*:
+identical row masks, row frequencies, interner ids,
 ``_initial_row_order``, snapshots, leaf unions and initial
 ``description_length`` floats, on every mask backend including the
 64- and 1024-bit-chunk variants, and on the edge-case inputs the
 generator never produces.  The vectorised grouping's block boundaries
-are pinned, as is the frozen vertex-order contract the batch path
-relies on.
+are pinned too.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import triples_database
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend, get_backend
 from repro.core.mdl import description_length, initial_description_length
-from repro.errors import MiningError
+from repro.datasets import load_dataset
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
@@ -104,11 +104,14 @@ def fingerprint(db):
             leaf: frozenset(backend.iter_bits(db.leaf_union_mask(leaf)))
             for leaf in db.leafsets()
         },
+        # Each leafset's coreset order: gain terms are summed in it.
+        {leaf: list(cores) for leaf, cores in db._leaf_to_cores.items()},
+        db.coreset_leaf_ids(),
     )
 
 
 def builders(graph, backend):
-    triple = InvertedDatabase._from_graph_triples(graph, mask_backend=backend)
+    triple = triples_database(graph, mask_backend=backend)
     columnar = InvertedDatabase.from_graph(graph, mask_backend=backend)
     return triple, columnar
 
@@ -164,13 +167,21 @@ class TestColumnarEquivalence:
         # Force many flushes so block boundaries are exercised.
         graph = random_graph(5)
         reference = fingerprint(
-            InvertedDatabase._from_graph_triples(graph, mask_backend=backend)
+            triples_database(graph, mask_backend=backend)
         )
         monkeypatch.setattr(
             InvertedDatabase, "_GROUP_BLOCK_TRIPLES", 16
         )
         blocked = InvertedDatabase.from_graph(graph, mask_backend=backend)
         assert fingerprint(blocked) == reference
+
+    @pytest.mark.parametrize("name", ["dblp", "usflight", "dblp-trend"])
+    def test_dataset_analogues_identical(self, backend, name):
+        # The Table II analogues: wider vocabularies than the planted
+        # generator, and the graphs Table III and Fig. 5 mine.
+        graph = load_dataset(name, scale=0.1, seed=0)
+        triple, columnar = builders(graph, backend)
+        assert fingerprint(columnar) == fingerprint(triple)
 
     @pytest.mark.parametrize("case", list(EDGE_CASES))
     def test_edge_case_graphs_identical(self, backend, case):
@@ -185,7 +196,7 @@ class TestColumnarEquivalence:
     def test_explicit_coreset_positions_identical(self, backend, collapse):
         graph = random_graph(2)
         positions = explicit_coresets(graph, collapse)
-        triple = InvertedDatabase._from_graph_triples(
+        triple = triples_database(
             graph, positions, mask_backend=backend
         )
         columnar = InvertedDatabase.from_graph(
@@ -225,41 +236,11 @@ def attributed_graphs(draw, max_vertices=10):
 )
 def test_property_columnar_matches_triples(graph):
     for backend in (BigintMaskBackend(), ChunkedMaskBackend(chunk_bits=64)):
-        triple = InvertedDatabase._from_graph_triples(
+        triple = triples_database(
             graph, mask_backend=backend
         )
         columnar = InvertedDatabase.from_graph(graph, mask_backend=backend)
         assert fingerprint(columnar) == fingerprint(triple)
-
-
-class TestFrozenVertexOrder:
-    """Satellite: the explicit ``_bit_of`` fallback contract."""
-
-    def test_from_graph_freezes_the_order(self, paper_graph):
-        db = InvertedDatabase.from_graph(paper_graph)
-        with pytest.raises(MiningError, match="frozen"):
-            db._add_position(
-                frozenset(["T"]), frozenset(["C"]), "brand-new-vertex"
-            )
-
-    def test_known_vertices_still_addressable(self, paper_graph):
-        db = InvertedDatabase.from_graph(paper_graph)
-        vertex = next(iter(db.vertex_bit_table()))
-        # Adding a position at a known vertex goes through fine (the
-        # row bookkeeping is the caller's concern, not the bit table's).
-        db._add_position(frozenset(["__new_core__"]), frozenset(["x"]), vertex)
-        assert db.row_frequency(frozenset(["__new_core__"]), frozenset(["x"])) == 1
-
-    def test_hand_built_database_keeps_lazy_assignment(self):
-        db = InvertedDatabase()
-        db._add_position(frozenset(["a"]), frozenset(["b"]), "v0")
-        db._add_position(frozenset(["a"]), frozenset(["b"]), "v1")
-        assert db.vertex_bit_table() == {"v0": 0, "v1": 1}
-
-    def test_copy_preserves_the_freeze(self, paper_graph):
-        clone = InvertedDatabase.from_graph(paper_graph).copy()
-        with pytest.raises(MiningError, match="frozen"):
-            clone._add_position(frozenset(["T"]), frozenset(["C"]), "nope")
 
 
 class TestConfigAndFacade:

@@ -1,8 +1,12 @@
 """Tests for graph generators, IO, statistics and builders."""
 
-import pytest
+import copy
 
-from repro.errors import DatasetError, GraphError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import DatasetError, GraphError, ReproError
 from repro.graphs.builders import paper_running_example, path_graph, star_graph
 from repro.graphs.generators import (
     PlantedAStar,
@@ -95,6 +99,37 @@ class TestGenerators:
             planted_astar_graph(10, 20, [], carrier_fraction=0.0)
 
 
+VALID_DOCUMENT = {
+    "vertices": [1, 2, "c"],
+    "edges": [[1, 2], [2, "c"]],
+    "attributes": {"1": ["a", "b"], "2": ["a"], "c": ["b", 3]},
+}
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, as a key path from the root."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, prefix + (index,))
+
+
+DOCUMENT_PATHS = list(_paths(VALID_DOCUMENT))
+JSON_JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestIO:
     def test_json_round_trip(self, tmp_path, paper_graph):
         path = tmp_path / "graph.json"
@@ -167,6 +202,61 @@ class TestIO:
     def test_malformed_edge_rejected_with_its_index(self, edge):
         with pytest.raises(GraphError, match="edge 1 "):
             from_json_dict({"edges": [[1, 2], edge]})
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ([], "document"),
+            ({"vertices": [{}]}, "'vertices' entry 0"),
+            ({"attributes": 1.5}, "'attributes'"),
+            ({"vertices": 3}, "'vertices'"),
+            ({"edges": 5}, "'edges'"),
+            (None, "document"),
+            ({"vertices": [1, [2]]}, "'vertices' entry 1"),
+            ({"attributes": [["a"]]}, "'attributes'"),
+            ({"edges": None}, "'edges'"),
+        ],
+        ids=[
+            "array-document",
+            "unhashable-vertex",
+            "float-attributes",
+            "int-vertices",
+            "int-edges",
+            "null-document",
+            "list-vertex",
+            "array-attributes",
+            "null-edges",
+        ],
+    )
+    def test_malformed_document_rejected_naming_the_field(self, document, field):
+        # Each shape used to escape as a bare AttributeError/TypeError.
+        with pytest.raises(GraphError, match=field):
+            from_json_dict(document)
+
+    @given(
+        path=st.sampled_from(DOCUMENT_PATHS),
+        junk=JSON_JUNK,
+        drop=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_documents_raise_only_repro_errors(self, path, junk, drop):
+        # Drop one entry of a valid document, or replace it with any
+        # JSON value: the loader returns a graph or raises a ReproError.
+        document = copy.deepcopy(VALID_DOCUMENT)
+        if not path:
+            document = junk
+        else:
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            if drop:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = junk
+        try:
+            from_json_dict(document)
+        except ReproError:
+            pass
 
     def test_adjacency_text_mentions_all_vertices(self, paper_graph):
         text = to_adjacency_text(paper_graph)

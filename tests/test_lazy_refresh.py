@@ -6,8 +6,8 @@ pair's leafsets only shrink ``fe``), refreshes provably unchanged by
 the merge are skipped via union-mask tests, and revalidation happens
 only when a dirty pair reaches the queue head.  Everything here pins
 the headline guarantee — the mined model, the merge sequence and the
-incremental DL accounting are *bit-identical* to both CSPM-Basic and
-the naive Algorithm 1-2 oracle (``tests/oracles.py``) — plus the counter
+incremental DL accounting are *bit-identical* to CSPM-Basic, the
+naive Algorithm 1-2 oracle (``tests/oracles.py``) — plus the counter
 semantics the perf suite records
 (``refreshes_skipped``/``dirty_revalidations``).
 """
@@ -26,6 +26,7 @@ from repro.core.cspm_partial import UPDATE_SCOPES, run_partial
 from repro.core.gain import ZERO_GAIN, GainEngine
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import description_length
+from repro.datasets import load_dataset
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
 
@@ -67,15 +68,13 @@ class TestScopeRegistry:
 
 
 class TestBitExactEquivalence:
-    """Lazy and Basic must reproduce the naive oracle bit-for-bit."""
+    """Lazy must reproduce the naive oracle bit-for-bit."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_lazy_and_basic_match_oracle(self, seed):
+    def test_lazy_matches_oracle(self, seed):
         graph = random_graph(seed)
         db_oracle, standard, core = setup(graph)
         expected = outcome(naive_search(db_oracle, standard, core), db_oracle)
-        db_basic, _, _ = setup(graph)
-        trace_basic = run_basic(db_basic, standard, core)
         db_lazy, _, _ = setup(graph)
         trace_lazy = run_partial(db_lazy, standard, core, update_scope="lazy")
 
@@ -83,7 +82,15 @@ class TestBitExactEquivalence:
         # final database (clean-head merges reuse stored breakdowns, so
         # every subtracted float must be the very same one).
         assert outcome(trace_lazy, db_lazy) == expected
-        assert outcome(trace_basic, db_basic) == expected
+
+    @pytest.mark.parametrize("name", ["dblp", "usflight"])
+    def test_lazy_matches_oracle_on_dataset_analogues(self, name):
+        graph = load_dataset(name, scale=0.1, seed=0)
+        db_oracle, standard, core = setup(graph)
+        expected = outcome(naive_search(db_oracle, standard, core), db_oracle)
+        db_lazy, _, _ = setup(graph)
+        trace_lazy = run_partial(db_lazy, standard, core, update_scope="lazy")
+        assert outcome(trace_lazy, db_lazy) == expected
 
     def test_lazy_tracked_dl_matches_reference_recompute(self):
         graph = random_graph(3)
@@ -125,22 +132,19 @@ def attributed_graphs(draw, max_vertices=10):
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_property_lazy_and_basic_match_oracle(graph):
-    """Lazy and Basic reproduce the naive oracle exactly on arbitrary
-    small graphs; the related heuristic follows its own merge path (it
-    may stop earlier or even luck into a better model), so it is only
-    held to internally-consistent DL accounting."""
+def test_property_lazy_matches_oracle(graph):
+    """Lazy reproduces the naive oracle exactly on arbitrary small
+    graphs; the related heuristic follows its own merge path (it may
+    stop earlier or even luck into a better model), so it is only held
+    to internally-consistent DL accounting."""
     db_oracle, standard, core = setup(graph)
     expected = outcome(naive_search(db_oracle, standard, core), db_oracle)
-    db_basic, _, _ = setup(graph)
-    trace_basic = run_basic(db_basic, standard, core)
     db_lazy, _, _ = setup(graph)
     trace_lazy = run_partial(db_lazy, standard, core, update_scope="lazy")
     db_rel, _, _ = setup(graph)
     trace_rel = run_partial(db_rel, standard, core, update_scope="related")
 
     assert outcome(trace_lazy, db_lazy) == expected
-    assert outcome(trace_basic, db_basic) == expected
     assert math.isclose(
         trace_rel.final_dl_bits,
         description_length(db_rel, standard, core).total_bits,

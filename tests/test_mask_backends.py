@@ -82,17 +82,8 @@ class TestBackendOps:
         mask = backend.make(BOUNDARY_BITS)
         assert list(backend.iter_bits(mask)) == sorted(BOUNDARY_BITS)
         assert backend.popcount(mask) == len(BOUNDARY_BITS)
-        for bit in BOUNDARY_BITS:
-            assert backend.has_bit(mask, bit)
-        for bit in (2, 62, 66, 254, 258, 1022, 1026):
-            assert not backend.has_bit(mask, bit)
-
-    def test_set_bit_matches_make(self, backend):
-        mask = backend.empty()
-        for bit in BOUNDARY_BITS:
-            mask = backend.set_bit(mask, bit)
-            mask = backend.set_bit(mask, bit)  # idempotent
-        assert backend.equals(mask, backend.make(BOUNDARY_BITS))
+        present = set(backend.iter_bits(mask))
+        assert present.isdisjoint((2, 62, 66, 254, 258, 1022, 1026))
 
     def test_make_batch_matches_make(self, backend):
         # The columnar builder's bulk materialiser: ascending input,
@@ -111,25 +102,6 @@ class TestBackendOps:
         for bits, mask in zip(bit_lists, built):
             assert backend.equals(mask, backend.make(bits)), bits
             assert list(backend.iter_bits(mask)) == sorted(set(bits))
-
-    def test_set_bits_bulk_matches_per_bit(self, backend):
-        # Bulk accumulation into an existing mask == per-bit set_bit,
-        # including cross-chunk runs and bits already present.
-        base_bits = (1, 64, 300)
-        added = sorted((0, 63, 64, 255, 256, 300, 1024, 1025))
-        mask = backend.set_bits_bulk(backend.make(base_bits), added)
-        reference = backend.make(base_bits)
-        for bit in added:
-            reference = backend.set_bit(reference, bit)
-        assert backend.equals(mask, reference)
-        assert backend.equals(
-            backend.set_bits_bulk(backend.empty(), added),
-            backend.make(added),
-        )
-        assert backend.equals(
-            backend.set_bits_bulk(backend.make(base_bits), []),
-            backend.make(base_bits),
-        )
 
     @given(
         bit_lists=st.lists(
@@ -150,8 +122,8 @@ class TestBackendOps:
             assert backend.popcount(mask) == len(set(bits))
             assert list(backend.iter_bits(mask)) == sorted(set(bits))
         merged = backend.empty()
-        for bits in bit_lists:
-            merged = backend.set_bits_bulk(merged, bits)
+        for mask in built:
+            merged = backend.or_(merged, mask)
         union = ref_mask(bit for bits in bit_lists for bit in bits)
         assert list(backend.iter_bits(merged)) == [
             i for i in range(1101) if union >> i & 1

@@ -209,8 +209,7 @@ class TestAcceptance:
         # style workload: overlap-driven generation evaluates >=5x
         # fewer gains at seeding than the full scan, which evaluates
         # every possible pair, and still mines Basic's model
-        # bit-exactly.  (The naive oracle takes seconds at this size;
-        # Basic is pinned to it on smaller graphs.)
+        # bit-exactly.  (Basic, the paper's loop, takes seconds here.)
         from repro.core.cspm_basic import run_basic
         from repro.core.cspm_partial import run_partial
 
@@ -582,6 +581,19 @@ class TestWorkloadCatalog:
     def test_pokec_xl_skipped_under_quick(self):
         document = run_suite(quick=True, only=["pokec-xl"])
         assert document["workloads"] == []
+
+    def test_basic_runs_in_the_full_suite_only(self, monkeypatch):
+        import repro.perf.suite as suite_module
+
+        monkeypatch.setattr(suite_module, "SPARSE_SIZES_QUICK", (3,))
+        monkeypatch.setattr(suite_module, "SPARSE_SIZES_FULL", (3,))
+        for quick, runs in (
+            (True, {"partial/overlap"}),
+            (False, {"partial/overlap", "basic/overlap"}),
+        ):
+            document = run_suite(quick=quick, only=["sparse-scaling"])
+            (entry,) = document["workloads"][0]["series"]
+            assert set(entry["runs"]) == runs
 
 
 class TestConstructionReporting:
