@@ -14,7 +14,6 @@ from repro.core.mdl import (
     DescriptionLength,
     conditional_entropy,
     description_length,
-    initial_description_length,
 )
 from repro.core.miner import CSPM, CSPMResult
 from repro.core.pairgen import overlap_pairs
@@ -35,7 +34,6 @@ __all__ = [
     "conditional_entropy",
     "description_length",
     "get_backend",
-    "initial_description_length",
     "overlap_pairs",
     "resolve_backend",
 ]

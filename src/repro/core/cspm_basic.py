@@ -64,8 +64,7 @@ def run_basic(
             trace.initial_candidate_gains = gains_computed
         if best_pair is None:
             break
-        merge = db.merge(*best_pair)
-        engine.drop_views(merge.removed_leafsets)
+        db.merge(*best_pair)
         dl -= best_breakdown.total
         trace.record_merge_components(best_breakdown)
         iteration += 1

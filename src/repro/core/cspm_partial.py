@@ -251,7 +251,6 @@ def run_partial(
 
         gains_computed = pending_gains
         pending_gains = 0
-        engine.drop_views(outcome.removed_leafsets)
         for leaf in outcome.removed_leafsets:
             state.drop_leafset(leaf)
         if update_scope == "related":
@@ -406,7 +405,7 @@ def _update_lazy(
     backend = db.mask_backend
     overlaps = backend.union_overlaps
     overlaps_many = backend.overlaps_many
-    row_of = db.row_mask
+    rows_of = db.rows_of
     touched_unions = outcome.touched_row_unions
     touched_rows = outcome.touched_core_rows
     focus, rel_pool = _refresh_pool(db, outcome)
@@ -451,9 +450,10 @@ def _update_lazy(
             if touched is None or not touched[index]:
                 trace.refreshes_skipped += 1
                 continue
+            rel_rows = rows_of(rel)
             for core, role_mask in role_rows:
-                rel_row = row_of(core, rel)
-                if rel_row is not None and overlaps(role_mask, rel_row):
+                rel_row = rel_rows.get(core)
+                if rel_row is not None and overlaps(role_mask, rel_row[0]):
                     break
             else:
                 trace.refreshes_skipped += 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.inverted_db import InvertedDatabase
@@ -92,8 +92,6 @@ class _DirectXlogx:
 
 
 _DIRECT_XLOGX = _DirectXlogx()
-# The view of a leafset with no rows; shared, so never mutated.
-_NO_CORES: Dict = {}
 
 
 class GainEngine:
@@ -102,32 +100,28 @@ class GainEngine:
     Semantically identical to :func:`pair_gain` (tests assert this) but
     avoids per-call overhead: ``x*log2(x)`` values are served from a
     lazily-grown lookup table, leafset standard-code costs and coreset
-    pointer lengths are cached, row frequencies come from the database's
-    incrementally-maintained popcount index (one mask ``and_count`` per
-    common coreset instead of three popcounts), and each leafset's rows
-    are read through a memoised **row view**.  All mask arithmetic goes
-    through the database's :mod:`~repro.core.masks` backend, so the
-    engine is representation-agnostic and exact on every backend.
+    pointer lengths are cached, and row frequencies are read from the
+    database's row maps (one mask ``and_count`` per common coreset
+    instead of three popcounts).  All mask arithmetic goes through the
+    database's :mod:`~repro.core.masks` backend, so the engine is
+    representation-agnostic and exact on every backend.
 
-    A row view is ``{coreset: (row mask, row frequency, pointer
-    length)}`` over one leafset's rows, in the database's
-    ``_leaf_to_cores`` insertion order.  It stays valid while the
-    leafset's merge epoch is unchanged: a leafset's rows, frequencies
-    and coreset order change only in merges it takes part in, and each
-    such merge bumps its epoch.  The search drops the views of leafsets
-    a merge removed (:meth:`drop_views`).  :meth:`gain` walks the
-    smaller of the pair's two views and probes the other, so the
-    common-coreset intersection and the term loop are one pass.
+    :meth:`gain` walks the row map
+    (:meth:`~repro.core.inverted_db.InvertedDatabase.rows_of`) of the
+    pair's leafset with fewer coresets and probes the other's, so the
+    common-coreset intersection and the term loop are one pass.  The
+    engine caches nothing about rows: it reads the database's own row
+    maps, which every merge keeps current.
 
-    Float contract: the terms are visited in the order of the view with
-    fewer coresets (the lower interned id's on a tie), skipping
-    coresets absent from the other view; each term is the Eq. 10-15
-    expression of :func:`pair_gain`, and the four accumulators are
-    updated in the same order (model: new row, then x total, then y
-    total).  Arguments are canonicalised to interned-id order before
-    any arithmetic, making the returned floats independent of call
-    orientation — CSPM-Partial's lazy scope relies on this to reuse
-    stored breakdowns bit-for-bit.
+    Float contract: the terms are visited in the row-map order of the
+    leafset with fewer coresets (the lower interned id's on a tie),
+    skipping coresets absent from the other map; each term is the
+    Eq. 10-15 expression of :func:`pair_gain`, and the four
+    accumulators are updated in the same order (model: new row, then x
+    total, then y total).  Arguments are canonicalised to interned-id
+    order before any arithmetic, making the returned floats independent
+    of call orientation — CSPM-Partial's lazy scope relies on this to
+    reuse stored breakdowns bit-for-bit.
 
     The xlogx table grows geometrically on demand, so it ends up sized
     to the largest coreset frequency actually encountered (every
@@ -153,8 +147,6 @@ class GainEngine:
         self._leaf_cost = {}
         self._pointer = {}
         self._xlogx = [0.0, 0.0]
-        # leafset -> (its merge epoch when built, its row view)
-        self._views: Dict[LeafKey, Tuple[int, Dict]] = {}
         # Bound mask ops of the database's backend: the hot loop's xye
         # count and the disjoint-union prefilter (repro.core.masks).
         self._and_count = db.mask_backend.and_count
@@ -169,7 +161,6 @@ class GainEngine:
         """
         return {
             "xlogx_table": len(self._xlogx),
-            "row_views": len(self._views),
             "leaf_cost": len(self._leaf_cost),
             "pointer": len(self._pointer),
         }
@@ -186,37 +177,6 @@ class GainEngine:
         table.extend(i * log2(i) for i in range(size, new_size))
         return table
 
-    def row_view(self, leaf: LeafKey) -> Dict:
-        """``{coreset: (row mask, row frequency, pointer length)}`` of ``leaf``.
-
-        Memoised per leafset and rebuilt once the leafset's merge epoch
-        moves; read-only, like the masks it holds.  Empty for a leafset
-        with no rows.
-        """
-        db = self.db
-        epoch = db._leaf_epoch.get(leaf, 0)
-        cached = self._views.get(leaf)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        cores = db._leaf_to_cores.get(leaf)
-        if not cores:
-            return _NO_CORES
-        rows = db._rows
-        row_freq = db._row_freq
-        pointer = self.pointer
-        view = {}
-        for core in cores:
-            key = (core, leaf)
-            view[core] = (rows[key], row_freq[key], pointer(core))
-        self._views[leaf] = (epoch, view)
-        return view
-
-    def drop_views(self, leafsets: Iterable[LeafKey]) -> None:
-        """Forget the row views of leafsets a merge removed."""
-        views = self._views
-        for leaf in leafsets:
-            views.pop(leaf, None)
-
     def stale_since(
         self, leaf_x: LeafKey, leaf_y: LeafKey, validated_at: int
     ) -> bool:
@@ -226,8 +186,8 @@ class GainEngine:
         frequencies, row existence) over the pair's common coresets, so
         the stored value is exact while no common coreset's merge epoch
         passed the validation point.  Endpoint participation in a later
-        merge is checked first — O(1), and it also vouches for the two
-        row views the coreset walk reads.
+        merge is checked first — O(1), and it also vouches that the two
+        row maps the coreset walk reads hold the validated rows.
         """
         db = self.db
         if (
@@ -235,13 +195,13 @@ class GainEngine:
             or db.leaf_epoch(leaf_y) > validated_at
         ):
             return True
-        view_x = self.row_view(leaf_x)
-        view_y = self.row_view(leaf_y)
-        if len(view_x) > len(view_y):
-            view_x, view_y = view_y, view_x
+        rows_x = db.rows_of(leaf_x)
+        rows_y = db.rows_of(leaf_y)
+        if len(rows_x) > len(rows_y):
+            rows_x, rows_y = rows_y, rows_x
         core_epoch = db._core_epoch
-        for core in view_x:
-            if core in view_y and core_epoch.get(core, 0) > validated_at:
+        for core in rows_x:
+            if core in rows_y and core_epoch.get(core, 0) > validated_at:
                 return True
         return False
 
@@ -281,19 +241,20 @@ class GainEngine:
         interner = db.interner
         if interner.intern(leaf_x) > interner.intern(leaf_y):
             leaf_x, leaf_y = leaf_y, leaf_x
-        view_x = self.row_view(leaf_x)
-        view_y = self.row_view(leaf_y)
-        # Sum the terms in the smaller view's coreset order (x on a tie).
-        walk_x = len(view_x) <= len(view_y)
-        walk, probe = (view_x, view_y) if walk_x else (view_y, view_x)
+        rows_x = db.rows_of(leaf_x)
+        rows_y = db.rows_of(leaf_y)
+        # Sum the terms in the smaller map's coreset order (x on a tie).
+        walk_x = len(rows_x) <= len(rows_y)
+        walk, probe = (rows_x, rows_y) if walk_x else (rows_y, rows_x)
         price_model = self.standard_table is not None
         if price_model:
             new_leaf = leaf_x | leaf_y
-            new_cores = db._leaf_to_cores.get(new_leaf, _NO_CORES)
+            new_rows = db.rows_of(new_leaf)
             new_leaf_cost = self.leaf_cost(new_leaf)
             cost_x = self.leaf_cost(leaf_x)
             cost_y = self.leaf_cost(leaf_y)
         freq = db._core_freq
+        pointers = self._pointer
         and_count = self._and_count
         xlogx = self._xlogx
         limit = len(xlogx)
@@ -306,11 +267,11 @@ class GainEngine:
             if probe_row is None:
                 continue
             if walk_x:
-                mask_x, xe, pointer = walk_row
-                mask_y, ye, _ = probe_row
+                mask_x, xe = walk_row
+                mask_y, ye = probe_row
             else:
-                mask_x, xe, pointer = probe_row
-                mask_y, ye, _ = walk_row
+                mask_x, xe = probe_row
+                mask_y, ye = walk_row
             xye = and_count(mask_x, mask_y)
             if not xye:
                 continue
@@ -322,8 +283,11 @@ class GainEngine:
                 limit = len(xlogx)
             p1 += xl[fe] - xl[fe - xye]
             p2 += xl[xe] + xl[ye] - (xl[xe - xye] + xl[ye - xye] + xl[xye])
+            pointer = pointers.get(core)
+            if pointer is None:
+                pointer = self.pointer(core)
             if price_model:
-                if core not in new_cores:
+                if core not in new_rows:
                     model_gain -= new_leaf_cost + pointer
                 if xye == xe:
                     model_gain += cost_x + pointer

@@ -19,12 +19,19 @@ order over repr-sorted coresets, so community positions land in
 adjacent bits) and shared by every mask the database owns; nothing
 adds a position after construction, so the order never changes.
 
+Each row lives once, in ``_leaf_rows``: leafset -> ``{coreset: (mask,
+frequency)}``.  A leafset's row map keeps insertion order — coresets in
+construction (sorted) order, then each merge's new coresets appended —
+and the gain engine sums its terms in that order, so the order is part
+of the float contract.  The only reverse index is ``_core_leaf_ids``,
+each coreset's ascending interned leafset ids.
+
 Construction itself is **columnar**: phase 1 plans the iteration and
 assigns vertex bits, phase 2 collects, per ``(coreset, leafset)`` row,
-the full sorted bit list and materialises each coreset's rows with one
-bulk ``MaskBackend.make_batch`` call, deriving row/coreset frequencies
-from batch lengths instead of per-bit increments.  The construction
-equivalence suite pins it to a one-triple-at-a-time reference builder,
+the full sorted bit list and materialises the rows with bulk
+``MaskBackend.make_batch`` calls, taking row frequencies from batch
+lengths instead of per-bit increments.  The construction equivalence
+suite pins it to a one-triple-at-a-time reference builder,
 ``tests/oracles.py::triples_database``.
 
 Invariants maintained by this class (checked by :meth:`validate`):
@@ -41,6 +48,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -146,26 +154,26 @@ class MergeOutcome:
 class InvertedDatabase:
     """Mutable inverted database over which CSPM searches.
 
-    Rows are keyed by ``(coreset, leafset)`` frozenset pairs.  The
-    class also maintains reverse indexes used by candidate generation:
-    leafset -> coresets and coreset -> leafsets.
+    Rows are keyed by leafset, then coreset (:meth:`rows_of`); each
+    coreset's leafsets are indexed by interned id
+    (:meth:`coreset_leaf_ids`) for candidate generation.
     """
 
     def __init__(self, mask_backend: Optional[MaskBackend] = None) -> None:
         # The position-mask representation strategy.  Backends are
-        # stateless; masks held in ``_rows``/``_leaf_union`` are values
-        # interpreted through this object only.  After construction all
-        # mask operations are pure, so ``copy`` shares mask values.
+        # stateless; masks held in ``_leaf_rows``/``_leaf_union`` are
+        # values interpreted through this object only.  After
+        # construction all mask operations are pure, so ``copy`` shares
+        # mask values.
         self._masks: MaskBackend = (
             mask_backend if mask_backend is not None else BigintMaskBackend()
         )
-        self._rows: Dict[RowKey, Mask] = {}
-        # Values are insertion-ordered coreset "sets" (dict keys -> None):
-        # gain terms accumulate over this iteration order, so it must be
-        # deterministic and survive copies — plain sets would make the
-        # floats depend on the hash seed and the table's history.
-        self._leaf_to_cores: Dict[LeafKey, Dict[CoreKey, None]] = {}
-        self._core_to_leaves: Dict[CoreKey, Set[LeafKey]] = {}
+        # The one row store: leafset -> {coreset: (mask, frequency)}.
+        # The frequency is the mask's popcount, kept so gain evaluation
+        # reads an int.  Gain terms accumulate in each row map's
+        # insertion order, so it must be deterministic and survive
+        # copies; a leafset with no rows has no entry.
+        self._leaf_rows: Dict[LeafKey, Dict[CoreKey, Tuple[Mask, int]]] = {}
         self._core_freq: Dict[CoreKey, int] = {}
         self._vertex_ids: List[Vertex] = []
         self._vertex_bit: Dict[Vertex, int] = {}
@@ -174,12 +182,6 @@ class InvertedDatabase:
         # generation and gain evaluation short-circuit with a single
         # AND (most pairs in community-structured graphs are disjoint).
         self._leaf_union: Dict[LeafKey, Mask] = {}
-        # Row keys in (sorted-coreset, sorted-leafset) order, recorded
-        # while ``from_graph`` finalises each coreset — the exact order
-        # ``mdl.canonical_order`` gives, captured for free so the
-        # initial description length needs no global re-sort.  Valid
-        # only for the freshly-built database; dropped on first merge.
-        self._initial_row_order: Optional[List[RowKey]] = None
         # Stable integer leafset ids: initial leafsets are interned in
         # repr-sorted order at construction, merged leafsets at merge
         # time, so ordering is deterministic and hash-seed-independent
@@ -189,9 +191,6 @@ class InvertedDatabase:
         # generation enumerates.  Maintained incrementally: a merge
         # touches only its common coresets, so only those lists change.
         self._core_leaf_ids: Dict[CoreKey, List[int]] = {}
-        # Row popcounts, maintained incrementally so gain evaluation
-        # reads an int instead of re-counting big-int masks.
-        self._row_freq: Dict[RowKey, int] = {}
         # Merge epochs.  ``_merge_index`` counts merges; a coreset's
         # epoch is the index of the last merge that changed its rows or
         # frequency, a leafset's epoch the index of the last merge it
@@ -323,15 +322,12 @@ class InvertedDatabase:
         sort per block, rows read off the group boundaries.
 
         The collect loop does three C-level ``extend`` calls per
-        (coreset, vertex) pair instead of one dict probe per triple;
-        the sort then delivers every row's bit list already ascending
-        and in global (coreset, leafset) order, so row keys, counts and
-        the construction-order record all fall out of one pass —
-        ``mdl.initial_description_length`` accumulates the Eq. 1-8
-        terms over exactly this order.  Masks are built with bulk
-        ``make_batch`` calls and the frequency bookkeeping
-        (``_row_freq``/``_core_freq``) comes from group lengths instead
-        of per-bit increments.
+        (coreset, vertex) pair instead of one dict probe per triple; a
+        coreset's triple count is its frequency.  The sort then delivers
+        every row's bit list already ascending and in global (coreset,
+        leafset) order, so each leafset's row map receives its coresets
+        in plan order.  Masks are built with bulk ``make_batch`` calls
+        and row frequencies are group lengths.
         """
         # Dense leaf ordinals in global ``_key_of`` order (for the
         # singleton leafsets of construction that is repr order of the
@@ -340,21 +336,13 @@ class InvertedDatabase:
         # key function, no repr recomputation.
         ordered_values = sorted(graph.attribute_values(), key=repr)
         ordinal_of = {value: i for i, value in enumerate(ordered_values)}
-        leaf_by_ordinal = [frozenset((value,)) for value in ordered_values]
+        ordinal_rows: List[Dict[CoreKey, Tuple[Mask, int]]] = [
+            {} for _ in ordered_values
+        ]
         neighbor_values = graph.neighbor_values
-        masks = self._masks
-        rows = self._rows
-        row_freq = self._row_freq
-        leaf_to_cores = self._leaf_to_cores
-        core_to_leaves = self._core_to_leaves
+        make_batch = self._masks.make_batch
         core_freq = self._core_freq
-        make_batch = masks.make_batch
-        rows_update = rows.update
-        row_freq_update = row_freq.update
         vertex_rowinfo: Dict[Vertex, Tuple] = {}
-        leaf_masks: Dict[int, List[Mask]] = {}
-        row_order: List[RowKey] = []
-        row_order_extend = row_order.extend
         core_keys: List[CoreKey] = []
         cores_flat: List[int] = []
         ords_flat: List[int] = []
@@ -374,7 +362,7 @@ class InvertedDatabase:
             # One radix sort on a packed (core, leaf, bit) key beats
             # three lexsort passes when the key fits a machine word;
             # the widths come from the actual block maxima.
-            bit_width = int(bits_a.max()) .bit_length()
+            bit_width = int(bits_a.max()).bit_length()
             ord_width = int(ords_a.max()).bit_length()
             core_width = int(cores_a.max()).bit_length()
             if bit_width + ord_width + core_width <= 62:
@@ -398,73 +386,16 @@ class InvertedDatabase:
             bits_list = bits_a.tolist()
             bounds = starts.tolist()
             bounds.append(count)
-            num_rows = len(bounds) - 1
-            bit_lists = [
-                bits_list[bounds[i] : bounds[i + 1]] for i in range(num_rows)
-            ]
-            built = make_batch(bit_lists)
-            row_cores_a = cores_a[starts]
-            row_ords_a = ords_a[starts]
-            # Row keys, masks, frequencies and the construction-order
-            # record all land through C-level bulk calls.
-            keys = list(
-                zip(
-                    map(core_keys.__getitem__, row_cores_a.tolist()),
-                    map(leaf_by_ordinal.__getitem__, row_ords_a.tolist()),
-                )
+            built = make_batch(
+                [bits_list[bounds[i] : bounds[i + 1]] for i in range(len(starts))]
             )
-            rows_update(zip(keys, built))
-            row_freq_update(zip(keys, counts_a.tolist()))
-            row_order_extend(keys)
-            # Per-coreset totals and leaf sets: a coreset's rows are
-            # consecutive after the sort, so one reduceat per block.
-            core_row_change = _np.empty(num_rows, dtype=bool)
-            core_row_change[0] = True
-            _np.not_equal(
-                row_cores_a[1:], row_cores_a[:-1], out=core_row_change[1:]
-            )
-            core_row_starts = _np.flatnonzero(core_row_change)
-            core_sums = _np.add.reduceat(counts_a, core_row_starts)
-            core_bounds = core_row_starts.tolist()
-            core_bounds.append(num_rows)
-            for index, total in enumerate(core_sums.tolist()):
-                start = core_bounds[index]
-                end = core_bounds[index + 1]
-                core_key = keys[start][0]
-                leaves = {key[1] for key in keys[start:end]}
-                have = core_to_leaves.get(core_key)
-                if have is None:
-                    core_to_leaves[core_key] = leaves
-                else:
-                    have.update(leaves)
-                core_freq[core_key] = core_freq.get(core_key, 0) + total
-            # Per-leafset coreset sets and row-mask lists (for the
-            # batched unions): group rows by ordinal with one stable
-            # argsort per block.
-            leaf_order = _np.argsort(row_ords_a, kind="stable")
-            sorted_ords = row_ords_a[leaf_order]
-            leaf_change = _np.empty(num_rows, dtype=bool)
-            leaf_change[0] = True
-            _np.not_equal(sorted_ords[1:], sorted_ords[:-1], out=leaf_change[1:])
-            leaf_bounds = _np.flatnonzero(leaf_change).tolist()
-            leaf_bounds.append(num_rows)
-            leaf_order_list = leaf_order.tolist()
-            sorted_ords_list = sorted_ords.tolist()
-            for group in range(len(leaf_bounds) - 1):
-                start = leaf_bounds[group]
-                end = leaf_bounds[group + 1]
-                ordinal = sorted_ords_list[start]
-                leaf = leaf_by_ordinal[ordinal]
-                row_indexes = leaf_order_list[start:end]
-                row_masks = [built[i] for i in row_indexes]
-                cores = dict.fromkeys(keys[i][0] for i in row_indexes)
-                have = leaf_to_cores.get(leaf)
-                if have is None:
-                    leaf_to_cores[leaf] = cores
-                    leaf_masks[ordinal] = row_masks
-                else:
-                    have.update(cores)
-                    leaf_masks[ordinal].extend(row_masks)
+            for core_index, ordinal, mask, frequency in zip(
+                cores_a[starts].tolist(),
+                ords_a[starts].tolist(),
+                built,
+                counts_a.tolist(),
+            ):
+                ordinal_rows[ordinal][core_keys[core_index]] = (mask, frequency)
 
         block_cap = self._GROUP_BLOCK_TRIPLES
         for core_key, members in plan.items():
@@ -484,33 +415,25 @@ class InvertedDatabase:
                 bits_extend(info[2])
             added = len(ords_flat) - before
             if added:
+                core_freq[core_key] = added
                 cores_extend(repeat(core_index, added))
                 if len(cores_flat) >= block_cap:
                     flush()
         flush()
-        self._materialise_unions(leaf_masks, leaf_by_ordinal)
-        self._initial_row_order = row_order
-
-    def _materialise_unions(
-        self,
-        leaf_masks: Dict[int, List[Mask]],
-        leaf_by_ordinal: List[LeafKey],
-    ) -> None:
-        """Set every per-leafset union mask from its row masks.
-
-        A union is the OR of the leafset's rows over all coresets; a
-        single-row leafset shares the row's mask value outright, which
-        is safe because every post-construction mask operation is pure
-        (``copy`` relies on the same discipline).
-        """
-        masks = self._masks
-        or_ = masks.or_
-        leaf_union = self._leaf_union
-        for ordinal, row_masks in leaf_masks.items():
-            union = row_masks[0]
-            for mask in row_masks[1:]:
+        # A union is the OR of the leafset's rows; a single-row leafset
+        # shares the row's mask value outright, which is safe because
+        # every post-construction mask operation is pure.
+        or_ = self._masks.or_
+        for value, rows in zip(ordered_values, ordinal_rows):
+            if not rows:
+                continue
+            leaf = frozenset((value,))
+            self._leaf_rows[leaf] = rows
+            masks = iter(rows.values())
+            union = next(masks)[0]
+            for mask, _frequency in masks:
                 union = or_(union, mask)
-            leaf_union[leaf_by_ordinal[ordinal]] = union
+            self._leaf_union[leaf] = union
 
     def _finalise_construction(self) -> None:
         """The epilogue of :meth:`from_graph`.
@@ -521,14 +444,26 @@ class InvertedDatabase:
         (hash-seed-dependent) set iteration order — and builds the
         per-coreset sorted id lists.
         """
-        ordered = sorted(self._leaf_to_cores, key=_key_of)
-        self._interner.intern_all(ordered)
+        self._interner.intern_all(sorted(self._leaf_rows, key=_key_of))
+        self._core_leaf_ids = self._leaf_id_lists()
+
+    def _leaf_id_lists(self) -> Dict[CoreKey, List[int]]:
+        """Each coreset's leafset ids, derived from the rows.
+
+        Leafsets are walked in interned-id order, so every list comes
+        out ascending.  Every leafset must already be interned.
+        """
+        id_lists: Dict[CoreKey, List[int]] = {}
         intern = self._interner.intern
-        id_of = {leaf: intern(leaf) for leaf in ordered}
-        self._core_leaf_ids = {
-            core: sorted(id_of[leaf] for leaf in leaves)
-            for core, leaves in self._core_to_leaves.items()
-        }
+        for leaf in self._interner.order(self._leaf_rows):
+            leaf_id = intern(leaf)
+            for core in self._leaf_rows[leaf]:
+                ids = id_lists.get(core)
+                if ids is None:
+                    id_lists[core] = [leaf_id]
+                else:
+                    ids.append(leaf_id)
+        return id_lists
 
     def _to_vertices(self, mask: Mask) -> FrozenSet[Vertex]:
         ids = self._vertex_ids
@@ -540,20 +475,32 @@ class InvertedDatabase:
 
     @property
     def num_rows(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self._leaf_rows.values()))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.num_rows
 
     def rows(self) -> Iterator[Tuple[CoreKey, LeafKey, FrozenSet[Vertex]]]:
         """Iterate ``(coreset, leafset, positions)`` over all rows."""
-        for (core, leaf), bits in self._rows.items():
-            yield core, leaf, self._to_vertices(bits)
+        for leaf, rows in self._leaf_rows.items():
+            for core, (mask, _frequency) in rows.items():
+                yield core, leaf, self._to_vertices(mask)
 
     def row_items(self) -> Iterator[Tuple[CoreKey, LeafKey, int]]:
         """Iterate ``(coreset, leafset, frequency)`` without decoding."""
-        for key, frequency in self._row_freq.items():
-            yield key[0], key[1], frequency
+        for leaf, rows in self._leaf_rows.items():
+            for core, (_mask, frequency) in rows.items():
+                yield core, leaf, frequency
+
+    def rows_of(self, leaf: LeafKey) -> Mapping[CoreKey, Tuple[Mask, int]]:
+        """``{coreset: (row mask, row frequency)}`` of ``leaf`` (do not mutate).
+
+        In the row map's insertion order, the order gain terms are
+        summed in; empty for a leafset with no rows.  The masks are
+        values of :attr:`mask_backend`, read-only like every mask the
+        database hands out.
+        """
+        return self._leaf_rows.get(leaf, _NO_ROWS)
 
     @property
     def mask_backend(self) -> MaskBackend:
@@ -568,7 +515,7 @@ class InvertedDatabase:
     @property
     def num_leafsets(self) -> int:
         """Number of distinct live leafsets (O(1))."""
-        return len(self._leaf_to_cores)
+        return len(self._leaf_rows)
 
     def vertex_bit_table(self) -> Mapping[Vertex, int]:
         """The shared vertex -> bit index table (do not mutate).
@@ -580,25 +527,16 @@ class InvertedDatabase:
         """
         return self._vertex_bit
 
-    def initial_row_order(self) -> Optional[List[RowKey]]:
-        """Row keys in global (coreset, leafset) sorted order, or ``None``.
-
-        Available only on a freshly-built database (``from_graph``
-        records it as each coreset finalises; the first merge drops
-        it).  ``mdl.initial_description_length`` walks this instead of
-        re-sorting every row.
-        """
-        return self._initial_row_order
+    def _masks_held(self) -> Iterator[Mask]:
+        """Every row mask, then every leafset-union mask."""
+        for rows in self._leaf_rows.values():
+            for mask, _frequency in rows.values():
+                yield mask
+        yield from self._leaf_union.values()
 
     def mask_memory_bytes(self) -> int:
         """Estimated bytes held by all row and union masks right now."""
-        mask_bytes = self._masks.mask_bytes
-        total = 0
-        for mask in self._rows.values():
-            total += mask_bytes(mask)
-        for mask in self._leaf_union.values():
-            total += mask_bytes(mask)
-        return total
+        return sum(map(self._masks.mask_bytes, self._masks_held()))
 
     def bigint_mask_bytes_estimate(self) -> int:
         """What these same masks would cost on the bigint backend.
@@ -611,12 +549,9 @@ class InvertedDatabase:
         overstatement.
         """
         span_of = self._masks.bit_span
-        total = 0
-        for mask in self._rows.values():
-            total += bigint_mask_bytes(max(1, span_of(mask)))
-        for mask in self._leaf_union.values():
-            total += bigint_mask_bytes(max(1, span_of(mask)))
-        return total
+        return sum(
+            bigint_mask_bytes(max(1, span_of(mask))) for mask in self._masks_held()
+        )
 
     @property
     def interner(self) -> LeafsetInterner:
@@ -637,29 +572,21 @@ class InvertedDatabase:
 
         A leafset's rows — and hence its coreset membership — change
         only in merges it participates in, so this single int validates
-        any per-leafset derived data (e.g. the gain engine's row views).
+        any per-leafset derived data.
         """
         return self._leaf_epoch.get(leaf, 0)
 
     def leafsets(self) -> List[LeafKey]:
         """All distinct leafsets currently present."""
-        return list(self._leaf_to_cores)
-
-    def coreset_leafset_index(self) -> Mapping[CoreKey, Set[LeafKey]]:
-        """The live coreset -> leafsets adjacency (do not mutate).
-
-        Maintained incrementally across merges; this is what
-        :func:`repro.core.pairgen.overlap_pairs` enumerates instead of
-        the quadratic all-pairs scan.
-        """
-        return self._core_to_leaves
+        return list(self._leaf_rows)
 
     def coreset_leaf_ids(self) -> Mapping[CoreKey, List[int]]:
         """Per-coreset sorted interned leafset ids (do not mutate).
 
-        The id-level view of :meth:`coreset_leafset_index`, kept sorted
-        incrementally so candidate generation never re-sorts adjacency
-        lists.
+        The live coreset -> leafsets adjacency, kept sorted
+        incrementally so candidate generation never re-sorts it; this
+        is what :func:`repro.core.pairgen.overlap_pairs` enumerates
+        instead of the quadratic all-pairs scan.
         """
         return self._core_leaf_ids
 
@@ -669,11 +596,13 @@ class InvertedDatabase:
 
     def coresets_of(self, leaf: LeafKey) -> FrozenSet[CoreKey]:
         """Coresets that have a row with leafset ``leaf``."""
-        return frozenset(self._leaf_to_cores.get(leaf, ()))
+        return frozenset(self._leaf_rows.get(leaf, ()))
 
     def leafsets_of(self, core: CoreKey) -> FrozenSet[LeafKey]:
         """Leafsets that have a row with coreset ``core``."""
-        return frozenset(self._core_to_leaves.get(core, ()))
+        return frozenset(
+            map(self._interner.leafset_of, self._core_leaf_ids.get(core, ()))
+        )
 
     def related_leafsets(self, leaf: LeafKey) -> FrozenSet[LeafKey]:
         """All other leafsets sharing at least one coreset with ``leaf``.
@@ -682,28 +611,29 @@ class InvertedDatabase:
         ``leaf`` (the observation behind CSPM-Partial, Section V).
         """
         related: Set[LeafKey] = set()
-        for core in self._leaf_to_cores.get(leaf, ()):
-            related |= self._core_to_leaves[core]
+        for core in self._leaf_rows.get(leaf, ()):
+            related |= self.leafsets_of(core)
         related.discard(leaf)
         return frozenset(related)
 
     def positions(self, core: CoreKey, leaf: LeafKey) -> FrozenSet[Vertex]:
         """Positions of row ``(core, leaf)`` (empty if absent)."""
-        return self._to_vertices(self._rows.get((core, leaf), 0))
+        row = self._leaf_rows.get(leaf, _NO_ROWS).get(core)
+        return frozenset() if row is None else self._to_vertices(row[0])
 
     def row_frequency(self, core: CoreKey, leaf: LeafKey) -> int:
         """``fL`` of the row (0 if the row does not exist)."""
-        return self._row_freq.get((core, leaf), 0)
+        row = self._leaf_rows.get(leaf, _NO_ROWS).get(core)
+        return 0 if row is None else row[1]
 
     def row_mask(self, core: CoreKey, leaf: LeafKey) -> Optional[Mask]:
         """The row's raw position mask, or ``None`` when absent.
 
         A backend value of :attr:`mask_backend` — read-only, like every
-        mask the database hands out.  The lazy refresh's per-coreset
-        touched test reads partner rows through this instead of
-        decoding positions.
+        mask the database hands out.
         """
-        return self._rows.get((core, leaf))
+        row = self._leaf_rows.get(leaf, _NO_ROWS).get(core)
+        return None if row is None else row[0]
 
     def coreset_frequency(self, core: CoreKey) -> int:
         """``fc``: total row frequency of ``core`` (== sum_i l_ic)."""
@@ -715,17 +645,17 @@ class InvertedDatabase:
 
     def has_leafset(self, leaf: LeafKey) -> bool:
         """Whether any row currently uses leafset ``leaf``."""
-        return leaf in self._leaf_to_cores
+        return leaf in self._leaf_rows
 
     def common_coresets(self, leaf_x: LeafKey, leaf_y: LeafKey) -> List[CoreKey]:
         """Coresets having rows for both leafsets (the paper's ``C``)."""
-        cores_x = self._leaf_to_cores.get(leaf_x)
-        cores_y = self._leaf_to_cores.get(leaf_y)
-        if not cores_x or not cores_y:
+        rows_x = self._leaf_rows.get(leaf_x)
+        rows_y = self._leaf_rows.get(leaf_y)
+        if not rows_x or not rows_y:
             return []
-        if len(cores_x) > len(cores_y):
-            cores_x, cores_y = cores_y, cores_x
-        return [core for core in cores_x if core in cores_y]
+        if len(rows_x) > len(rows_y):
+            rows_x, rows_y = rows_y, rows_x
+        return [core for core in rows_x if core in rows_y]
 
     # ------------------------------------------------------------------
     # Merge mechanics
@@ -734,12 +664,13 @@ class InvertedDatabase:
     def merge_stats(self, leaf_x: LeafKey, leaf_y: LeafKey) -> List[CoresetMergeStats]:
         """Per-coreset ``(fe, xe, ye, xye)`` without mutating the DB."""
         stats = []
-        rows = self._rows
+        rows_x = self.rows_of(leaf_x)
+        rows_y = self.rows_of(leaf_y)
         freq = self._core_freq
         masks = self._masks
         for core in self.common_coresets(leaf_x, leaf_y):
-            px = rows[(core, leaf_x)]
-            py = rows[(core, leaf_y)]
+            px = rows_x[core][0]
+            py = rows_y[core][0]
             stats.append(
                 CoresetMergeStats(
                     coreset=core,
@@ -762,7 +693,10 @@ class InvertedDatabase:
         """
         if leaf_x == leaf_y:
             raise MiningError("cannot merge a leafset with itself")
-        if leaf_x not in self._leaf_to_cores or leaf_y not in self._leaf_to_cores:
+        leaf_rows = self._leaf_rows
+        rows_x = leaf_rows.get(leaf_x)
+        rows_y = leaf_rows.get(leaf_y)
+        if rows_x is None or rows_y is None:
             raise MiningError("both leafsets must exist in the database")
         new_leaf = leaf_x | leaf_y
         # Register the merged leafset now: merge order is deterministic,
@@ -771,82 +705,66 @@ class InvertedDatabase:
         intern = self._interner.intern
         self._merge_index += 1
         epoch = self._merge_index
-        # The construction-order row list is only valid pre-merge.
-        self._initial_row_order = None
         outcome = MergeOutcome(leaf_x=leaf_x, leaf_y=leaf_y, new_leafset=new_leaf)
         masks = self._masks
         union_x = masks.empty()
         union_y = masks.empty()
         union_new = masks.empty()
-        touched = False
-        row_freq = self._row_freq
+        rows_new = leaf_rows.get(new_leaf)
+        core_freq = self._core_freq
         core_rows_x: List[Tuple[CoreKey, Mask]] = []
         core_rows_y: List[Tuple[CoreKey, Mask]] = []
         core_rows_new: List[Tuple[CoreKey, Mask]] = []
         for core in sorted(self.common_coresets(leaf_x, leaf_y), key=_key_of):
-            px = self._rows[(core, leaf_x)]
-            py = self._rows[(core, leaf_y)]
+            px, xe = rows_x[core]
+            py, ye = rows_y[core]
             inter = masks.and_(px, py)
             count = masks.popcount(inter)
             outcome.stats.append(
                 CoresetMergeStats(
-                    coreset=core,
-                    fe=self._core_freq[core],
-                    xe=row_freq[(core, leaf_x)],
-                    ye=row_freq[(core, leaf_y)],
-                    xye=count,
+                    coreset=core, fe=core_freq[core], xe=xe, ye=ye, xye=count
                 )
             )
             if not count:
                 continue
-            touched = True
             self._core_epoch[core] = epoch
             union_x = masks.or_(union_x, px)
             union_y = masks.or_(union_y, py)
             core_rows_x.append((core, px))
             core_rows_y.append((core, py))
-            target_key = (core, new_leaf)
-            target = self._rows.get(target_key)
+            if rows_new is None:
+                rows_new = leaf_rows[new_leaf] = {}
+            target = rows_new.get(core)
             if target is None:
-                self._rows[target_key] = inter
-                row_freq[target_key] = count
+                rows_new[core] = (inter, count)
                 union_new = masks.or_(union_new, inter)
                 core_rows_new.append((core, inter))
-                self._leaf_to_cores.setdefault(new_leaf, {})[core] = None
-                self._core_to_leaves.setdefault(core, set()).add(new_leaf)
                 insort(self._core_leaf_ids[core], new_id)
             else:
                 # Disjointness holds because per (coreset, vertex) each
-                # leaf value is covered by exactly one row.
-                merged = masks.or_(target, inter)
-                self._rows[target_key] = merged
-                row_freq[target_key] += count
+                # leaf value is covered by exactly one row.  Reassigning
+                # the key keeps its slot in the row map.
+                merged = masks.or_(target[0], inter)
+                rows_new[core] = (merged, target[1] + count)
                 union_new = masks.or_(union_new, merged)
                 core_rows_new.append((core, merged))
             # Each merged position replaces two row usages by one.
-            self._core_freq[core] -= count
-            for leaf, remaining in (
-                (leaf_x, masks.andnot(px, inter)),
-                (leaf_y, masks.andnot(py, inter)),
+            core_freq[core] -= count
+            for leaf, rows, mask, frequency in (
+                (leaf_x, rows_x, px, xe),
+                (leaf_y, rows_y, py, ye),
             ):
+                remaining = masks.andnot(mask, inter)
                 if not masks.is_empty(remaining):
-                    self._rows[(core, leaf)] = remaining
-                    row_freq[(core, leaf)] -= count
-                else:
-                    del self._rows[(core, leaf)]
-                    del row_freq[(core, leaf)]
-                    self._core_to_leaves[core].discard(leaf)
-                    self._core_leaf_ids[core].remove(intern(leaf))
-                    if not self._core_to_leaves[core]:
-                        del self._core_to_leaves[core]
-                        del self._core_leaf_ids[core]
-                    cores = self._leaf_to_cores[leaf]
-                    cores.pop(core, None)
-                    if not cores:
-                        del self._leaf_to_cores[leaf]
-                        del self._leaf_union[leaf]
-                        outcome.removed_leafsets.add(leaf)
-        if touched:
+                    rows[core] = (remaining, frequency - count)
+                    continue
+                del rows[core]
+                self._core_leaf_ids[core].remove(intern(leaf))
+                if not rows:
+                    del leaf_rows[leaf]
+                    del self._leaf_union[leaf]
+                    outcome.removed_leafsets.add(leaf)
+        if core_rows_new:
             outcome.touched_row_unions = {
                 leaf_x: union_x,
                 leaf_y: union_y,
@@ -862,11 +780,11 @@ class InvertedDatabase:
             self._leaf_epoch[new_leaf] = epoch
         # Refresh the union masks of the leafsets the merge touched.
         for leaf in (leaf_x, leaf_y, new_leaf):
-            cores = self._leaf_to_cores.get(leaf)
-            if cores:
+            rows = leaf_rows.get(leaf)
+            if rows:
                 union = masks.empty()
-                for core in cores:
-                    union = masks.or_(union, self._rows[(core, leaf)])
+                for mask, _frequency in rows.values():
+                    union = masks.or_(union, mask)
                 self._leaf_union[leaf] = union
         return outcome
 
@@ -886,64 +804,42 @@ class InvertedDatabase:
     def validate(self, graph: Optional[AttributedGraph] = None) -> None:
         """Check structural invariants; raise :class:`MiningError` if broken.
 
-        With ``graph`` given, also checks losslessness for singleton
-        coresets: the union of rows reconstructs exactly the initial
-        (core value, vertex) -> adjacent-leaf-values relation.
+        Every row is non-empty with its popcount as frequency, every
+        leafset has rows, is interned and carries the union of its rows
+        (and only leafsets with rows carry one), coreset frequencies sum
+        their rows, and the per-coreset id lists equal the adjacency the
+        rows define.  With ``graph`` given, also checks losslessness for
+        singleton coresets: the union of rows reconstructs exactly the
+        initial (core value, vertex) -> adjacent-leaf-values relation.
         """
         masks = self._masks
         recomputed: Dict[CoreKey, int] = {}
-        for (core, leaf), bits in self._rows.items():
-            if masks.is_empty(bits):
-                raise MiningError(f"empty row {(core, leaf)}")
-            if core not in self._leaf_to_cores.get(leaf, ()):
-                raise MiningError(f"index out of sync for row {(core, leaf)}")
-            count = masks.popcount(bits)
-            if self._row_freq.get((core, leaf)) != count:
-                raise MiningError(f"stale row frequency for {(core, leaf)}")
-            recomputed[core] = recomputed.get(core, 0) + count
-        if set(self._row_freq) != set(self._rows):
-            raise MiningError("row frequency index out of sync with rows")
+        for leaf, rows in self._leaf_rows.items():
+            if not rows:
+                raise MiningError(f"leafset {set(leaf)} has no rows")
+            if leaf not in self._interner:
+                raise MiningError(f"leafset {set(leaf)} missing from interner")
+            union = masks.empty()
+            for core, (mask, frequency) in rows.items():
+                if masks.is_empty(mask):
+                    raise MiningError(f"empty row {(core, leaf)}")
+                if masks.popcount(mask) != frequency:
+                    raise MiningError(f"stale row frequency for {(core, leaf)}")
+                recomputed[core] = recomputed.get(core, 0) + frequency
+                union = masks.or_(union, mask)
+            if not masks.equals(self.leaf_union_mask(leaf), union):
+                raise MiningError(f"stale union mask for leafset {set(leaf)}")
+        extra = self._leaf_union.keys() - self._leaf_rows.keys()
+        if extra:
+            leaf = min(extra, key=_key_of)
+            raise MiningError(f"union mask kept for leafset {set(leaf)} with no rows")
         active = {c: f for c, f in self._core_freq.items() if f > 0}
         if recomputed != active:
             raise MiningError("coreset frequencies out of sync with rows")
-        for leaf, cores in self._leaf_to_cores.items():
-            for core in cores:
-                if (core, leaf) not in self._rows:
-                    raise MiningError(f"dangling index entry {(core, leaf)}")
-                if leaf not in self._core_to_leaves.get(core, ()):
-                    raise MiningError(f"core index missing {(core, leaf)}")
-        for core, leaves in self._core_to_leaves.items():
-            for leaf in leaves:
-                if (core, leaf) not in self._rows:
-                    raise MiningError(f"dangling core index entry {(core, leaf)}")
-        for leaf, cores in self._leaf_to_cores.items():
-            union = masks.empty()
-            for core in cores:
-                union = masks.or_(union, self._rows[(core, leaf)])
-            if not masks.equals(self.leaf_union_mask(leaf), union):
-                raise MiningError(f"stale union mask for leafset {set(leaf)}")
-        order = self._initial_row_order
-        if order is not None:
-            key_of = {key: _key_of(key) for key in self._core_to_leaves}
-            key_of.update((key, _key_of(key)) for key in self._leaf_to_cores)
-            keys = [(key_of[core], key_of[leaf]) for core, leaf in order]
-            if (
-                len(order) != len(self._rows)
-                or set(order) != set(self._rows)
-                or keys != sorted(keys)
-            ):
-                raise MiningError("stale initial row order")
-        for leaf in self._leaf_to_cores:
-            if leaf not in self._interner:
-                raise MiningError(f"leafset {set(leaf)} missing from interner")
-        if set(self._core_leaf_ids) != set(self._core_to_leaves):
-            raise MiningError("coreset id-list index out of sync with adjacency")
-        for core, leaves in self._core_to_leaves.items():
-            expected_ids = sorted(self._interner.intern(leaf) for leaf in leaves)
-            if self._core_leaf_ids[core] != expected_ids:
-                raise MiningError(
-                    f"stale sorted id list for coreset {set(core)}"
-                )
+        expected = self._leaf_id_lists()
+        for core in expected.keys() | self._core_leaf_ids.keys():
+            if self._core_leaf_ids.get(core) != expected.get(core):
+                raise MiningError(f"stale sorted id list for coreset {set(core)}")
         if graph is not None:
             self._validate_lossless(graph)
 
@@ -977,7 +873,7 @@ class InvertedDatabase:
 
     def snapshot(self) -> Dict[RowKey, FrozenSet[Vertex]]:
         """An immutable copy of all rows (for tests and debugging)."""
-        return {key: self._to_vertices(bits) for key, bits in self._rows.items()}
+        return {(core, leaf): positions for core, leaf, positions in self.rows()}
 
     def copy(self) -> "InvertedDatabase":
         """An independent deep copy (merges on it leave self intact).
@@ -987,13 +883,7 @@ class InvertedDatabase:
         merging on either copy replaces masks instead of mutating them.
         """
         db = InvertedDatabase(mask_backend=self._masks)
-        db._rows = dict(self._rows)
-        db._leaf_to_cores = {
-            leaf: dict(cores) for leaf, cores in self._leaf_to_cores.items()
-        }
-        db._core_to_leaves = {
-            core: set(leaves) for core, leaves in self._core_to_leaves.items()
-        }
+        db._leaf_rows = {leaf: dict(rows) for leaf, rows in self._leaf_rows.items()}
         db._core_freq = dict(self._core_freq)
         db._vertex_ids = list(self._vertex_ids)
         db._vertex_bit = dict(self._vertex_bit)
@@ -1002,15 +892,9 @@ class InvertedDatabase:
         db._core_leaf_ids = {
             core: list(ids) for core, ids in self._core_leaf_ids.items()
         }
-        db._row_freq = dict(self._row_freq)
         db._merge_index = self._merge_index
         db._core_epoch = dict(self._core_epoch)
         db._leaf_epoch = dict(self._leaf_epoch)
-        db._initial_row_order = (
-            list(self._initial_row_order)
-            if self._initial_row_order is not None
-            else None
-        )
         return db
 
     def restricted_copy(self, leafsets: Iterable[LeafKey]) -> "InvertedDatabase":
@@ -1021,52 +905,44 @@ class InvertedDatabase:
         member has all of its leafsets in the set — exactly what a
         connected component of the coreset-sharing graph is), the copy
         behaves identically to the full database restricted to those
-        leafsets: same rows, same coreset frequencies, and a fresh
-        interner whose first-sight ids are the repr-sorted order of the
-        member leafsets — order-isomorphic to the parent's ids
-        restricted to the set, so pair tie-breaks agree.  Mask values,
-        the vertex->bit table and the vertex order are shared (all
-        post-construction mask ops are pure).  Epochs restart at zero.
+        leafsets: same rows in the same row-map order, same coreset
+        frequencies, and a fresh interner whose first-sight ids are the
+        repr-sorted order of the member leafsets — order-isomorphic to
+        the parent's ids restricted to the set, so pair tie-breaks
+        agree.  Mask values, the vertex->bit table and the vertex order
+        are shared (all post-construction mask ops are pure).  Epochs
+        restart at zero.
 
         Raises :class:`MiningError` when the set is not coreset-closed
         (a merge outside the set could then change these rows' gains).
         """
         keep = set(leafsets)
+        ordered = sorted(keep, key=_key_of)
         db = InvertedDatabase(mask_backend=self._masks)
         db._vertex_ids = self._vertex_ids
         db._vertex_bit = self._vertex_bit
-        rows = db._rows
-        row_freq = db._row_freq
-        cores: Set[CoreKey] = set()
-        for leaf in keep:
-            leaf_cores = self._leaf_to_cores.get(leaf)
-            if leaf_cores is None:
+        leafset_of = self._interner.leafset_of
+        for leaf in ordered:
+            rows = self._leaf_rows.get(leaf)
+            if rows is None:
                 raise MiningError(
                     f"leafset {set(leaf)} not present in the database"
                 )
-            db._leaf_to_cores[leaf] = dict(leaf_cores)
+            db._leaf_rows[leaf] = dict(rows)
             db._leaf_union[leaf] = self._leaf_union[leaf]
-            cores.update(leaf_cores)
-            for core in leaf_cores:
-                key = (core, leaf)
-                rows[key] = self._rows[key]
-                row_freq[key] = self._row_freq[key]
-        for core in cores:
-            members = self._core_to_leaves[core]
-            if not members <= keep:
-                raise MiningError(
-                    "restricted_copy requires a coreset-closed leafset set: "
-                    f"coreset {set(core)} has leafsets outside it"
-                )
-            db._core_to_leaves[core] = set(members)
-            db._core_freq[core] = self._core_freq[core]
-        ordered = sorted(db._leaf_to_cores, key=_key_of)
+            for core in rows:
+                if core in db._core_freq:
+                    continue
+                if not all(
+                    leafset_of(i) in keep for i in self._core_leaf_ids[core]
+                ):
+                    raise MiningError(
+                        "restricted_copy requires a coreset-closed leafset "
+                        f"set: coreset {set(core)} has leafsets outside it"
+                    )
+                db._core_freq[core] = self._core_freq[core]
         db._interner.intern_all(ordered)
-        intern = db._interner.intern
-        db._core_leaf_ids = {
-            core: sorted(intern(leaf) for leaf in leaves)
-            for core, leaves in db._core_to_leaves.items()
-        }
+        db._core_leaf_ids = db._leaf_id_lists()
         return db
 
     def adopt_components(self, parts: Iterable[Tuple], merges: int) -> None:
@@ -1077,70 +953,57 @@ class InvertedDatabase:
         on its own restricted copy, and ``merges`` merges happened in
         all.  ``parts`` yields one ``(state, ids, epochs)`` per
         component.  ``state`` carries the copy's final columns as
-        attributes — ``leafsets`` (its interner table), ``rows``,
-        ``row_freq``, ``core_freq``, ``leaf_cores``, ``leaf_union``,
-        ``core_leaf_ids``, ``core_epoch`` and ``leaf_epoch`` (see
+        attributes — ``leafsets`` (its interner table), ``leaf_rows``,
+        ``core_freq``, ``leaf_union``, ``core_leaf_ids``, ``core_epoch``
+        and ``leaf_epoch`` (see
         :class:`repro.core.search_shard.ComponentRun`).  ``ids[i]`` is
         this database's interned id of the copy's local id ``i``, and
         ``epochs[k]`` this database's merge index of the copy's
         ``k``-th merge.
 
-        Rows, frequencies, union masks and each leafset's coreset order
+        Row maps (each in its own order), frequencies and union masks
         are taken over as they are; the per-coreset id lists and the
         merge epochs are translated.  ``ids`` must be increasing — true
         when merged leafsets were interned here in a merge order that
         keeps each component's own — so translated id lists stay sorted.
         The vertex order and the interner stay this database's own.
         """
-        rows: Dict[RowKey, Mask] = {}
-        row_freq: Dict[RowKey, int] = {}
+        leaf_rows: Dict[LeafKey, Dict[CoreKey, Tuple[Mask, int]]] = {}
         core_freq: Dict[CoreKey, int] = {}
-        leaf_to_cores: Dict[LeafKey, Dict[CoreKey, None]] = {}
         leaf_union: Dict[LeafKey, Mask] = {}
-        core_to_leaves: Dict[CoreKey, Set[LeafKey]] = {}
         core_leaf_ids: Dict[CoreKey, List[int]] = {}
         core_epoch: Dict[CoreKey, int] = {}
         leaf_epoch: Dict[LeafKey, int] = {}
         for state, ids, epochs in parts:
-            rows.update(state.rows)
-            row_freq.update(state.row_freq)
+            leaf_rows.update(state.leaf_rows)
             core_freq.update(state.core_freq)
-            leaf_to_cores.update(state.leaf_cores)
             leaf_union.update(state.leaf_union)
-            leafset_of = state.leafsets.__getitem__
             global_id = ids.__getitem__
             for core, local_ids in state.core_leaf_ids.items():
-                core_to_leaves[core] = set(map(leafset_of, local_ids))
                 core_leaf_ids[core] = list(map(global_id, local_ids))
             for core, epoch in state.core_epoch.items():
                 core_epoch[core] = epochs[epoch]
             for leaf, epoch in state.leaf_epoch.items():
                 leaf_epoch[leaf] = epochs[epoch]
-        self._rows = rows
-        self._row_freq = row_freq
+        self._leaf_rows = leaf_rows
         self._core_freq = core_freq
-        self._leaf_to_cores = leaf_to_cores
         self._leaf_union = leaf_union
-        self._core_to_leaves = core_to_leaves
         self._core_leaf_ids = core_leaf_ids
         self._core_epoch = core_epoch
         self._leaf_epoch = leaf_epoch
         self._merge_index = merges
-        if merges:
-            # The construction-order row list is only valid pre-merge.
-            self._initial_row_order = None
 
     def __repr__(self) -> str:
         return (
-            f"InvertedDatabase(rows={len(self._rows)}, "
-            f"leafsets={len(self._leaf_to_cores)}, "
+            f"InvertedDatabase(rows={self.num_rows}, "
+            f"leafsets={len(self._leaf_rows)}, "
             f"coresets={len(self.coresets())}, s={self.total_frequency()})"
         )
 
 
-# The deterministic frozenset sort key.  This must be *the same
-# function* ``mdl.canonical_order`` sorts by: ``from_graph`` records its
-# row order under this key and ``initial_description_length`` promises
-# byte-identical floats to the canonically ordered recompute, so the
-# two orders may never drift apart.
+# The deterministic frozenset sort key: construction, the interner's
+# initial ids and ``mdl.canonical_order`` all order sets by it.
 _key_of = leafset_sort_key
+
+# The row map of a leafset with no rows; shared, so never mutated.
+_NO_ROWS: Mapping[CoreKey, Tuple[Mask, int]] = MappingProxyType({})

@@ -96,8 +96,7 @@ def canonical_order(db: InvertedDatabase) -> List[Tuple[CoreKey, List[LeafKey]]]
 
     Coresets in :func:`leafset_sort_key` order, each with its leafsets
     in the same key's order: rows sorted by (coreset key, leafset key),
-    the order :meth:`InvertedDatabase.from_graph` records and every
-    recomputed float sums in.  Set and dict iteration order varies with
+    the order every recomputed float sums in.  Set and dict iteration order varies with
     ``PYTHONHASHSEED`` and construction history, so this is what makes
     ``initial_dl``, ``final_dl`` and the per-a-star code lengths
     bit-for-bit reproducible across processes — the serialised results
@@ -111,9 +110,8 @@ def canonical_order(db: InvertedDatabase) -> List[Tuple[CoreKey, List[LeafKey]]]
         leaf: index
         for index, leaf in enumerate(sorted(db.leafsets(), key=leafset_sort_key))
     }
-    leaves_of = db.coreset_leafset_index()
     return [
-        (core, sorted(leaves_of[core], key=position.__getitem__))
+        (core, sorted(db.leafsets_of(core), key=position.__getitem__))
         for core in sorted(db.coresets(), key=leafset_sort_key)
     ]
 
@@ -171,9 +169,9 @@ def description_length(
     ``PYTHONHASHSEED`` — see :func:`canonical_order` and
     :meth:`StandardCodeTable.set_cost`.  ``rows`` may carry the
     ``(core, leaf, frequency)`` triples *already in that canonical
-    order* (e.g. from the database's construction-order record) to
-    skip the global sort; the summation order — and hence every float —
-    is identical either way.
+    order* to skip the sort; the summation order — and hence every
+    float — is identical either way.  This is also the initial
+    description length the pipeline's build stage reports.
     """
     if rows is None:
         rows = canonical_rows(db)
@@ -207,29 +205,6 @@ def description_length(
         data_leaf_bits=data_leaf_bits(db, rows=rows),
         data_core_bits=data_core,
     )
-
-
-def initial_description_length(
-    db: InvertedDatabase,
-    standard_table: StandardCodeTable,
-    core_table: Optional[CoreCodeTable] = None,
-) -> DescriptionLength:
-    """The freshly-built database's DL without a global row sort.
-
-    ``InvertedDatabase.from_graph`` records its row keys in canonical
-    (coreset, leafset) sorted order as each coreset finalises — the
-    same order :func:`canonical_order` gives — so the Eq. 1-8
-    terms can be summed straight over that record.  Byte-identical to
-    :func:`description_length` (tests assert it); falls back to the
-    full recompute when the record is unavailable (e.g. after a
-    merge or on a hand-built database).
-    """
-    order = db.initial_row_order()
-    if order is None:
-        return description_length(db, standard_table, core_table)
-    frequency_of = db.row_frequency
-    rows = [(core, leaf, frequency_of(core, leaf)) for core, leaf in order]
-    return description_length(db, standard_table, core_table, rows=rows)
 
 
 def row_code_length(db: InvertedDatabase, core, leaf) -> float:

@@ -24,10 +24,12 @@ order.  Each worker therefore logs only its queue-head decisions, in
 local interned ids, with the popped entry's stored gain; the parent
 orders all logs with a heap over the k component heads keyed by
 (stored gain, global pair key) and never builds a queue of its own.
-Worker floats are bit-identical to what the serial search computes
-(gains only read component-local rows and frequencies, and all float
-accumulation orders are deterministic — see the ordered
-``_leaf_to_cores`` invariant).  Local canonical pair orientation equals
+Worker floats are bit-identical to what the serial search computes:
+gains only read component-local rows and frequencies, and every float
+accumulation order is deterministic.  In particular a restricted copy
+keeps each leafset's row map in the parent's coreset order, the order
+gain terms sum in, and a worker's final row maps travel home and are
+adopted in their own order.  Local canonical pair orientation equals
 the global one: construction ids are a repr-sort restriction, and the
 parent interns merged leafsets in global merge order, which keeps each
 component's own order.
@@ -80,7 +82,7 @@ from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.gain import ZERO_GAIN, GainBreakdown
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
-from repro.core.inverted_db import CoreKey, InvertedDatabase, Mask, RowKey
+from repro.core.inverted_db import CoreKey, InvertedDatabase, Mask
 from repro.core.mdl import description_length
 from repro.errors import MiningError
 from repro.obs import Observation, activate, current
@@ -122,9 +124,9 @@ class ComponentRun:
     * ``peak`` and ``size`` are the local queue's high-water mark and
       final size between this pop and the next.
 
-    ``seeded`` is the local queue size after seeding.  ``rows`` through
-    ``leaf_epoch`` are the restricted database's final state in local
-    ids and local merge epochs, the columns
+    ``seeded`` is the local queue size after seeding.  ``leaf_rows``
+    through ``leaf_epoch`` are the restricted database's final state in
+    local ids and local merge epochs, the columns
     :meth:`~repro.core.inverted_db.InvertedDatabase.adopt_components`
     takes over.
     """
@@ -137,10 +139,8 @@ class ComponentRun:
     initial_candidate_gains: int
     refreshes_skipped: int
     dirty_revalidations: int
-    rows: Dict[RowKey, Mask]
-    row_freq: Dict[RowKey, int]
+    leaf_rows: Dict[LeafKey, Dict[CoreKey, Tuple[Mask, int]]]
     core_freq: Dict[CoreKey, int]
-    leaf_cores: Dict[LeafKey, Dict[CoreKey, None]]
     leaf_union: Dict[LeafKey, Mask]
     core_leaf_ids: Dict[CoreKey, List[int]]
     core_epoch: Dict[CoreKey, int]
@@ -312,10 +312,8 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
         initial_candidate_gains=trace.initial_candidate_gains,
         refreshes_skipped=trace.refreshes_skipped,
         dirty_revalidations=trace.dirty_revalidations,
-        rows=local._rows,
-        row_freq=local._row_freq,
+        leaf_rows=local._leaf_rows,
         core_freq=local._core_freq,
-        leaf_cores=local._leaf_to_cores,
         leaf_union=local._leaf_union,
         core_leaf_ids=local._core_leaf_ids,
         core_epoch=local._core_epoch,

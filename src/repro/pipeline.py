@@ -54,7 +54,6 @@ from repro.core.masks import resolve_backend
 from repro.core.mdl import (
     DescriptionLength,
     description_length,
-    initial_description_length,
     rank_rows,
 )
 from repro.core.result import CSPMResult
@@ -204,13 +203,8 @@ class BuildInvertedDB(PipelineStage):
     bigint for small graphs, chunked sparse bitmaps at paper scale).
     The stage records the construction wall-clock in
     ``context.extras["construction_seconds"]`` (the perf suite's
-    schema-v4 metric).
-
-    The initial description length is folded into construction: the
-    database records its rows in canonical sorted order as each coreset
-    finalises, so the Eq. 1-8 pass sums straight over that record
-    instead of re-sorting every row — byte-identical floats, without
-    what used to be the largest fixed cost on tiny ``fit_many`` graphs.
+    schema-v4 metric).  The initial description length is
+    :func:`~repro.core.mdl.description_length` of the fresh database.
     """
 
     def run(self, context: PipelineContext) -> None:
@@ -229,7 +223,7 @@ class BuildInvertedDB(PipelineStage):
             )
             elapsed = clock.perf_counter() - start
             context.extras["construction_seconds"] = elapsed
-            context.initial_dl = initial_description_length(
+            context.initial_dl = description_length(
                 context.inverted_db, context.standard_table, context.core_table
             )
         db = context.inverted_db

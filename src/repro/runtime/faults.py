@@ -234,6 +234,15 @@ class FaultPlan:
         if unknown:
             raise ConfigError(f"unknown fault plan fields: {unknown}")
         raw_events = document.get("events", ())
+        if not isinstance(raw_events, (list, tuple)):
+            raise ConfigError(
+                f"fault plan events must be an array, got {raw_events!r}"
+            )
+        seed = document.get("seed")
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+            raise ConfigError(
+                f"fault plan seed must be an int or null, got {seed!r}"
+            )
         events = []
         for entry in raw_events:
             if isinstance(entry, FaultEvent):
@@ -252,7 +261,7 @@ class FaultPlan:
                 events.append(FaultEvent(**dict(entry)))
             except TypeError as exc:
                 raise ConfigError(f"invalid fault event {entry!r}: {exc}") from None
-        return cls(events=tuple(events), seed=document.get("seed"))
+        return cls(events=tuple(events), seed=seed)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

@@ -48,7 +48,8 @@ def triples_database(graph, coreset_positions=None, mask_backend=None):
     members in repr order.  A vertex gets the next bit at its first
     encounter, if it has neighbour values.  Every ``(coreset, vertex,
     leaf value)`` triple adds the vertex's bit to a plain set; each row
-    and union mask is then made once with ``backend.make``.
+    and union mask is then made once with ``backend.make``, and each
+    leafset's row map receives its coresets in walk order.
     """
     db = InvertedDatabase(mask_backend=mask_backend)
     make = db.mask_backend.make
@@ -74,24 +75,18 @@ def triples_database(graph, coreset_positions=None, mask_backend=None):
             for value in values:
                 row_bits.setdefault((core, frozenset([value])), set()).add(bit)
     union_bits = {}
+    core_to_leaves = {}
     for (core, leaf), bits in row_bits.items():
-        db._rows[(core, leaf)] = make(sorted(bits))
-        db._row_freq[(core, leaf)] = len(bits)
+        db._leaf_rows.setdefault(leaf, {})[core] = (make(sorted(bits)), len(bits))
         db._core_freq[core] = db._core_freq.get(core, 0) + len(bits)
-        db._leaf_to_cores.setdefault(leaf, {})[core] = None
-        db._core_to_leaves.setdefault(core, set()).add(leaf)
+        core_to_leaves.setdefault(core, set()).add(leaf)
         union_bits.setdefault(leaf, set()).update(bits)
     for leaf, bits in union_bits.items():
         db._leaf_union[leaf] = make(sorted(bits))
-    db._initial_row_order = [
-        (core, leaf)
-        for core in plan
-        for leaf in sorted(db._core_to_leaves.get(core, ()), key=leafset_sort_key)
-    ]
-    db._interner.intern_all(sorted(db._leaf_to_cores, key=leafset_sort_key))
+    db._interner.intern_all(sorted(db._leaf_rows, key=leafset_sort_key))
     db._core_leaf_ids = {
         core: sorted(map(db._interner.intern, leaves))
-        for core, leaves in db._core_to_leaves.items()
+        for core, leaves in core_to_leaves.items()
     }
     return db
 

@@ -3,8 +3,8 @@
 The columnar batch builder (``InvertedDatabase.from_graph``) must
 reproduce the reference builder (``tests/oracles.py::triples_database``
 — one (coreset, vertex, leaf-value) triple at a time) *exactly*:
-identical row masks, row frequencies, interner ids,
-``_initial_row_order``, snapshots, leaf unions and initial
+identical row masks, row frequencies, interner ids, each leafset's
+row-map order, snapshots, leaf unions and initial
 ``description_length`` floats, on every mask backend including the
 64- and 1024-bit-chunk variants, and on the edge-case inputs the
 generator never produces.  The vectorised grouping's block boundaries
@@ -20,7 +20,7 @@ from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend, get_backend
-from repro.core.mdl import description_length, initial_description_length
+from repro.core.mdl import description_length
 from repro.datasets import load_dataset
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
@@ -93,7 +93,6 @@ def fingerprint(db):
     return (
         db.snapshot(),
         {key: db.row_frequency(*key) for key in db.snapshot()},
-        db.initial_row_order(),
         {core: db.coreset_frequency(core) for core in db.coresets()},
         {
             leaf: db.interner.intern(leaf)
@@ -105,7 +104,7 @@ def fingerprint(db):
             for leaf in db.leafsets()
         },
         # Each leafset's coreset order: gain terms are summed in it.
-        {leaf: list(cores) for leaf, cores in db._leaf_to_cores.items()},
+        {leaf: list(db.rows_of(leaf)) for leaf in db.leafsets()},
         db.coreset_leaf_ids(),
     )
 
@@ -141,10 +140,9 @@ class TestColumnarEquivalence:
         standard = StandardCodeTable.from_graph(graph)
         core = CoreCodeTable.singletons_from_graph(graph)
         triple, columnar = builders(graph, backend)
-        folded = initial_description_length(columnar, standard, core)
-        assert folded == initial_description_length(triple, standard, core)
-        # And it agrees with the from-scratch recompute.
-        assert folded == description_length(columnar, standard, core)
+        assert description_length(columnar, standard, core) == (
+            description_length(triple, standard, core)
+        )
 
     def test_mining_identical_on_all_paths(self):
         graph = random_graph(11)

@@ -1,14 +1,13 @@
-"""The exact float contract of ``GainEngine.gain`` over row views.
+"""The exact float contract of ``GainEngine.gain`` over row maps.
 
 ``oracle_gain`` below is the scalar kernel written the plain way: the
 common coresets in the order of the leafset with fewer coresets (the
-lower interned id's on a tie, in ``_leaf_to_cores`` insertion order),
-tuple-keyed ``_rows``/``_row_freq`` lookups, ``xlog2x`` terms, leaf
-costs summed in ``sorted(values, key=repr)`` order and the accumulators
-updated in a fixed order (model: new row, then x total, then y total).
-The engine reads the same state through memoised per-leafset row views
-and a lookup table, and must return the *same bits* — ``mine --json``
-serialises these floats.
+lower interned id's on a tie, in its row map's insertion order), row
+lookups through ``rows_of``, ``xlog2x`` terms, leaf costs summed in
+``sorted(values, key=repr)`` order and the accumulators updated in a
+fixed order (model: new row, then x total, then y total).  The engine
+walks the same row maps with cached pointers and a lookup table, and
+must return the *same bits* — ``mine --json`` serialises these floats.
 """
 
 import random
@@ -46,33 +45,31 @@ def oracle_gain(db, leaf_x, leaf_y, standard, core_table):
     interner = db.interner
     if interner.intern(leaf_x) > interner.intern(leaf_y):
         leaf_x, leaf_y = leaf_y, leaf_x
-    cores_x = db._leaf_to_cores.get(leaf_x)
-    cores_y = db._leaf_to_cores.get(leaf_y)
-    if not cores_x or not cores_y:
+    rows_x = db.rows_of(leaf_x)
+    rows_y = db.rows_of(leaf_y)
+    if not rows_x or not rows_y:
         return ZERO_GAIN
-    if len(cores_x) > len(cores_y):
-        cores_x, cores_y = cores_y, cores_x
-    common = [core for core in cores_x if core in cores_y]
+    walk, probe = (rows_x, rows_y) if len(rows_x) <= len(rows_y) else (rows_y, rows_x)
+    common = [core for core in walk if core in probe]
     backend = db.mask_backend
-    rows, row_freq, freq = db._rows, db._row_freq, db._core_freq
     new_leaf = leaf_x | leaf_y
     p1 = 0.0
     p2 = 0.0
     model_gain = 0.0
     data_core_gain = 0.0
     for core in common:
-        xye = backend.and_count(rows[(core, leaf_x)], rows[(core, leaf_y)])
+        mask_x, xe = rows_x[core]
+        mask_y, ye = rows_y[core]
+        xye = backend.and_count(mask_x, mask_y)
         if not xye:
             continue
-        xe = row_freq[(core, leaf_x)]
-        ye = row_freq[(core, leaf_y)]
-        fe = freq[core]
+        fe = db.coreset_frequency(core)
         p1 += xlog2x(fe) - xlog2x(fe - xye)
         p2 += xlog2x(xe) + xlog2x(ye) - (
             xlog2x(xe - xye) + xlog2x(ye - xye) + xlog2x(xye)
         )
         pointer = core_table.code_length(core)
-        if (core, new_leaf) not in rows:
+        if core not in db.rows_of(new_leaf):
             model_gain -= set_cost(standard, new_leaf) + pointer
         if xye == xe:
             model_gain += set_cost(standard, leaf_x) + pointer
@@ -119,40 +116,26 @@ def mergeable_pairs(db):
     ]
 
 
-def assert_views_fresh(engine, db):
-    """Every cached view equals a rebuild from the database, order included."""
-    for leaf in list(engine._views):
-        if not db.has_leafset(leaf):
-            continue
-        current = engine.row_view(leaf)
-        expected = [
-            (core, (db.row_mask(core, leaf), db.row_frequency(core, leaf),
-                    engine.pointer(core)))
-            for core in db._leaf_to_cores[leaf]
-        ]
-        assert list(current.items()) == expected
-
-
 def shuffle_coreset_orders(db, rng):
-    """Give every leafset its own coreset order.
+    """Give every leafset's row map its own coreset order.
 
     Built databases list each leafset's coresets in one global order,
-    and small searches rarely break it, so walking either view of a pair
+    and small searches rarely break it, so walking either map of a pair
     would sum the terms in the same order.  Merges and description
     lengths do not depend on this order; only the gain's summation does.
     """
-    for leaf, cores in list(db._leaf_to_cores.items()):
-        order = list(cores)
-        rng.shuffle(order)
-        db._leaf_to_cores[leaf] = dict.fromkeys(order)
+    for leaf, rows in list(db._leaf_rows.items()):
+        items = list(rows.items())
+        rng.shuffle(items)
+        db._leaf_rows[leaf] = dict(items)
 
 
 def check_merge_prefixes(seed, backend, shuffle=True, merges=6):
     """Compare engine and oracle on every overlapping pair, merge by merge.
 
-    One engine serves the whole prefix, as in a search, so views built
-    before a merge are exercised after it.  Returns the number of
-    non-zero breakdowns compared.
+    One engine serves the whole prefix, as in a search, so pointers
+    cached before a merge are exercised after it.  Returns the number
+    of non-zero breakdowns compared.
     """
     graph = random_graph(seed)
     db = InvertedDatabase.from_graph(graph, mask_backend=get_backend(backend))
@@ -171,12 +154,10 @@ def check_merge_prefixes(seed, backend, shuffle=True, merges=6):
             ), (leaf_a, leaf_b)
             assert bits(engine.gain(leaf_b, leaf_a)) == bits(fast)
             nonzero += fast != ZERO_GAIN
-        assert_views_fresh(engine, db)
         candidates = mergeable_pairs(db)
         if not candidates:
             break
-        outcome = db.merge(*rng.choice(candidates))
-        engine.drop_views(outcome.removed_leafsets)
+        db.merge(*rng.choice(candidates))
     return nonzero
 
 
@@ -201,33 +182,3 @@ def test_over_cap_fallback_is_bit_exact(monkeypatch):
     for seed in range(2):
         assert check_merge_prefixes(seed, "bigint") > 0
     assert any(bound > 3 for bound in built), "no term went past the cap"
-
-
-def test_searches_drop_views_at_the_merge_site(monkeypatch):
-    from repro.core.cspm_basic import run_basic
-    from repro.core.cspm_partial import run_partial
-
-    drop_views = GainEngine.drop_views
-    merge = InvertedDatabase.merge
-    for run in (run_partial, run_basic):
-        dropped, removed = [], []
-
-        def spy_drop(self, leafsets, dropped=dropped):
-            dropped.append(frozenset(leafsets))
-            return drop_views(self, leafsets)
-
-        def spy_merge(self, leaf_x, leaf_y, removed=removed):
-            outcome = merge(self, leaf_x, leaf_y)
-            removed.append(frozenset(outcome.removed_leafsets))
-            return outcome
-
-        monkeypatch.setattr(GainEngine, "drop_views", spy_drop)
-        monkeypatch.setattr(InvertedDatabase, "merge", spy_merge)
-        graph = random_graph(3)
-        run(
-            InvertedDatabase.from_graph(graph),
-            StandardCodeTable.from_graph(graph),
-            CoreCodeTable.singletons_from_graph(graph),
-        )
-        monkeypatch.undo()
-        assert removed and dropped == removed

@@ -132,6 +132,39 @@ class TestMerge:
         clone.validate()
 
 
+def _bump_row_frequency(db):
+    mask, frequency = db._leaf_rows[fs("a")][fs("c")]
+    db._leaf_rows[fs("a")][fs("c")] = (mask, frequency + 1)
+
+
+def _empty_row_mask(db):
+    db._leaf_rows[fs("a")][fs("c")] = (db.mask_backend.empty(), 2)
+
+
+def _empty_row_map(db):
+    db._leaf_rows[fs("zzz")] = {}
+
+
+def _drop_id(db):
+    db._core_leaf_ids[fs("a")].pop()
+
+
+def _extra_id(db):
+    db._core_leaf_ids[fs("c")].append(db.interner.intern(fs("c")))
+
+
+def _unsorted_ids(db):
+    db._core_leaf_ids[fs("a")].reverse()
+
+
+def _forget_interned(db):
+    del db._interner._ids[fs("b")]
+
+
+def _orphan_union(db):
+    db._leaf_union[fs("zzz")] = db.leaf_union_mask(fs("a"))
+
+
 class TestValidation:
     def test_validate_detects_frequency_corruption(self, paper_db):
         core = next(iter(paper_db.coresets()))
@@ -143,4 +176,25 @@ class TestValidation:
         leaf = next(iter(paper_db.leafsets()))
         paper_db._leaf_union[leaf] ^= 1
         with pytest.raises(MiningError):
+            paper_db.validate()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_bump_row_frequency, "stale row frequency"),
+            (_empty_row_mask, "empty row"),
+            (_empty_row_map, "has no rows"),
+            (_drop_id, "stale sorted id list"),
+            (_extra_id, "stale sorted id list"),
+            (_unsorted_ids, "stale sorted id list"),
+            (_forget_interned, "missing from interner"),
+            (_orphan_union, "union mask kept for leafset"),
+        ],
+        ids=lambda value: getattr(value, "__name__", "")[1:] or None,
+    )
+    def test_validate_catches_each_corruption(self, paper_db, corrupt, message):
+        """One corruption per remaining check, each caught by its message."""
+        paper_db.validate()
+        corrupt(paper_db)
+        with pytest.raises(MiningError, match=message):
             paper_db.validate()

@@ -12,7 +12,6 @@ semantics the perf suite records
 (``refreshes_skipped``/``dirty_revalidations``).
 """
 
-import itertools
 import math
 
 import pytest
@@ -23,7 +22,7 @@ from oracles import naive_search, outcome
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import UPDATE_SCOPES, run_partial
-from repro.core.gain import ZERO_GAIN, GainEngine
+from repro.core.gain import GainEngine
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import description_length
 from repro.datasets import load_dataset
@@ -265,48 +264,6 @@ class TestGainEngineMemoisation:
                 assert forward == backward  # exact float equality
                 checked += 1
         assert checked > 0
-
-    def test_cached_row_views_follow_leaf_epochs(self):
-        """A leafset's row view is reused until a merge involves it.
-
-        Unrelated merges leave it as the very same object, a merge of
-        the leafset rebuilds it, and ``drop_views`` (which the searches
-        call at every merge) forgets the views of removed leafsets.
-        """
-        graph = random_graph(7)
-        db, standard, core = setup(graph)
-        engine = GainEngine(db, standard, core)
-        views = {leaf: engine.row_view(leaf) for leaf in db.leafsets()}
-        rebuilt = removed = 0
-        for _ in range(12):
-            pair = next(
-                (
-                    (a, b)
-                    for a, b in itertools.combinations(
-                        db.interner.order(db.leafsets()), 2
-                    )
-                    if engine.gain(a, b) != ZERO_GAIN
-                ),
-                None,
-            )
-            if pair is None:
-                break
-            outcome = db.merge(*pair)
-            engine.drop_views(outcome.removed_leafsets)
-            involved = {pair[0], pair[1], outcome.new_leafset}
-            for leaf in outcome.removed_leafsets:
-                assert leaf not in engine._views
-                removed += 1
-            for leaf in db.leafsets():
-                view = engine.row_view(leaf)
-                if leaf not in involved:
-                    assert view is views[leaf]
-                elif leaf in views:
-                    assert view is not views[leaf]
-                    rebuilt += 1
-                assert list(view) == list(db._leaf_to_cores[leaf])
-                views[leaf] = view
-        assert rebuilt and removed
 
     def test_gain_matches_pair_gain_reference(self):
         from repro.core.gain import pair_gain

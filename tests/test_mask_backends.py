@@ -35,7 +35,6 @@ from repro.core.masks import (
     get_backend,
     resolve_backend,
 )
-from repro.core.mdl import description_length, initial_description_length
 from repro.errors import ConfigError, MiningError
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
@@ -388,60 +387,6 @@ def test_property_backends_mine_identically(graph):
             assert key == reference, f"backend {name} diverged"
 
 
-class TestInitialDescriptionLength:
-    """Satellite: the DL pass folded into database construction."""
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_matches_full_recompute_exactly(self, name):
-        graph = random_graph(2)
-        db, standard, core = setup(graph, name)
-        folded = initial_description_length(db, standard, core)
-        recomputed = description_length(db, standard, core)
-        # Byte-identical, not approx: the construction-order record is
-        # the same term order as the global sort.
-        assert folded == recomputed
-
-    def test_row_order_matches_global_sort(self, paper_graph):
-        from oracles import sorted_rows
-
-        db = InvertedDatabase.from_graph(paper_graph)
-        order = db.initial_row_order()
-        assert order is not None
-        assert [(core, leaf) for core, leaf, _f in sorted_rows(db)] == order
-
-    def test_validate_rejects_a_stale_record(self, paper_graph):
-        db = InvertedDatabase.from_graph(paper_graph)
-        db.validate(paper_graph)
-        order = db.initial_row_order()
-        for stale in (order[::-1], order[:-1], order[:-1] + order[:1]):
-            db._initial_row_order = stale
-            with pytest.raises(MiningError, match="stale initial row order"):
-                db.validate()
-
-    def test_record_dropped_on_merge(self, paper_graph):
-        db = InvertedDatabase.from_graph(paper_graph)
-        standard = StandardCodeTable.from_graph(paper_graph)
-        core = CoreCodeTable.singletons_from_graph(paper_graph)
-        leafsets = db.interner.order(db.leafsets())
-        pair = next(
-            (a, b)
-            for i, a in enumerate(leafsets)
-            for b in leafsets[i + 1 :]
-            if db.common_coresets(a, b)
-        )
-        db.merge(*pair)
-        assert db.initial_row_order() is None
-        # Fallback path still agrees with the reference recompute.
-        assert initial_description_length(db, standard, core) == (
-            description_length(db, standard, core)
-        )
-
-    def test_copy_preserves_record(self, paper_graph):
-        db = InvertedDatabase.from_graph(paper_graph)
-        clone = db.copy()
-        assert clone.initial_row_order() == db.initial_row_order()
-
-
 class TestVertexBitTable:
     """Satellite: one precomputed vertex order shared by all masks."""
 
@@ -452,7 +397,7 @@ class TestVertexBitTable:
         assert sorted(table.values()) == list(range(len(table)))
         # Decoding any row goes through the shared order.
         for core, leaf, positions in db.rows():
-            mask = db._rows[(core, leaf)]
+            mask = db.row_mask(core, leaf)
             assert {
                 bit for bit in db.mask_backend.iter_bits(mask)
             } == {table[v] for v in positions}
@@ -469,6 +414,29 @@ class TestVertexBitTable:
 
     def test_num_leafsets_matches_list(self, paper_db):
         assert paper_db.num_leafsets == len(paper_db.leafsets())
+
+
+class TestAbsentRow:
+    """An absent row reads as empty on every backend, decoding nothing."""
+
+    def test_positions_of_absent_row_is_empty(
+        self, backend, paper_graph, monkeypatch
+    ):
+        a, c, unseen = frozenset(["a"]), frozenset(["c"]), frozenset(["zzz"])
+        db = InvertedDatabase.from_graph(paper_graph, mask_backend=backend)
+        assert db.positions(c, a) == {2, 3}
+
+        def no_decoding(mask):
+            raise AssertionError("an absent row was decoded")
+
+        monkeypatch.setattr(backend, "iter_bits", no_decoding)
+        # A live coreset and a live leafset without a common row, then
+        # keys the database has never seen.
+        assert db.row_frequency(c, c) == 0
+        assert db.positions(c, c) == frozenset()
+        assert db.positions(unseen, a) == frozenset()
+        assert db.positions(a, unseen) == frozenset()
+        assert db.row_mask(c, c) is None
 
 
 class TestMemoryAccounting:

@@ -36,6 +36,15 @@ def setup(graph):
     )
 
 
+def adjacency(db):
+    """coreset -> leafsets, derived from each leafset's coresets."""
+    leaves_of = {}
+    for leaf in db.leafsets():
+        for core in db.coresets_of(leaf):
+            leaves_of.setdefault(core, set()).add(leaf)
+    return leaves_of
+
+
 def planted_graph(seed, noise_rate=0.2):
     graph, _ = planted_astar_graph(
         40,
@@ -174,9 +183,9 @@ class TestIncrementalAdjacency:
     def test_initial_index_matches_adjacency(self, paper_db):
         paper_db.validate()
         index = paper_db.coreset_leaf_ids()
-        adjacency = paper_db.coreset_leafset_index()
-        assert set(index) == set(adjacency)
-        for core, leaves in adjacency.items():
+        leaves_of = adjacency(paper_db)
+        assert set(index) == set(leaves_of)
+        for core, leaves in leaves_of.items():
             assert index[core] == sorted(
                 paper_db.interner.intern(leaf) for leaf in leaves
             )
@@ -188,7 +197,7 @@ class TestIncrementalAdjacency:
         outcome = paper_db.merge(fs("b"), fs("c"))
         paper_db.validate()
         new_id = paper_db.interner.intern(outcome.new_leafset)
-        for core, leaves in paper_db.coreset_leafset_index().items():
+        for core, leaves in adjacency(paper_db).items():
             ids = paper_db.coreset_leaf_ids()[core]
             assert (new_id in ids) == (outcome.new_leafset in leaves)
 
@@ -237,5 +246,5 @@ class TestIncrementalAdjacency:
         assert fs("b", "c") not in paper_db.interner
         assert all(
             fs("b", "c") not in leaves
-            for leaves in paper_db.coreset_leafset_index().values()
+            for leaves in adjacency(paper_db).values()
         )

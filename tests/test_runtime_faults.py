@@ -111,6 +111,14 @@ def search_setup(graph, mask_backend=None):
 # FaultPlan / FaultEvent semantics
 # ----------------------------------------------------------------------
 
+#: The three ways a plan's JSON text reaches a run.
+PLAN_LOADERS = [
+    FaultPlan.from_json,
+    lambda text: CSPMConfig(fault_plan=text),
+    lambda text: environment_plan({ENV_VAR: text}),
+]
+PLAN_LOADER_IDS = ["from-json", "config-field", "environment"]
+
 
 class TestFaultPlan:
     def test_event_validation(self):
@@ -127,15 +135,7 @@ class TestFaultPlan:
         with pytest.raises(ConfigError, match="hang_seconds"):
             FaultEvent(site="search", index=0, kind="hang", hang_seconds=0)
 
-    @pytest.mark.parametrize(
-        "load",
-        [
-            FaultPlan.from_json,
-            lambda text: CSPMConfig(fault_plan=text),
-            lambda text: environment_plan({ENV_VAR: text}),
-        ],
-        ids=["from-json", "config-field", "environment"],
-    )
+    @pytest.mark.parametrize("load", PLAN_LOADERS, ids=PLAN_LOADER_IDS)
     def test_retired_construction_site_rejected(self, load):
         # A chaos recipe naming the deleted partitioned-build site must
         # fail loudly, not inject nothing.
@@ -144,6 +144,33 @@ class TestFaultPlan:
         )
         with pytest.raises(ConfigError, match="site"):
             load(text)
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"events": True}, "events"),
+            ({"events": 3}, "events"),
+            ({"events": None}, "events"),
+            ({"events": "bogus"}, "events"),
+            ({"events": {"site": "search"}}, "events"),
+            ({"events": [], "seed": "x"}, "seed"),
+            ({"events": [], "seed": [1]}, "seed"),
+            ({"events": [], "seed": 1.5}, "seed"),
+            ({"events": [], "seed": True}, "seed"),
+        ],
+    )
+    @pytest.mark.parametrize("load", PLAN_LOADERS, ids=PLAN_LOADER_IDS)
+    def test_malformed_plan_shapes_rejected(self, load, document, field):
+        # Every loader goes through FaultPlan.from_dict, so a bad shape
+        # surfaces as a ConfigError naming the field, never a TypeError.
+        with pytest.raises(ConfigError, match=field):
+            load(json.dumps(document))
+
+    def test_seed_accepts_none_and_ints(self):
+        assert FaultPlan.from_dict({"events": [], "seed": None}).seed is None
+        plan = FaultPlan.from_dict({"events": [], "seed": 7})
+        assert plan.seed == 7
+        hash(CSPMConfig(fault_plan=plan))
 
     def test_times_budget_gates_attempts(self):
         plan = crash_plan("search", index=2, times=2)
@@ -525,15 +552,15 @@ class TestEndToEnd:
         assert document["runtime"]["fault_plan"] == plan.to_dict()
         assert document["config"]["fault_plan"] == plan.to_dict()
 
-    def test_cli_exits_nonzero_on_repro_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("plan", ['{"events": "bogus"}', '{"events": true}'])
+    def test_cli_exits_nonzero_on_repro_error(self, tmp_path, capsys, plan):
         from repro.cli import main
         from repro.graphs.io import save_json
 
         path = tmp_path / "graph.json"
         save_json(paper_running_example(), path)
-        code = main(
-            ["mine", str(path), "--fault-plan", '{"events": "bogus"}']
-        )
+        code = main(["mine", str(path), "--fault-plan", plan])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "events" in err

@@ -164,12 +164,11 @@ def search_state(trace, db):
         "core_epoch": db._core_epoch,
         "leaf_epoch": db._leaf_epoch,
         "core_leaf_ids": db._core_leaf_ids,
-        "core_to_leaves": db._core_to_leaves,
-        "row_freq": db._row_freq,
         "core_freq": db._core_freq,
         "leaf_union": db._leaf_union,
-        "leaf_cores": {
-            leaf: list(cores) for leaf, cores in db._leaf_to_cores.items()
+        # Rows with their frequencies, each leafset's map in its order.
+        "leaf_rows": {
+            leaf: list(rows.items()) for leaf, rows in db._leaf_rows.items()
         },
     }
 
