@@ -7,7 +7,7 @@ update/discard operations needed by CSPM-Partial (Algorithm 4).
 
 Ordering strategy
 -----------------
-Canonical pair order and queue tie-breaking need a deterministic,
+Pair orientation and queue tie-breaking need a deterministic,
 hash-seed-independent total order over leafsets.  The seed derived one
 from ``repr`` strings, which made every comparison a tuple-of-strings
 comparison and cached the keys in an unbounded module-level
@@ -15,9 +15,13 @@ comparison and cached the keys in an unbounded module-level
 Ordering is now provided by :class:`LeafsetInterner`, a *per-database*
 registry that assigns each leafset a stable integer id at first sight:
 comparisons become integer ops and all ordering state dies with the
-database that owns it.  The repr-based :func:`leafset_sort_key` remains
-(uncached) for serialisation paths that must stay stable across
-processes regardless of interning order.
+database that owns it.  The search names a pair by one int,
+``pack(id_x, id_y) == id_x << 32 | id_y`` with ``id_x < id_y``: for ids
+below 2**32 packed keys order exactly like the ``(id_x, id_y)`` tuples,
+so the queue, the related-leafset index and the refresh sets all key
+on it and orienting a pair is one compare.  The repr-based
+:func:`leafset_sort_key` remains (uncached) for serialisation paths
+that must stay stable across processes regardless of interning order.
 """
 
 from __future__ import annotations
@@ -28,6 +32,22 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional
 
 LeafKey = FrozenSet[Hashable]
 Pair = Tuple[LeafKey, LeafKey]
+
+#: Bits of the larger id in a packed pair key.
+PAIR_SHIFT = 32
+_LOW = (1 << PAIR_SHIFT) - 1
+
+
+def pack(id_a: int, id_b: int) -> int:
+    """The packed key of the unordered id pair: lower id high, higher low."""
+    if id_a < id_b:
+        return id_a << PAIR_SHIFT | id_b
+    return id_b << PAIR_SHIFT | id_a
+
+
+def unpack(key: int) -> Tuple[int, int]:
+    """``(id_x, id_y)``, ``id_x < id_y``, of a packed pair key."""
+    return key >> PAIR_SHIFT, key & _LOW
 
 
 def leafset_sort_key(leaf: LeafKey) -> Tuple[str, ...]:
@@ -82,15 +102,10 @@ class LeafsetInterner:
         """The leafset registered under ``leaf_id``."""
         return self._leafsets[leaf_id]
 
-    def canonical_pair(self, leaf_x: LeafKey, leaf_y: LeafKey) -> Pair:
-        """The unordered pair in canonical (ascending-id) order."""
-        if self.intern(leaf_x) <= self.intern(leaf_y):
-            return (leaf_x, leaf_y)
-        return (leaf_y, leaf_x)
-
-    def pair_key(self, pair: Pair) -> Tuple[int, int]:
-        """Integer sort key of a canonical pair."""
-        return (self.intern(pair[0]), self.intern(pair[1]))
+    @property
+    def ids(self) -> Dict[LeafKey, int]:
+        """The live leafset -> id table (do not mutate)."""
+        return self._ids
 
     def order(self, leafsets: Iterable[LeafKey]) -> List[LeafKey]:
         """``leafsets`` sorted by interned id."""
@@ -118,12 +133,13 @@ def enumerate_pairs(
 
 
 class CandidateQueue:
-    """Max-gain priority queue with lazy deletion and entry payloads.
+    """Max-gain priority queue of packed pair keys, with lazy deletion
+    and entry payloads.
 
-    Entries are ``(-gain, tiebreak, version, pair)`` in a binary heap;
-    a side table maps each pair to its current gain, version and an
-    opaque payload so stale heap entries are skipped on pop.  The
-    tiebreak is the pair's ``(id, id)`` key under ``interner``.
+    Entries are ``(-gain, key, version)`` in a binary heap, so equal
+    gains pop in ascending key order (:func:`pack`); a side table maps
+    each key to its current gain, version and an opaque payload so
+    stale heap entries are skipped on pop.
 
     The payload carries whatever the caller needs to revalidate an
     entry lazily — CSPM-Partial's lazy scope stores the full gain
@@ -135,95 +151,66 @@ class CandidateQueue:
     by the perf harness).
     """
 
-    def __init__(self, interner: LeafsetInterner) -> None:
-        self._heap: List[Tuple[float, Tuple, int, Pair]] = []
-        self._current: Dict[Pair, Tuple[float, int, object]] = {}
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int]] = []
+        self._current: Dict[int, Tuple[float, int, object]] = {}
         self._version = 0
-        self._pair_key = interner.pair_key
         self.peak_size = 0
 
     def __len__(self) -> int:
         return len(self._current)
 
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self._current
+    def __contains__(self, key: int) -> bool:
+        return key in self._current
 
-    def gain_of(self, pair: Pair) -> Optional[float]:
-        entry = self._current.get(pair)
-        return entry[0] if entry else None
+    def set(self, key: int, gain: float, payload: object = None) -> None:
+        """Insert ``key`` or update its gain (and payload)."""
+        self.set_many(((key, gain, payload),))
 
-    def payload_of(self, pair: Pair) -> object:
-        """The payload stored with ``pair`` (``None`` if absent)."""
-        entry = self._current.get(pair)
-        return entry[2] if entry else None
+    def set_many(self, entries: Iterable[Tuple[int, float, object]]) -> None:
+        """Insert or update a batch of ``(key, gain, payload)`` entries,
+        in order.
 
-    def pairs(self) -> List[Pair]:
-        return list(self._current)
-
-    def set(self, pair: Pair, gain: float, payload: object = None) -> None:
-        """Insert ``pair`` or update its gain (and payload)."""
-        self._version += 1
-        self._current[pair] = (gain, self._version, payload)
-        heapq.heappush(self._heap, (-gain, self._pair_key(pair), self._version, pair))
-        if len(self._current) > self.peak_size:
-            self.peak_size = len(self._current)
-
-    def set_many(
-        self, entries: Iterable[Tuple[Pair, float, object]]
-    ) -> None:
-        """Insert or update a batch of ``(pair, gain, payload)`` entries.
-
-        Equivalent to calling :meth:`set` once per entry in order —
-        versions, heap content and the peak-size high-water mark come
-        out identical — but the refresh loops hand the queue one batch
-        per merge instead of one call per pair, keeping per-call
-        dispatch out of the hot path.
+        The refresh loops hand the queue one batch per merge instead of
+        one call per pair, keeping per-call dispatch out of the hot
+        path.
         """
         heap = self._heap
         current = self._current
-        pair_key = self._pair_key
         version = self._version
         push = heapq.heappush
-        for pair, gain, payload in entries:
+        for key, gain, payload in entries:
             version += 1
-            current[pair] = (gain, version, payload)
-            push(heap, (-gain, pair_key(pair), version, pair))
+            current[key] = (gain, version, payload)
+            push(heap, (-gain, key, version))
             if len(current) > self.peak_size:
                 self.peak_size = len(current)
         self._version = version
 
-    def discard(self, pair: Pair) -> None:
-        """Remove ``pair`` if present (lazy: heap entry becomes stale)."""
-        self._current.pop(pair, None)
+    def discard(self, key: int) -> None:
+        """Remove ``key`` if present (lazy: heap entry becomes stale)."""
+        self._current.pop(key, None)
 
-    def peek(self) -> Optional[Tuple[Pair, float]]:
-        """The best live candidate without removing it."""
+    def peek(self) -> Optional[Tuple[int, float]]:
+        """The best live ``(key, gain)`` without removing it."""
         self._drop_stale()
         if not self._heap:
             return None
-        neg_gain, _key, _version, pair = self._heap[0]
-        return pair, -neg_gain
+        neg_gain, key, _version = self._heap[0]
+        return key, -neg_gain
 
-    def pop(self) -> Optional[Tuple[Pair, float]]:
-        """Remove and return the best live candidate, or ``None``."""
-        entry = self.pop_entry()
-        if entry is None:
-            return None
-        return entry[0], entry[1]
-
-    def pop_entry(self) -> Optional[Tuple[Pair, float, object]]:
-        """Like :meth:`pop` but also returns the entry's payload."""
+    def pop_entry(self) -> Optional[Tuple[int, float, object]]:
+        """Remove and return the best live ``(key, gain, payload)``."""
         self._drop_stale()
         if not self._heap:
             return None
-        neg_gain, _key, _version, pair = heapq.heappop(self._heap)
-        payload = self._current.pop(pair)[2]
-        return pair, -neg_gain, payload
+        neg_gain, key, _version = heapq.heappop(self._heap)
+        return key, -neg_gain, self._current.pop(key)[2]
 
     def _drop_stale(self) -> None:
         while self._heap:
-            neg_gain, _key, version, pair = self._heap[0]
-            entry = self._current.get(pair)
+            _neg_gain, key, version = self._heap[0]
+            entry = self._current.get(key)
             if entry is not None and entry[1] == version:
                 return
             heapq.heappop(self._heap)

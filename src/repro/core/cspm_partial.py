@@ -50,18 +50,19 @@ Two update scopes are provided:
     differ slightly from CSPM-Basic's.
 
 The ``related`` scope revalidates every popped pair; ``lazy`` only the
-dirty ones.  All canonical ordering (pair orientation, queue
-tie-breaks, refresh iteration order) runs on the database's
-:class:`~repro.core.candidates.LeafsetInterner` — integer comparisons
-instead of the seed's repr-string keys.
+dirty ones.  Both run on interned leafset ids: the queue and the
+refresh sets are keyed by packed pair keys
+(:func:`~repro.core.candidates.pack`), which order like ``(id_x,
+id_y)`` tuples, ``rdict`` maps ids to id sets, and leafsets are looked
+up by id only to evaluate a gain or merge rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import UPDATE_SCOPES
-from repro.core.candidates import CandidateQueue, LeafsetInterner, Pair
+from repro.core.candidates import CandidateQueue, LeafKey, pack, unpack
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.gain import GAIN_EPS, GainEngine
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
@@ -71,57 +72,48 @@ from repro.core.pairgen import overlap_pairs
 from repro.errors import MiningError
 from repro.obs import current
 
-LeafKey = FrozenSet[Hashable]
-
-
 class _PartialState:
-    """Queue + rdict bookkeeping shared by the update steps."""
+    """Queue + rdict bookkeeping shared by the update steps.
 
-    def __init__(self, interner: LeafsetInterner) -> None:
-        self.interner = interner
-        self.queue = CandidateQueue(interner)
-        self.rdict: Dict[LeafKey, Set[LeafKey]] = {}
+    The queue is keyed by packed pair keys, ``rdict`` maps a leafset id
+    to the ids it currently forms a candidate with.
+    """
 
-    def add_candidate(
-        self, leaf_x: LeafKey, leaf_y: LeafKey, gain: float, payload=None
-    ) -> None:
-        self.queue.set(self.interner.canonical_pair(leaf_x, leaf_y), gain, payload)
-        self.rdict.setdefault(leaf_x, set()).add(leaf_y)
-        self.rdict.setdefault(leaf_y, set()).add(leaf_x)
+    def __init__(self) -> None:
+        self.queue = CandidateQueue()
+        self.rdict: Dict[int, Set[int]] = {}
 
-    def add_candidates(
-        self, entries: List[Tuple[LeafKey, LeafKey, float, object]]
-    ) -> None:
-        """Bulk :meth:`add_candidate`: one queue batch per refresh."""
+    def add_candidate(self, key: int, gain: float, payload=None) -> None:
+        self.add_candidates([(key, gain, payload)])
+
+    def add_candidates(self, entries: List[Tuple[int, float, object]]) -> None:
+        """Queue ``(key, gain, payload)`` entries as one batch and link
+        their ids in ``rdict``."""
         rdict = self.rdict
-        canonical = self.interner.canonical_pair
-        batch = []
-        for leaf_x, leaf_y, gain, payload in entries:
-            batch.append((canonical(leaf_x, leaf_y), gain, payload))
-            rdict.setdefault(leaf_x, set()).add(leaf_y)
-            rdict.setdefault(leaf_y, set()).add(leaf_x)
-        self.queue.set_many(batch)
+        for key, _gain, _payload in entries:
+            id_x, id_y = unpack(key)
+            rdict.setdefault(id_x, set()).add(id_y)
+            rdict.setdefault(id_y, set()).add(id_x)
+        self.queue.set_many(entries)
 
-    def drop_candidate(self, leaf_x: LeafKey, leaf_y: LeafKey) -> None:
-        self.queue.discard(self.interner.canonical_pair(leaf_x, leaf_y))
-        self.unlink(leaf_x, leaf_y)
-        self.unlink(leaf_y, leaf_x)
+    def drop_candidate(self, key: int) -> None:
+        self.queue.discard(key)
+        id_x, id_y = unpack(key)
+        self.unlink(id_x, id_y)
+        self.unlink(id_y, id_x)
 
-    def drop_leafset(self, leaf: LeafKey) -> None:
-        """Remove every candidate involving ``leaf`` (Alg. 4, step 1)."""
-        for rel in self.rdict.pop(leaf, set()):
-            self.queue.discard(self.interner.canonical_pair(leaf, rel))
-            self.unlink(rel, leaf)
+    def drop_leafset(self, leaf_id: int) -> None:
+        """Remove every candidate involving ``leaf_id`` (Alg. 4, step 1)."""
+        for rel in self.rdict.pop(leaf_id, ()):
+            self.queue.discard(pack(leaf_id, rel))
+            self.unlink(rel, leaf_id)
 
-    def related(self, leaf: LeafKey) -> Set[LeafKey]:
-        return set(self.rdict.get(leaf, ()))
-
-    def unlink(self, leaf: LeafKey, rel: LeafKey) -> None:
-        bucket = self.rdict.get(leaf)
+    def unlink(self, leaf_id: int, rel: int) -> None:
+        bucket = self.rdict.get(leaf_id)
         if bucket is not None:
             bucket.discard(rel)
             if not bucket:
-                del self.rdict[leaf]
+                del self.rdict[leaf_id]
 
 
 def run_partial(
@@ -138,10 +130,11 @@ def run_partial(
 
     ``recorder`` (duck-typed, see
     :class:`repro.core.search_shard.ComponentRecorder`) watches the
-    queue and is told every queue-head decision the run makes, with
-    the popped entry's stored gain, each merge's breakdown and its
-    refresh-pass gain count — what lets the component-sharded search
-    interleave a worker's run with the other components' bit-exactly.
+    queue and is told every queue-head decision the run makes (by the
+    pair's ids), with the popped entry's stored gain, each merge's
+    breakdown and its refresh-pass gain count — what lets the
+    component-sharded search interleave a worker's run with the other
+    components' bit-exactly.
     ``None`` (the default) records nothing and adds no overhead beyond
     the ``is None`` checks.
     """
@@ -155,29 +148,26 @@ def run_partial(
     dl = initial_dl_bits
     trace.initial_dl_bits = dl
     engine = GainEngine(db, standard_table, core_table)
-    interner = db.interner
+    leafset_of = db.interner.leafset_of
     lazy = update_scope == "lazy"
 
     def net_gain(leaf_x: LeafKey, leaf_y: LeafKey):
         breakdown = engine.gain(leaf_x, leaf_y)
         return breakdown, breakdown.net(include_model_cost)
 
-    state = _PartialState(interner)
+    state = _PartialState()
     if recorder is not None:
-        recorder.attach(state.queue, interner)
-    initial_gains = 0
+        recorder.attach(state.queue)
     seed_epoch = db.merge_epoch
-    for leaf_x, leaf_y in overlap_pairs(db):
-        breakdown, gain = net_gain(leaf_x, leaf_y)
-        initial_gains += 1
+    pairs = overlap_pairs(db)
+    seeds: List[Tuple[int, float, object]] = []
+    for key in pairs:
+        id_x, id_y = unpack(key)
+        breakdown, gain = net_gain(leafset_of(id_x), leafset_of(id_y))
         if gain > GAIN_EPS:
-            state.add_candidate(
-                leaf_x,
-                leaf_y,
-                gain,
-                payload=(breakdown, seed_epoch) if lazy else None,
-            )
-    trace.initial_candidate_gains = initial_gains
+            seeds.append((key, gain, (breakdown, seed_epoch) if lazy else None))
+    state.add_candidates(seeds)
+    trace.initial_candidate_gains = len(pairs)
     obs = current()
 
     iteration = 0
@@ -186,7 +176,10 @@ def run_partial(
         popped = state.queue.pop_entry()
         if popped is None:
             break
-        (leaf_x, leaf_y), stored_gain, payload = popped
+        key, stored_gain, payload = popped
+        id_x, id_y = unpack(key)
+        leaf_x = leafset_of(id_x)
+        leaf_y = leafset_of(id_y)
         clean = False
         if (
             lazy
@@ -208,8 +201,8 @@ def run_partial(
                 trace.dirty_revalidations += 1
             if gain <= GAIN_EPS:
                 if recorder is not None:
-                    recorder.on_drop(leaf_x, leaf_y, stored_gain)
-                state.drop_candidate(leaf_x, leaf_y)
+                    recorder.on_drop(id_x, id_y, stored_gain)
+                state.drop_candidate(key)
                 continue
             # Revalidation: merge the popped pair only while it is still the
             # exact maximum under the queue's (gain, pair-key) order.  Stored
@@ -221,44 +214,41 @@ def run_partial(
             # identical to CSPM-Basic's even when candidates tie.
             next_best = state.queue.peek()
             if next_best is not None:
-                next_pair, next_gain = next_best
-                pair = interner.canonical_pair(leaf_x, leaf_y)
-                if gain < next_gain or (
-                    gain == next_gain
-                    and interner.pair_key(pair) > interner.pair_key(next_pair)
-                ):
+                next_key, next_gain = next_best
+                if gain < next_gain or (gain == next_gain and key > next_key):
                     if recorder is not None:
-                        recorder.on_push(leaf_x, leaf_y, stored_gain)
+                        recorder.on_push(id_x, id_y, stored_gain)
                     state.queue.set(
-                        pair,
+                        key,
                         gain,
                         (breakdown, db.merge_epoch) if lazy else None,
                     )
                     continue
 
         if recorder is not None:
-            recorder.on_merge(leaf_x, leaf_y, stored_gain, gain, breakdown, clean)
+            recorder.on_merge(id_x, id_y, stored_gain, gain, breakdown, clean)
         num_leafsets = db.num_leafsets
         possible = num_leafsets * (num_leafsets - 1) // 2
-        related_x = state.related(leaf_x)
-        related_y = state.related(leaf_y)
+        # Alg. 4 scopes the new leafset's pairs to rdict[x] & rdict[y],
+        # read before the merge rewires rdict.
+        shared = None
+        if not lazy:
+            rdict = state.rdict
+            shared = rdict.get(id_x, set()) & rdict.get(id_y, set())
         outcome = db.merge(leaf_x, leaf_y)
         dl -= breakdown.total
         trace.record_merge_components(breakdown)
         iteration += 1
-        state.unlink(leaf_x, leaf_y)
-        state.unlink(leaf_y, leaf_x)
+        state.drop_candidate(key)
 
         gains_computed = pending_gains
         pending_gains = 0
         for leaf in outcome.removed_leafsets:
-            state.drop_leafset(leaf)
-        if update_scope == "related":
-            refresh_gains = _update_related(
-                db, state, outcome, related_x, related_y, net_gain
-            )
-        else:
+            state.drop_leafset(id_x if leaf == leaf_x else id_y)
+        if lazy:
             refresh_gains = _update_lazy(db, state, outcome, net_gain, trace)
+        else:
+            refresh_gains = _update_related(db, state, outcome, shared, net_gain)
         gains_computed += refresh_gains
         if recorder is not None:
             recorder.on_refresh(refresh_gains, db.num_leafsets)
@@ -289,70 +279,64 @@ def _update_related(
     db: InvertedDatabase,
     state: _PartialState,
     outcome: MergeOutcome,
-    related_x: Set[LeafKey],
-    related_y: Set[LeafKey],
+    shared: Set[int],
     net_gain,
 ) -> int:
-    """Algorithm 4 literally: rdict-scoped updates.  Returns #gains."""
+    """Algorithm 4 literally: rdict-scoped updates.  Returns #gains.
+
+    ``shared`` is the merged pair's ``rdict[x] & rdict[y]``."""
     gains = 0
-    interner = state.interner
+    ids = db.interner.ids
+    leafset_of = db.interner.leafset_of
     new_leaf = outcome.new_leafset
     # (2) Add pairs with the new leafset, scoped to rdict[x] & rdict[y].
     if db.has_leafset(new_leaf):
-        for rel in interner.order(related_x & related_y):
-            if rel == new_leaf or not db.has_leafset(rel):
+        new_id = ids[new_leaf]
+        for rel in sorted(shared):
+            rel_leaf = leafset_of(rel)
+            if rel == new_id or not db.has_leafset(rel_leaf):
                 continue
-            _breakdown, gain = net_gain(rel, new_leaf)
+            _breakdown, gain = net_gain(rel_leaf, new_leaf)
             gains += 1
             if gain > GAIN_EPS:
-                state.add_candidate(rel, new_leaf, gain)
+                state.add_candidate(pack(rel, new_id), gain)
     # (3) Update influenced pairs of the partly merged survivors.
     refreshed = set()
-    for leaf in interner.order(outcome.partly_merged_leafsets):
-        for rel in interner.order(state.related(leaf)):
-            pair = interner.canonical_pair(leaf, rel)
-            if pair in refreshed:
+    for leaf_id in sorted(ids[leaf] for leaf in outcome.partly_merged_leafsets):
+        for rel in sorted(state.rdict.get(leaf_id, ())):
+            key = pack(leaf_id, rel)
+            if key in refreshed:
                 continue
-            refreshed.add(pair)
-            _breakdown, gain = net_gain(leaf, rel)
+            refreshed.add(key)
+            _breakdown, gain = net_gain(leafset_of(leaf_id), leafset_of(rel))
             gains += 1
             if gain > GAIN_EPS:
-                state.queue.set(pair, gain)
+                state.queue.set(key, gain)
             else:
-                state.drop_candidate(leaf, rel)
+                state.drop_candidate(key)
     return gains
 
 
-def _refresh_pool(db: InvertedDatabase, outcome: MergeOutcome):
-    """The merge's focus leafsets and touched-coreset neighbourhood."""
-    focus = set(outcome.partly_merged_leafsets)
-    if db.has_leafset(outcome.new_leafset):
-        focus.add(outcome.new_leafset)
-    rel_pool: Set[LeafKey] = set()
-    for core in outcome.touched_coresets:
-        rel_pool |= db.leafsets_of(core)
-    return focus, rel_pool
-
-
 def _subset_union_pairs(
-    interner: LeafsetInterner, rel_pool: Set[LeafKey], focus, new_leaf: LeafKey
+    leafset_of, rel_ids: List[int], focus: Set[int], new_leaf: LeafKey
 ):
-    """Pairs of strict subsets of ``new_leaf`` whose union equals it.
+    """Id pairs of strict subsets of ``new_leaf`` whose union equals it.
 
     The union's code-table entry now exists, so their model cost
     dropped and their gain may have turned positive.  The pool is
     bounded to the touched-coreset neighbourhood: the model term only
     changes under a common coreset where the ``new_leaf`` row appeared
     — a touched coreset — so both endpoints of an affected pair must
-    live under one.
+    live under one.  No endpoint is a focus leafset.
     """
-    subsets = interner.order(
-        leaf for leaf in rel_pool if leaf < new_leaf and leaf not in focus
-    )
-    for i, leaf in enumerate(subsets):
+    subsets = [
+        rel for rel in rel_ids if rel not in focus and leafset_of(rel) < new_leaf
+    ]
+    for i, leaf_id in enumerate(subsets):
+        leaf = leafset_of(leaf_id)
         for rel in subsets[i + 1 :]:
-            if (leaf | rel) == new_leaf:
-                yield leaf, rel
+            if (leaf | leafset_of(rel)) == new_leaf:
+                yield leaf_id, rel
 
 
 def _update_lazy(
@@ -364,10 +348,10 @@ def _update_lazy(
 ) -> int:
     """The bound-driven refresh: recompute only pairs that can rise.
 
-    Walks the merge's neighbourhood (:func:`_refresh_pool`: the focus
-    leafsets against every leafset under a touched coreset, plus the
-    subset-union pairs) but skips the pairs whose gain provably did not
-    change for the better.
+    Walks the merge's neighbourhood (the focus leafsets — the surviving
+    participants and the new leafset — against every leafset under a
+    touched coreset, plus the subset-union pairs) but skips the pairs
+    whose gain provably did not change for the better.
     The union-level tests are answered in bulk (one
     :meth:`~repro.core.masks.base.MaskBackend.overlaps_many` call per
     focus leafset over all its untested partners), survivors face a
@@ -398,8 +382,18 @@ def _update_lazy(
     per-coreset — is counted on ``trace``.
     """
     gains = 0
-    interner = state.interner
+    ids = db.interner.ids
+    leafset_of = db.interner.leafset_of
     new_leaf = outcome.new_leafset
+    focus = {ids[leaf] for leaf in outcome.partly_merged_leafsets}
+    if db.has_leafset(new_leaf):
+        focus.add(ids[new_leaf])
+    # The partners, ascending, straight off the touched coresets' id
+    # lists (which hold exactly the leafsets with a row there).
+    core_ids = db.coreset_leaf_ids()
+    rel_ids = sorted(
+        {rel for core in outcome.touched_coresets for rel in core_ids[core]}
+    )
     epoch = db.merge_epoch
     union_of = db.leaf_union_mask
     backend = db.mask_backend
@@ -408,49 +402,47 @@ def _update_lazy(
     rows_of = db.rows_of
     touched_unions = outcome.touched_row_unions
     touched_rows = outcome.touched_core_rows
-    focus, rel_pool = _refresh_pool(db, outcome)
-    rel_ordered = interner.order(rel_pool)
     queue = state.queue
     refreshed = set()
-    for leaf in interner.order(focus):
-        if not db.has_leafset(leaf):
-            continue
+    for leaf_id in sorted(focus):
+        leaf = leafset_of(leaf_id)
         touched_mask = touched_unions.get(leaf)
         role_rows = touched_rows.get(leaf, ())
         leaf_union = union_of(leaf)
         # Gather this focus leafset's untested partners, then answer
         # both union-level skip tests for the whole batch at once.
-        rels: List[LeafKey] = []
-        pairs: List[Pair] = []
-        for rel in rel_ordered:
-            if rel == leaf or not db.has_leafset(rel):
+        keys: List[int] = []
+        rel_leaves: List[LeafKey] = []
+        for rel in rel_ids:
+            if rel == leaf_id:
                 continue
-            pair = interner.canonical_pair(leaf, rel)
-            if pair in refreshed:
+            key = pack(leaf_id, rel)
+            if key in refreshed:
                 continue
-            refreshed.add(pair)
-            rels.append(rel)
-            pairs.append(pair)
-        if not rels:
+            refreshed.add(key)
+            keys.append(key)
+            rel_leaves.append(leafset_of(rel))
+        if not keys:
             continue
-        rel_unions = [union_of(rel) for rel in rels]
+        rel_unions = [union_of(rel_leaf) for rel_leaf in rel_leaves]
         alive = overlaps_many(leaf_union, rel_unions)
         touched = (
             overlaps_many(touched_mask, rel_unions)
             if touched_mask is not None
             else None
         )
-        additions: List[Tuple[LeafKey, LeafKey, float, object]] = []
-        for index, rel in enumerate(rels):
+        additions: List[Tuple[int, float, object]] = []
+        for index, key in enumerate(keys):
             if not alive[index]:
-                if pairs[index] in queue:
-                    state.drop_candidate(leaf, rel)
+                if key in queue:
+                    state.drop_candidate(key)
                 trace.refreshes_skipped += 1
                 continue
             if touched is None or not touched[index]:
                 trace.refreshes_skipped += 1
                 continue
-            rel_rows = rows_of(rel)
+            rel_leaf = rel_leaves[index]
+            rel_rows = rows_of(rel_leaf)
             for core, role_mask in role_rows:
                 rel_row = rel_rows.get(core)
                 if rel_row is not None and overlaps(role_mask, rel_row[0]):
@@ -458,29 +450,28 @@ def _update_lazy(
             else:
                 trace.refreshes_skipped += 1
                 continue
-            breakdown, gain = net_gain(leaf, rel)
+            breakdown, gain = net_gain(leaf, rel_leaf)
             gains += 1
             if gain > GAIN_EPS:
-                additions.append((leaf, rel, gain, (breakdown, epoch)))
-            elif pairs[index] in queue:
-                state.drop_candidate(leaf, rel)
+                additions.append((key, gain, (breakdown, epoch)))
+            elif key in queue:
+                state.drop_candidate(key)
         if additions:
             state.add_candidates(additions)
     if db.has_leafset(new_leaf):
-        for leaf, rel in _subset_union_pairs(interner, rel_pool, focus, new_leaf):
-            pair = interner.canonical_pair(leaf, rel)
-            if pair in refreshed:
-                continue
-            refreshed.add(pair)
-            if not overlaps(union_of(leaf), union_of(rel)):
-                if pair in queue:
-                    state.drop_candidate(leaf, rel)
+        for id_a, id_b in _subset_union_pairs(leafset_of, rel_ids, focus, new_leaf):
+            key = pack(id_a, id_b)
+            leaf_a = leafset_of(id_a)
+            leaf_b = leafset_of(id_b)
+            if not overlaps(union_of(leaf_a), union_of(leaf_b)):
+                if key in queue:
+                    state.drop_candidate(key)
                 trace.refreshes_skipped += 1
                 continue
-            breakdown, gain = net_gain(leaf, rel)
+            breakdown, gain = net_gain(leaf_a, leaf_b)
             gains += 1
             if gain > GAIN_EPS:
-                state.add_candidate(leaf, rel, gain, payload=(breakdown, epoch))
-            elif pair in queue:
-                state.drop_candidate(leaf, rel)
+                state.add_candidate(key, gain, payload=(breakdown, epoch))
+            elif key in queue:
+                state.drop_candidate(key)
     return gains

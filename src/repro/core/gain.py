@@ -25,9 +25,8 @@ standard code table) while fully-merged rows disappear.  This is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
-from typing import Dict, FrozenSet, Hashable, Optional
+from typing import Dict, FrozenSet, Hashable, NamedTuple, Optional
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.inverted_db import InvertedDatabase
@@ -36,8 +35,7 @@ from repro.core.mdl import xlog2x
 LeafKey = FrozenSet[Hashable]
 
 
-@dataclass(frozen=True)
-class GainBreakdown:
+class GainBreakdown(NamedTuple):
     """All components of a candidate merge's gain, in bits (saved).
 
     ``data_leaf_gain``
@@ -118,10 +116,11 @@ class GainEngine:
     skipping coresets absent from the other map; each term is the
     Eq. 10-15 expression of :func:`pair_gain`, and the four
     accumulators are updated in the same order (model: new row, then x
-    total, then y total).  Arguments are canonicalised to interned-id
-    order before any arithmetic, making the returned floats independent
-    of call orientation — CSPM-Partial's lazy scope relies on this to
-    reuse stored breakdowns bit-for-bit.
+    total, then y total).  Arguments are oriented to interned-id order
+    (one read of the interner's id table per side) before any
+    arithmetic, making the returned floats independent of call
+    orientation — CSPM-Partial's lazy scope relies on this to reuse
+    stored breakdowns bit-for-bit.
 
     The xlogx table grows geometrically on demand, so it ends up sized
     to the largest coreset frequency actually encountered (every
@@ -144,6 +143,7 @@ class GainEngine:
         self.db = db
         self.standard_table = standard_table
         self.core_table = core_table
+        self._ids = db.interner.ids
         self._leaf_cost = {}
         self._pointer = {}
         self._xlogx = [0.0, 0.0]
@@ -222,9 +222,10 @@ class GainEngine:
     def gain(self, leaf_x: LeafKey, leaf_y: LeafKey) -> GainBreakdown:
         """The :class:`GainBreakdown` of merging the two leafsets.
 
-        Symmetric up to float identity: the arguments are canonicalised
-        to interned-id order, so ``gain(x, y)`` and ``gain(y, x)``
-        return the exact same floats.
+        Symmetric up to float identity: the arguments are oriented to
+        interned-id order, so ``gain(x, y)`` and ``gain(y, x)`` return
+        the exact same floats.  Every search evaluates gains through
+        this one method.
         """
         db = self.db
         # Prefilter: if the leafsets' position unions are disjoint, no
@@ -238,21 +239,26 @@ class GainEngine:
             or not self._overlaps(union_x, union_y)
         ):
             return ZERO_GAIN
-        interner = db.interner
-        if interner.intern(leaf_x) > interner.intern(leaf_y):
+        ids = self._ids
+        if ids[leaf_x] > ids[leaf_y]:
             leaf_x, leaf_y = leaf_y, leaf_x
-        rows_x = db.rows_of(leaf_x)
-        rows_y = db.rows_of(leaf_y)
+        # Both leafsets carry a union mask, so both have a row map.
+        leaf_rows = db._leaf_rows
+        rows_x = leaf_rows[leaf_x]
+        rows_y = leaf_rows[leaf_y]
         # Sum the terms in the smaller map's coreset order (x on a tie).
         walk_x = len(rows_x) <= len(rows_y)
         walk, probe = (rows_x, rows_y) if walk_x else (rows_y, rows_x)
         price_model = self.standard_table is not None
         if price_model:
             new_leaf = leaf_x | leaf_y
-            new_rows = db.rows_of(new_leaf)
-            new_leaf_cost = self.leaf_cost(new_leaf)
-            cost_x = self.leaf_cost(leaf_x)
-            cost_y = self.leaf_cost(leaf_y)
+            new_rows = leaf_rows.get(new_leaf, ())
+            # A cache hit is one dict get; ``leaf_cost`` fills a miss
+            # (and serves a cached 0.0, which reads as falsy).
+            costs = self._leaf_cost
+            new_leaf_cost = costs.get(new_leaf) or self.leaf_cost(new_leaf)
+            cost_x = costs.get(leaf_x) or self.leaf_cost(leaf_x)
+            cost_y = costs.get(leaf_y) or self.leaf_cost(leaf_y)
         freq = db._core_freq
         pointers = self._pointer
         and_count = self._and_count
@@ -296,11 +302,7 @@ class GainEngine:
             data_core_gain += xye * pointer
         if p1 == 0.0 and p2 == 0.0 and model_gain == 0.0 and data_core_gain == 0.0:
             return ZERO_GAIN
-        return GainBreakdown(
-            data_leaf_gain=p1 - p2,
-            model_gain=model_gain,
-            data_core_gain=data_core_gain,
-        )
+        return GainBreakdown(p1 - p2, model_gain, data_core_gain)
 
 
 def pair_gain(

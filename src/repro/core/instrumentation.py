@@ -23,6 +23,37 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Mapping, Optional, Tupl
 from repro.errors import MiningError
 
 
+#: The types a decoded count or number takes, checked by exact type
+#: (:func:`check_field_types`), so a JSON ``true`` is neither.
+COUNT = (int,)
+NUMBER = (int, float)
+_ITERATION_FIELDS = {
+    "iteration": COUNT,
+    "gains_computed": COUNT,
+    "possible_pairs": COUNT,
+    "num_leafsets": COUNT,
+    "gain": NUMBER,
+    "total_dl_bits": NUMBER,
+}
+_RUN_FIELDS = {
+    "algorithm": (str,),
+    "initial_dl_bits": NUMBER,
+    "final_dl_bits": NUMBER,
+    "initial_candidate_gains": COUNT,
+}
+
+
+def check_field_types(document: Mapping[str, Any], fields, path: str) -> None:
+    """Raise a :class:`MiningError` naming ``path.key`` for the first
+    field of ``document`` whose type is not one of ``fields[key]``."""
+    for key, kinds in fields.items():
+        if key in document and type(document[key]) not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise MiningError(
+                f"{path}.{key} must be {names}, got {document[key]!r}"
+            )
+
+
 def merged_pair_record(
     leaf_x: FrozenSet[Hashable], leaf_y: FrozenSet[Hashable]
 ) -> Tuple[Tuple, Tuple]:
@@ -76,14 +107,16 @@ class IterationTrace:
     ) -> "IterationTrace":
         """Rebuild an iteration trace from :meth:`to_dict` output.
 
-        A document that is not an object, or whose ``merged_pair`` is
-        neither null nor a pair of arrays, raises
-        :class:`~repro.errors.MiningError` naming ``path``.
+        A document that is not an object, a wrongly typed field (counts
+        are ints, ``gain`` and ``total_dl_bits`` numbers, never bools) or
+        a ``merged_pair`` that is neither null nor a pair of arrays
+        raises :class:`~repro.errors.MiningError` naming ``path``.
         """
         if not isinstance(document, Mapping):
             raise MiningError(
                 f"{path} must be an object, got {type(document).__name__}"
             )
+        check_field_types(document, _ITERATION_FIELDS, path)
         merged = document.get("merged_pair")
         if merged is not None and not (
             type(merged) is list
@@ -175,14 +208,15 @@ class RunTrace:
         """Rebuild a run trace from :meth:`to_dict` output.
 
         ``iterations`` must be an array of iteration objects; a
-        malformed one raises :class:`~repro.errors.MiningError` naming
-        its path in the result document, e.g.
-        ``trace.iterations[0].merged_pair``.
+        malformed one, or a wrongly typed field, raises
+        :class:`~repro.errors.MiningError` naming its path in the result
+        document, e.g. ``trace.iterations[0].gains_computed``.
         """
         if not isinstance(document, Mapping):
             raise MiningError(
                 f"trace must be an object, got {type(document).__name__}"
             )
+        check_field_types(document, _RUN_FIELDS, "trace")
         iterations = document.get("iterations", [])
         if type(iterations) is not list:
             raise MiningError(

@@ -13,9 +13,9 @@ enumeration strategies produce the identical candidate set:
 
 * **adjacency walk** — enumerate pairs from the per-coreset sorted
   leafset-id lists that :class:`~repro.core.inverted_db.InvertedDatabase`
-  maintains incrementally across merges, deduplicating via packed
-  integer pair keys, then drop pairs whose leaf-union masks are
-  disjoint.  Cost ``~sum_coreset deg(coreset)^2``.
+  maintains incrementally across merges, deduplicating on packed pair
+  keys (:func:`repro.core.candidates.pack`), then drop pairs whose
+  leaf-union masks are disjoint.  Cost ``~sum_coreset deg(coreset)^2``.
 * **mask sweep** — test every leafset pair with a single AND of the
   leaf-union masks.  Cost ``O(|SL|^2)`` cheap word ops.
 
@@ -31,7 +31,7 @@ whichever strategy is cheaper for the current adjacency (sparse
 many-community graphs -> walk; small dense value universes -> sweep),
 so generation cost is ``~min(sum deg^2, |SL|^2)``.
 
-Pairs are returned in ascending interned-id order, the exact order
+Pairs are returned as ascending packed keys, the exact order
 :func:`repro.core.candidates.enumerate_pairs` yields under the same
 interner, so greedy tie-breaking is identical to the full scan — the
 randomized equivalence tests in ``tests/test_pairgen.py`` assert
@@ -41,19 +41,17 @@ CSPM-Basic's full scan.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, List
+from typing import List
 
-from repro.core.candidates import Pair
-
-LeafKey = FrozenSet[Hashable]
+from repro.core.candidates import PAIR_SHIFT, unpack
 
 
-def overlap_pairs(db) -> List[Pair]:
-    """Candidate pairs that can have positive gain, in canonical order.
+def overlap_pairs(db) -> List[int]:
+    """Packed keys of the pairs that can have positive gain, ascending.
 
     Every returned pair shares at least one coreset with overlapping
-    positions; every omitted pair provably has zero data gain.  The
-    result is sorted by ``(id_x, id_y)`` — the same total order the
+    positions; every omitted pair provably has zero data gain.  Packed
+    keys sort like ``(id_x, id_y)`` — the same total order the
     interner-driven full scan uses — so downstream first-strictly-better
     selection breaks ties identically to ``enumerate_pairs``.
     """
@@ -72,36 +70,34 @@ def overlap_pairs(db) -> List[Pair]:
         len(ids) * (len(ids) - 1) // 2 for ids in index.values() if len(ids) > 1
     )
 
-    out: List[Pair] = []
+    out: List[int] = []
     if sparse_cost >= dense_cost:
         # Mask sweep: the adjacency holds no sparsity to exploit.
-        ordered = sorted((interner.intern(leaf), leaf) for leaf in leafsets)
-        masks = [union_of(leaf) for _id, leaf in ordered]
+        id_of = interner.ids
+        ordered = sorted(id_of[leaf] for leaf in leafsets)
+        masks = [union_of(leaf_of(leaf_id)) for leaf_id in ordered]
         for i in range(n - 1):
             mask_i = masks[i]
-            leaf_i = ordered[i][1]
+            base = ordered[i] << PAIR_SHIFT
             for j in range(i + 1, n):
                 if overlaps(mask_i, masks[j]):
-                    out.append((leaf_i, ordered[j][1]))
+                    out.append(base | ordered[j])
         return out
 
     # Adjacency walk over the incrementally-maintained per-coreset
-    # sorted id lists, deduplicating via packed (id_x, id_y) ints.
-    shift = len(interner).bit_length()
+    # sorted id lists, deduplicating on packed keys.
     seen = set()
     add = seen.add
     for ids in index.values():
         if len(ids) < 2:
             continue
         for i, id_x in enumerate(ids):
-            base = id_x << shift
+            base = id_x << PAIR_SHIFT
             for id_y in ids[i + 1 :]:
                 add(base | id_y)
     mask_of_id = {}
-    low = (1 << shift) - 1
     for key in sorted(seen):
-        id_x = key >> shift
-        id_y = key & low
+        id_x, id_y = unpack(key)
         mask_x = mask_of_id.get(id_x)
         if mask_x is None:
             mask_x = mask_of_id[id_x] = union_of(leaf_of(id_x))
@@ -109,6 +105,5 @@ def overlap_pairs(db) -> List[Pair]:
         if mask_y is None:
             mask_y = mask_of_id[id_y] = union_of(leaf_of(id_y))
         if overlaps(mask_x, mask_y):
-            out.append((leaf_of(id_x), leaf_of(id_y)))
+            out.append(key)
     return out
-

@@ -20,7 +20,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional
 from repro.config import CSPMConfig
 from repro.core.astar import AStar, astar_entries
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.instrumentation import RunTrace
+from repro.core.instrumentation import COUNT, NUMBER, RunTrace, check_field_types
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import DescriptionLength
 from repro.errors import MiningError
@@ -41,12 +41,11 @@ SECTIONS = (
 )
 
 
-#: The numeric fields of an ``astars`` entry and the types each takes
-#: (``type``, not ``isinstance``: a JSON ``true`` is no count).
+#: The numeric fields of an ``astars`` entry and the types each takes.
 _ASTAR_NUMBERS = {
-    "frequency": (int,),
-    "coreset_frequency": (int,),
-    "code_length": (int, float),
+    "frequency": COUNT,
+    "coreset_frequency": COUNT,
+    "code_length": NUMBER,
 }
 
 
@@ -57,13 +56,7 @@ def _astar_entry(index: int, entry: Any) -> AStar:
         and type(entry.get("coreset")) is list
         and type(entry.get("leafset")) is list
     ):
-        for key, kinds in _ASTAR_NUMBERS.items():
-            if key in entry and type(entry[key]) not in kinds:
-                raise MiningError(
-                    f"astars[{index}].{key} must be "
-                    f"{' or '.join(kind.__name__ for kind in kinds)}, "
-                    f"got {entry[key]!r}"
-                )
+        check_field_types(entry, _ASTAR_NUMBERS, f"astars[{index}]")
         try:
             return AStar.from_dict(entry)
         except TypeError:  # an unhashable value

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import UPDATE_SCOPES
-from repro.core.candidates import LeafKey, LeafsetInterner
+from repro.core.candidates import LeafKey
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.gain import ZERO_GAIN, GainBreakdown
@@ -186,12 +186,10 @@ class ComponentRecorder:
         self.events: List[List] = []
         self.seeded = 0
         self._queue = None
-        self._interner: Optional[LeafsetInterner] = None
 
-    def attach(self, queue, interner: LeafsetInterner) -> None:
+    def attach(self, queue) -> None:
         """Watch the run's candidate queue; called before seeding."""
         self._queue = queue
-        self._interner = interner
 
     def close(self, popped: int = 0) -> None:
         """End the open window; ``popped`` entries just left the queue."""
@@ -206,44 +204,34 @@ class ComponentRecorder:
     def _event(
         self,
         kind: int,
-        leaf_x: LeafKey,
-        leaf_y: LeafKey,
+        id_x: int,
+        id_y: int,
         stored: float,
         gain: float = 0.0,
         breakdown: GainBreakdown = ZERO_GAIN,
     ) -> None:
         self.close(popped=1)
-        intern = self._interner.intern
-        id_x, id_y = intern(leaf_x), intern(leaf_y)
-        if id_x > id_y:
-            id_x, id_y = id_y, id_x
-        breakdown_floats = (
-            breakdown.data_leaf_gain,
-            breakdown.model_gain,
-            breakdown.data_core_gain,
-        )
-        # refresh_gains, leafsets, peak and size are patched in later.
-        self.events.append(
-            [kind, id_x, id_y, stored, gain, *breakdown_floats, 0, 0, 0, 0]
-        )
+        # The breakdown's three floats follow the gain; refresh_gains,
+        # leafsets, peak and size are patched in later.
+        self.events.append([kind, id_x, id_y, stored, gain, *breakdown, 0, 0, 0, 0])
 
     def on_merge(
         self,
-        leaf_x: LeafKey,
-        leaf_y: LeafKey,
+        id_x: int,
+        id_y: int,
         stored: float,
         gain: float,
         breakdown: GainBreakdown,
         clean: bool,
     ) -> None:
         kind = EV_CLEAN_MERGE if clean else EV_DIRTY_MERGE
-        self._event(kind, leaf_x, leaf_y, stored, gain, breakdown)
+        self._event(kind, id_x, id_y, stored, gain, breakdown)
 
-    def on_push(self, leaf_x: LeafKey, leaf_y: LeafKey, stored: float) -> None:
-        self._event(EV_PUSH, leaf_x, leaf_y, stored)
+    def on_push(self, id_x: int, id_y: int, stored: float) -> None:
+        self._event(EV_PUSH, id_x, id_y, stored)
 
-    def on_drop(self, leaf_x: LeafKey, leaf_y: LeafKey, stored: float) -> None:
-        self._event(EV_DROP, leaf_x, leaf_y, stored)
+    def on_drop(self, id_x: int, id_y: int, stored: float) -> None:
+        self._event(EV_DROP, id_x, id_y, stored)
 
     def on_refresh(self, refresh_gains: int, num_leafsets: int) -> None:
         self.events[-1][8:10] = (refresh_gains, num_leafsets)

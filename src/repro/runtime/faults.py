@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -101,10 +102,15 @@ class FaultEvent:
             raise ConfigError(
                 f"fault event times must be a positive int, got {self.times!r}"
             )
-        if not isinstance(self.hang_seconds, (int, float)) or self.hang_seconds <= 0:
+        seconds = self.hang_seconds
+        if (
+            isinstance(seconds, bool)
+            or not isinstance(seconds, (int, float))
+            or not 0 < seconds < math.inf
+        ):
             raise ConfigError(
-                f"fault event hang_seconds must be positive, "
-                f"got {self.hang_seconds!r}"
+                f"fault event hang_seconds must be a positive finite number, "
+                f"got {seconds!r}"
             )
 
     def describe(self) -> str:

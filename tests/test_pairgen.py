@@ -13,7 +13,7 @@ cases) and of the generator's ordering contract.
 import pytest
 from oracles import naive_search, outcome
 
-from repro.core.candidates import enumerate_pairs
+from repro.core.candidates import enumerate_pairs, pack, unpack
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.gain import pair_gain
@@ -34,6 +34,17 @@ def setup(graph):
         StandardCodeTable.from_graph(graph),
         CoreCodeTable.singletons_from_graph(graph),
     )
+
+
+def packed(db, pairs):
+    """The packed keys of leafset ``pairs`` under ``db``'s interner."""
+    ids = db.interner.ids
+    return [pack(ids[leaf_x], ids[leaf_y]) for leaf_x, leaf_y in pairs]
+
+
+def leaf_pair(db, key):
+    """The leafsets of a packed key, in id order."""
+    return tuple(map(db.interner.leafset_of, unpack(key)))
 
 
 def adjacency(db):
@@ -74,15 +85,15 @@ def community_graph(seed, communities=6, pool=5):
 
 class TestGeneratorContract:
     def test_sorted_by_interned_ids(self, paper_db):
-        interner = paper_db.interner
-        pairs = overlap_pairs(paper_db)
-        keys = [interner.pair_key(pair) for pair in pairs]
-        assert keys == sorted(keys)
-        assert all(key[0] < key[1] for key in keys)
+        keys = overlap_pairs(paper_db)
+        assert keys and keys == sorted(keys)
+        id_pairs = [unpack(key) for key in keys]
+        assert id_pairs == sorted(id_pairs)
+        assert all(id_x < id_y for id_x, id_y in id_pairs)
 
     def test_subset_of_full_scan(self):
         db, _, _ = setup(community_graph(0))
-        full = set(enumerate_pairs(db.leafsets(), interner=db.interner))
+        full = set(packed(db, enumerate_pairs(db.leafsets(), interner=db.interner)))
         overlap = set(overlap_pairs(db))
         assert overlap <= full
 
@@ -91,8 +102,9 @@ class TestGeneratorContract:
         graph = community_graph(seed)
         db, standard, core = setup(graph)
         overlap = set(overlap_pairs(db))
-        for pair in enumerate_pairs(db.leafsets(), interner=db.interner):
-            if pair not in overlap:
+        pairs = list(enumerate_pairs(db.leafsets(), interner=db.interner))
+        for pair, key in zip(pairs, packed(db, pairs)):
+            if key not in overlap:
                 gain = pair_gain(db, *pair, standard, core)
                 assert gain.data_leaf_gain == 0.0
                 assert gain.data_core_gain == 0.0
@@ -110,13 +122,13 @@ class TestGeneratorContract:
                 for pair in enumerate_pairs(db.leafsets(), interner=db.interner)
                 if db.leaf_union_mask(pair[0]) & db.leaf_union_mask(pair[1])
             ]
-            assert overlap_pairs(db) == expected
+            assert overlap_pairs(db) == packed(db, expected)
 
     def test_still_exact_after_merges(self):
         db, standard, core = setup(community_graph(1))
         run_partial(db.copy(), standard, core)  # sanity: converges
         for _ in range(5):
-            pairs = overlap_pairs(db)
+            pairs = [leaf_pair(db, key) for key in overlap_pairs(db)]
             best = None
             for pair in pairs:
                 gain = pair_gain(db, *pair, standard, core).net(True)
@@ -130,7 +142,7 @@ class TestGeneratorContract:
                 for pair in enumerate_pairs(db.leafsets(), interner=db.interner)
                 if db.leaf_union_mask(pair[0]) & db.leaf_union_mask(pair[1])
             ]
-            assert overlap_pairs(db) == expected
+            assert overlap_pairs(db) == packed(db, expected)
 
     def test_disjoint_leafsets_yield_nothing(self):
         # {x} lives only at the core vertex, {c} only at the leaves:
@@ -223,7 +235,7 @@ class TestIncrementalAdjacency:
         db, _, _ = setup(graph)
         # x and y co-occur at the core vertex, so that pair (and only
         # that pair) is generated.
-        assert overlap_pairs(db) == [(fs("x"), fs("y"))]
+        assert overlap_pairs(db) == packed(db, [(fs("x"), fs("y"))])
         db.merge(fs("x"), fs("y"))
         db.validate()
         index = db.coreset_leaf_ids()

@@ -112,6 +112,15 @@ def search_setup(graph, mask_backend=None):
 # ----------------------------------------------------------------------
 
 #: The three ways a plan's JSON text reaches a run.
+def hang_plan(seconds: str) -> str:
+    """The JSON text of a one-hang plan whose ``hang_seconds`` is the
+    JSON literal ``seconds``."""
+    return (
+        '{"events": [{"site": "search", "index": 0, "kind": "hang", '
+        f'"hang_seconds": {seconds}}}]}}'
+    )
+
+
 PLAN_LOADERS = [
     FaultPlan.from_json,
     lambda text: CSPMConfig(fault_plan=text),
@@ -157,14 +166,21 @@ class TestFaultPlan:
             ({"events": [], "seed": [1]}, "seed"),
             ({"events": [], "seed": 1.5}, "seed"),
             ({"events": [], "seed": True}, "seed"),
+            # Python's json parses NaN, Infinity, 1e400 (as inf) and true.
+            (hang_plan("NaN"), "hang_seconds"),
+            (hang_plan("Infinity"), "hang_seconds"),
+            (hang_plan("1e400"), "hang_seconds"),
+            (hang_plan("true"), "hang_seconds"),
         ],
     )
     @pytest.mark.parametrize("load", PLAN_LOADERS, ids=PLAN_LOADER_IDS)
     def test_malformed_plan_shapes_rejected(self, load, document, field):
         # Every loader goes through FaultPlan.from_dict, so a bad shape
         # surfaces as a ConfigError naming the field, never a TypeError.
+        # A string row is the plan's JSON text itself.
+        text = document if isinstance(document, str) else json.dumps(document)
         with pytest.raises(ConfigError, match=field):
-            load(json.dumps(document))
+            load(text)
 
     def test_seed_accepts_none_and_ints(self):
         assert FaultPlan.from_dict({"events": [], "seed": None}).seed is None

@@ -1,6 +1,7 @@
 """Round-trip tests for the serialisable result surface."""
 
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,22 @@ from repro.graphs.builders import paper_running_example
 #: Marks a top-level key the malformed-document rows delete; a callable
 #: row value maps the section to its malformed replacement.
 DROP = object()
+
+
+#: Wrongly typed values of each typed trace field: a string, a bool, a
+#: null and a list for every field (a number for ``algorithm``), plus a
+#: float for the count fields.
+COUNT_FIELDS = ["iteration", "gains_computed", "possible_pairs", "num_leafsets"]
+NUMBER_FIELDS = ["gain", "total_dl_bits"]
+TRACE_FIELD_CASES = [
+    (field, value)
+    for field in COUNT_FIELDS + ["initial_candidate_gains"]
+    for value in ("3", True, None, [3], 3.0)
+] + [
+    (field, value)
+    for field in NUMBER_FIELDS + ["initial_dl_bits", "final_dl_bits"]
+    for value in ("3", True, None, [3])
+] + [("algorithm", value) for value in (3, True, None, ["cspm"])]
 
 
 def with_merged_pair(trace, merged_pair):
@@ -192,6 +209,22 @@ class TestResultRoundTrip:
                 document[name] = value
         with pytest.raises(error, match=key):
             CSPMResult.from_dict(document)
+
+    @pytest.mark.parametrize("field, value", TRACE_FIELD_CASES)
+    def test_wrongly_typed_trace_fields_rejected(self, mined, field, value):
+        document = json.loads(mined.to_json())
+        if field in COUNT_FIELDS + NUMBER_FIELDS:
+            document["trace"]["iterations"][0][field] = value
+            path = f"trace.iterations[0].{field}"
+        else:
+            document["trace"][field] = value
+            path = f"trace.{field}"
+        with pytest.raises(MiningError, match=re.escape(path)):
+            CSPMResult.from_dict(document)
+
+    def test_valid_document_round_trips_byte_identically(self, mined):
+        text = mined.to_json()
+        assert CSPMResult.from_json(text).to_json() == text
 
     def test_restored_result_still_filters_and_summarises(self, mined):
         back = CSPMResult.from_dict(mined.to_dict())
