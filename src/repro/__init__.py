@@ -96,7 +96,7 @@ from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 from repro.runtime import FaultEvent, FaultPlan
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "AStar",

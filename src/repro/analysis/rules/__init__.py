@@ -18,6 +18,8 @@ RES       resilience: RES001 pool harvests without a timeout, RES002
           bare/BaseException handlers outside the supervisor
 OBS       observability: OBS001 non-literal span/metric names, OBS002
           import time outside the repro.obs clock seam
+GC        collector ownership: GC001 gc state changed outside
+          core/collector.py
 ========  ===========================================================
 
 The contracts behind the families are written up in
@@ -25,6 +27,7 @@ The contracts behind the families are written up in
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
+    collector,
     config_drift,
     determinism,
     fork_safety,

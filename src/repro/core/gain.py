@@ -95,12 +95,14 @@ _DIRECT_XLOGX = _DirectXlogx()
 class GainEngine:
     """Fast gain evaluation bound to one database and its code tables.
 
-    Semantically identical to :func:`pair_gain` (tests assert this) but
-    avoids per-call overhead: ``x*log2(x)`` values are served from a
-    lazily-grown lookup table, leafset standard-code costs and coreset
-    pointer lengths are cached, and row frequencies are read from the
-    database's row maps (one mask ``and_count`` per common coreset
-    instead of three popcounts).  All mask arithmetic goes through the
+    Semantically identical to the test oracle
+    ``tests/oracles.py::pair_gain``, which evaluates the module
+    docstring's formulas with :func:`~repro.core.mdl.xlog2x` (tests
+    assert this), but avoids per-call overhead: ``x*log2(x)`` values
+    are served from a lazily-grown lookup table, leafset standard-code
+    costs and coreset pointer lengths are cached, and row frequencies
+    are read from the database's row maps (one mask ``and_count`` per
+    common coreset instead of three popcounts).  All mask arithmetic goes through the
     database's :mod:`~repro.core.masks` backend, so the engine is
     representation-agnostic and exact on every backend.
 
@@ -114,7 +116,7 @@ class GainEngine:
     Float contract: the terms are visited in the row-map order of the
     leafset with fewer coresets (the lower interned id's on a tie),
     skipping coresets absent from the other map; each term is the
-    Eq. 10-15 expression of :func:`pair_gain`, and the four
+    Eq. 10-15 expression of the oracle ``pair_gain``, and the four
     accumulators are updated in the same order (model: new row, then x
     total, then y total).  Arguments are oriented to interned-id order
     (one read of the interner's id table per side) before any
@@ -304,52 +306,3 @@ class GainEngine:
             return ZERO_GAIN
         return GainBreakdown(p1 - p2, model_gain, data_core_gain)
 
-
-def pair_gain(
-    db: InvertedDatabase,
-    leaf_x: LeafKey,
-    leaf_y: LeafKey,
-    standard_table: Optional[StandardCodeTable] = None,
-    core_table: Optional[CoreCodeTable] = None,
-) -> GainBreakdown:
-    """Gain of merging ``leaf_x`` and ``leaf_y`` without mutating ``db``.
-
-    When ``standard_table`` is omitted the model component is 0 (pure
-    Eq. 9 gain).  ``core_table`` prices row pointers and the
-    ``data_core_gain`` component.
-    """
-    new_leaf = leaf_x | leaf_y
-    p1 = 0.0
-    p2 = 0.0
-    model_gain = 0.0
-    data_core_gain = 0.0
-    new_leaf_cost = (
-        standard_table.set_cost(new_leaf) if standard_table is not None else 0.0
-    )
-    for stat in db.merge_stats(leaf_x, leaf_y):
-        if stat.xye == 0:
-            continue
-        fe, xe, ye, xye = stat.fe, stat.xe, stat.ye, stat.xye
-        p1 += xlog2x(fe) - xlog2x(fe - xye)
-        p2 += (
-            xlog2x(xe)
-            + xlog2x(ye)
-            - (xlog2x(xe - xye) + xlog2x(ye - xye) + xlog2x(xye))
-        )
-        if standard_table is not None:
-            pointer = (
-                core_table.code_length(stat.coreset) if core_table is not None else 0.0
-            )
-            if db.row_frequency(stat.coreset, new_leaf) == 0:
-                model_gain -= new_leaf_cost + pointer
-            if xye == xe:
-                model_gain += standard_table.set_cost(leaf_x) + pointer
-            if xye == ye:
-                model_gain += standard_table.set_cost(leaf_y) + pointer
-        if core_table is not None:
-            data_core_gain += xye * core_table.code_length(stat.coreset)
-    return GainBreakdown(
-        data_leaf_gain=p1 - p2,
-        model_gain=model_gain,
-        data_core_gain=data_core_gain,
-    )

@@ -79,36 +79,14 @@ RowKey = Tuple[CoreKey, LeafKey]
 Mask = object
 
 
-@dataclass(frozen=True)
-class CoresetMergeStats:
-    """Per-coreset statistics of one merge, feeding Eq. 10-15.
-
-    ``fe`` is the coreset frequency before the merge, ``xe``/``ye`` the
-    frequencies of the two merged rows, ``xye`` their co-occurrence
-    (position-set intersection size).
-    """
-
-    coreset: CoreKey
-    fe: int
-    xe: int
-    ye: int
-    xye: int
-
-    @property
-    def case(self) -> str:
-        """Which of the paper's three merge cases applies (or 'none')."""
-        if self.xye == 0:
-            return "none"
-        if self.xye == self.xe and self.xye == self.ye:
-            return "total"
-        if self.xye == self.xe or self.xye == self.ye:
-            return "one-total"
-        return "partial"
-
-
 @dataclass
 class MergeOutcome:
     """What a merge did: the new leafset, and per-coreset bookkeeping.
+
+    ``touched_coresets`` lists the common coresets whose rows
+    intersected (``xye > 0``), in the order the merge visited them
+    (``leafset_sort_key`` order); the merge moved positions under
+    exactly these.
 
     ``touched_row_unions`` maps each participating leafset (the two
     merged leafsets and the merged result) to the union bitmask of its
@@ -134,16 +112,12 @@ class MergeOutcome:
     leaf_x: LeafKey
     leaf_y: LeafKey
     new_leafset: LeafKey
-    stats: List[CoresetMergeStats] = field(default_factory=list)
+    touched_coresets: List[CoreKey] = field(default_factory=list)
     removed_leafsets: Set[LeafKey] = field(default_factory=set)
     touched_row_unions: Dict[LeafKey, Mask] = field(default_factory=dict)
     touched_core_rows: Dict[LeafKey, List[Tuple[CoreKey, Mask]]] = field(
         default_factory=dict
     )
-
-    @property
-    def touched_coresets(self) -> List[CoreKey]:
-        return [s.coreset for s in self.stats if s.xye > 0]
 
     @property
     def partly_merged_leafsets(self) -> Set[LeafKey]:
@@ -661,27 +635,6 @@ class InvertedDatabase:
     # Merge mechanics
     # ------------------------------------------------------------------
 
-    def merge_stats(self, leaf_x: LeafKey, leaf_y: LeafKey) -> List[CoresetMergeStats]:
-        """Per-coreset ``(fe, xe, ye, xye)`` without mutating the DB."""
-        stats = []
-        rows_x = self.rows_of(leaf_x)
-        rows_y = self.rows_of(leaf_y)
-        freq = self._core_freq
-        masks = self._masks
-        for core in self.common_coresets(leaf_x, leaf_y):
-            px = rows_x[core][0]
-            py = rows_y[core][0]
-            stats.append(
-                CoresetMergeStats(
-                    coreset=core,
-                    fe=freq[core],
-                    xe=masks.popcount(px),
-                    ye=masks.popcount(py),
-                    xye=masks.and_count(px, py),
-                )
-            )
-        return stats
-
     def merge(self, leaf_x: LeafKey, leaf_y: LeafKey) -> MergeOutcome:
         """Merge two leafsets globally across all common coresets.
 
@@ -715,18 +668,15 @@ class InvertedDatabase:
         core_rows_x: List[Tuple[CoreKey, Mask]] = []
         core_rows_y: List[Tuple[CoreKey, Mask]] = []
         core_rows_new: List[Tuple[CoreKey, Mask]] = []
+        touched = outcome.touched_coresets
         for core in sorted(self.common_coresets(leaf_x, leaf_y), key=_key_of):
             px, xe = rows_x[core]
             py, ye = rows_y[core]
             inter = masks.and_(px, py)
             count = masks.popcount(inter)
-            outcome.stats.append(
-                CoresetMergeStats(
-                    coreset=core, fe=core_freq[core], xe=xe, ye=ye, xye=count
-                )
-            )
             if not count:
                 continue
+            touched.append(core)
             self._core_epoch[core] = epoch
             union_x = masks.or_(union_x, px)
             union_y = masks.or_(union_y, py)

@@ -79,6 +79,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.config import UPDATE_SCOPES
 from repro.core.candidates import LeafKey
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
+from repro.core.collector import paused_collector
 from repro.core.cspm_partial import run_partial
 from repro.core.gain import ZERO_GAIN, GainBreakdown
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
@@ -271,7 +272,9 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
         _WORKER_STATE
     )
     obs = Observation.for_worker(trace=traced)
-    with activate(obs):
+    # A no-op in a forked worker of a paused parent; it pauses the
+    # collector where the worker starts without that state.
+    with activate(obs), paused_collector():
         with obs.span("search.component", leafsets=len(leaf_ids)):
             leafset_of = db.interner.leafset_of
             local = db.restricted_copy(leafset_of(i) for i in leaf_ids)

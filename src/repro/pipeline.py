@@ -46,6 +46,7 @@ from typing import (
 from repro.config import CSPMConfig
 from repro.core.astar import AStar
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
+from repro.core.collector import paused_collector
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.instrumentation import RunTrace
@@ -475,6 +476,13 @@ class MiningPipeline:
         ``BuildInvertedDB`` and ``Search`` must finish with
         ``context.recompute_initial_dl()`` — the search seeds its trace
         DL accounting from ``context.initial_dl``.
+
+        Every stage, custom ones included, runs with the cyclic
+        garbage collector paused (:mod:`repro.core.collector`): no
+        collection runs until the run ends, and then every young
+        object moves to the oldest generation.  A stage that makes
+        reference cycles keeps their memory until the first full
+        collection after the run.
         """
         if before is not None and after is not None:
             raise MiningError("pass at most one of before/after")
@@ -537,7 +545,9 @@ class MiningPipeline:
         if not obs.enabled:
             obs = current()
         context.obs = obs
-        with activate(obs):
+        # A mining run makes no cyclic garbage, so the stages run with
+        # the collector paused (repro.core.collector).
+        with activate(obs), paused_collector():
             for stage in self._stages:
                 stage.run(context)
         return context

@@ -15,13 +15,28 @@ columnar ``InvertedDatabase.from_graph`` is pinned to.
 :func:`sorted_rows` is the canonical row order as one global sort with
 a key per row, the order ``repro.core.mdl.canonical_order`` builds from
 per-set keys.
+
+:func:`pair_gain` computes the merge gain of Eq. 9-15 term by term
+from :func:`merge_stats`; ``GainEngine.gain`` is pinned to it.
 """
+
+from dataclasses import dataclass
 
 from repro.core.candidates import leafset_sort_key
 from repro.core.cspm_basic import run_basic as naive_search
+from repro.core.gain import GainBreakdown
 from repro.core.inverted_db import InvertedDatabase
+from repro.core.mdl import xlog2x
 
-__all__ = ["naive_search", "outcome", "sorted_rows", "triples_database"]
+__all__ = [
+    "CoresetMergeStats",
+    "merge_stats",
+    "naive_search",
+    "outcome",
+    "pair_gain",
+    "sorted_rows",
+    "triples_database",
+]
 
 
 def outcome(trace, db):
@@ -96,4 +111,96 @@ def sorted_rows(db):
     return sorted(
         db.row_items(),
         key=lambda item: (leafset_sort_key(item[0]), leafset_sort_key(item[1])),
+    )
+
+
+@dataclass(frozen=True)
+class CoresetMergeStats:
+    """Per-coreset statistics of one candidate merge, feeding Eq. 10-15.
+
+    ``fe`` is the coreset frequency before the merge, ``xe``/``ye`` the
+    frequencies of the two rows, ``xye`` their co-occurrence
+    (position-set intersection size).
+    """
+
+    coreset: frozenset
+    fe: int
+    xe: int
+    ye: int
+    xye: int
+
+    @property
+    def case(self):
+        """Which of the paper's three merge cases applies (or 'none')."""
+        if self.xye == 0:
+            return "none"
+        if self.xye == self.xe and self.xye == self.ye:
+            return "total"
+        if self.xye == self.xe or self.xye == self.ye:
+            return "one-total"
+        return "partial"
+
+
+def merge_stats(db, leaf_x, leaf_y):
+    """Per common coreset ``(fe, xe, ye, xye)``, without mutating ``db``."""
+    masks = db.mask_backend
+    rows_x = db.rows_of(leaf_x)
+    rows_y = db.rows_of(leaf_y)
+    stats = []
+    for core in db.common_coresets(leaf_x, leaf_y):
+        px = rows_x[core][0]
+        py = rows_y[core][0]
+        stats.append(
+            CoresetMergeStats(
+                coreset=core,
+                fe=db.coreset_frequency(core),
+                xe=masks.popcount(px),
+                ye=masks.popcount(py),
+                xye=masks.and_count(px, py),
+            )
+        )
+    return stats
+
+
+def pair_gain(db, leaf_x, leaf_y, standard_table=None, core_table=None):
+    """Gain of merging ``leaf_x`` and ``leaf_y`` without mutating ``db``.
+
+    When ``standard_table`` is omitted the model component is 0 (pure
+    Eq. 9 gain).  ``core_table`` prices row pointers and the
+    ``data_core_gain`` component.
+    """
+    new_leaf = leaf_x | leaf_y
+    p1 = 0.0
+    p2 = 0.0
+    model_gain = 0.0
+    data_core_gain = 0.0
+    new_leaf_cost = (
+        standard_table.set_cost(new_leaf) if standard_table is not None else 0.0
+    )
+    for stat in merge_stats(db, leaf_x, leaf_y):
+        if stat.xye == 0:
+            continue
+        fe, xe, ye, xye = stat.fe, stat.xe, stat.ye, stat.xye
+        p1 += xlog2x(fe) - xlog2x(fe - xye)
+        p2 += (
+            xlog2x(xe)
+            + xlog2x(ye)
+            - (xlog2x(xe - xye) + xlog2x(ye - xye) + xlog2x(xye))
+        )
+        if standard_table is not None:
+            pointer = (
+                core_table.code_length(stat.coreset) if core_table is not None else 0.0
+            )
+            if db.row_frequency(stat.coreset, new_leaf) == 0:
+                model_gain -= new_leaf_cost + pointer
+            if xye == xe:
+                model_gain += standard_table.set_cost(leaf_x) + pointer
+            if xye == ye:
+                model_gain += standard_table.set_cost(leaf_y) + pointer
+        if core_table is not None:
+            data_core_gain += xye * core_table.code_length(stat.coreset)
+    return GainBreakdown(
+        data_leaf_gain=p1 - p2,
+        model_gain=model_gain,
+        data_core_gain=data_core_gain,
     )

@@ -623,6 +623,42 @@ def stamp():
 """
 
 
+GC001_TP = """
+import gc
+
+def mine(pipeline, graph):
+    gc.disable()
+    try:
+        return pipeline.run(graph)
+    finally:
+        gc.collect()
+        gc.enable()
+"""
+
+GC001_ALIAS_TP = """
+import gc as collector
+from gc import freeze, unfreeze as thaw
+
+def settle():
+    freeze()
+    thaw()
+    collector.set_threshold(10_000)
+"""
+
+GC001_TN = """
+import gc
+
+from repro.core.collector import paused_collector
+
+def mine(pipeline, graph, pool):
+    before = (gc.isenabled(), gc.get_count(), gc.get_freeze_count())
+    with paused_collector():
+        result = pipeline.run(graph)
+    pool.collect()
+    return result, before, gc.get_threshold(), len(gc.callbacks)
+"""
+
+
 class TestOBS001:
     def test_computed_names_flagged(self):
         report = lint_one("core/search.py", OBS001_TP, ["OBS001"])
@@ -670,6 +706,36 @@ class TestOBS002:
 
     def test_obs_clock_module_is_exempt(self):
         assert lint_one("obs/clock.py", OBS002_TP, ["OBS002"]).clean
+
+
+class TestGC001:
+    def test_state_changes_flagged(self):
+        report = lint_one("pipeline.py", GC001_TP, ["GC001"])
+        assert rules_of(report) == ["GC001"]
+        assert [finding.line for finding in report.findings] == [5, 9, 10]
+        assert "paused_collector" in report.findings[0].message
+
+    def test_aliases_and_from_imports_flagged(self):
+        report = lint_one("core/search_shard.py", GC001_ALIAS_TP, ["GC001"])
+        assert len(report.findings) == 3
+        messages = [finding.message for finding in report.findings]
+        assert any("gc.freeze()" in message for message in messages)
+        assert any("gc.unfreeze()" in message for message in messages)
+        assert any("gc.set_threshold()" in message for message in messages)
+
+    def test_read_only_queries_and_the_pause_are_clean(self):
+        assert lint_one("batch.py", GC001_TN, ["GC001"]).clean
+
+    def test_collector_module_is_exempt(self):
+        assert lint_one("core/collector.py", GC001_TP, ["GC001"]).clean
+        assert lint_one("src/repro/core/collector.py", GC001_TP, ["GC001"]).clean
+
+    def test_noqa_suppresses(self):
+        suppressed = GC001_TP.replace(
+            "gc.disable()", "gc.disable()  # repro: noqa[GC001]"
+        )
+        report = lint_one("pipeline.py", suppressed, ["GC001"])
+        assert [finding.line for finding in report.findings] == [9, 10]
 
 
 # ----------------------------------------------------------------------
@@ -753,6 +819,7 @@ class TestShippedTree:
             "RES002",
             "OBS001",
             "OBS002",
+            "GC001",
         }
         for rule in RULE_REGISTRY.values():
             assert rule.title

@@ -10,12 +10,11 @@ The headline invariants:
 """
 
 import pytest
-from oracles import naive_search, outcome
+from oracles import naive_search, outcome, pair_gain
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
-from repro.core.gain import pair_gain
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import description_length
 from repro.errors import MiningError

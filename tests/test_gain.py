@@ -6,8 +6,9 @@ the merge — component by component.
 """
 
 import pytest
+from oracles import merge_stats, pair_gain
 
-from repro.core.gain import GainEngine, pair_gain
+from repro.core.gain import GainEngine
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import description_length
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
@@ -86,7 +87,7 @@ class TestRandomizedReferenceChecks:
         checked = 0
         for i, leaf_x in enumerate(leafsets):
             for leaf_y in leafsets[i + 1 :]:
-                stats = db.merge_stats(leaf_x, leaf_y)
+                stats = merge_stats(db, leaf_x, leaf_y)
                 if not any(s.xye > 0 for s in stats):
                     continue
                 clone = db.copy()

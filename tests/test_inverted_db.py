@@ -2,6 +2,7 @@
 values and the Fig. 4 worked merge."""
 
 import pytest
+from oracles import merge_stats
 
 from repro.core.inverted_db import InvertedDatabase
 from repro.errors import MiningError
@@ -92,7 +93,7 @@ class TestMerge:
         paper_db.validate(paper_graph)
 
     def test_merge_stats_cases(self, paper_db):
-        stats = {s.coreset: s for s in paper_db.merge_stats(fs("b"), fs("c"))}
+        stats = {s.coreset: s for s in merge_stats(paper_db, fs("b"), fs("c"))}
         assert stats[fs("a")].case == "total"
         assert stats[fs("b")].case == "one-total"
 
@@ -120,9 +121,11 @@ class TestMerge:
         )
         db = InvertedDatabase.from_graph(graph)
         snapshot = db.snapshot()
+        stats = merge_stats(db, fs("x"), fs("y"))
+        assert [stat.coreset for stat in stats] == [fs("a")]
+        assert stats[0].xye == 0
         outcome = db.merge(fs("x"), fs("y"))
-        assert all(stat.xye == 0 for stat in outcome.stats)
-        assert outcome.stats  # the coreset {a} is common to both
+        assert outcome.touched_coresets == []
         assert db.snapshot() == snapshot
 
     def test_copy_isolated_from_merges(self, paper_db):

@@ -17,7 +17,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import naive_search, outcome
+from oracles import naive_search, outcome, pair_gain
 
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
@@ -266,8 +266,6 @@ class TestGainEngineMemoisation:
         assert checked > 0
 
     def test_gain_matches_pair_gain_reference(self):
-        from repro.core.gain import pair_gain
-
         graph = random_graph(9)
         db, standard, core = setup(graph)
         engine = GainEngine(db, standard, core)

@@ -20,8 +20,10 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import merge_stats
 
 from repro.config import CSPMConfig
+from repro.core.candidates import leafset_sort_key
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
@@ -324,12 +326,22 @@ class TestMiningEquivalence:
             if pair is None:
                 break
             leaf_x, leaf_y = pair
+            stats = {
+                name: merge_stats(db, leaf_x, leaf_y) for name, db in dbs.items()
+            }
             outcomes = {
                 name: db.merge(leaf_x, leaf_y) for name, db in dbs.items()
             }
             reference = outcomes["bigint"]
+            # The merge moved positions under exactly the common
+            # coresets whose rows intersect, visited in key order.
+            assert reference.touched_coresets == sorted(
+                (stat.coreset for stat in stats["bigint"] if stat.xye),
+                key=leafset_sort_key,
+            )
             for name, outcome in outcomes.items():
-                assert outcome.stats == reference.stats, name
+                assert stats[name] == stats["bigint"], name
+                assert outcome.touched_coresets == reference.touched_coresets, name
                 assert outcome.removed_leafsets == reference.removed_leafsets
                 decoded = {
                     leaf: dbs[name]._to_vertices(mask)

@@ -11,12 +11,11 @@ cases) and of the generator's ordering contract.
 """
 
 import pytest
-from oracles import naive_search, outcome
+from oracles import naive_search, outcome, pair_gain
 
 from repro.core.candidates import enumerate_pairs, pack, unpack
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
-from repro.core.gain import pair_gain
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.pairgen import overlap_pairs
 from repro.datasets.synthetic import community_attributed_graph

@@ -11,12 +11,11 @@ import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import naive_search, outcome
+from oracles import naive_search, outcome, pair_gain
 
 from repro.core.candidates import leafset_sort_key
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
-from repro.core.gain import pair_gain
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import (
     conditional_entropy,
