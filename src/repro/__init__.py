@@ -25,9 +25,10 @@ The package is organised around the paper's pipeline:
     pipeline.
 ``repro.runtime``
     The supervised parallel runtime: every worker pool (sharded
-    search, batch runs) gets per-task timeouts,
-    bounded deterministic retries, bit-exact degrade-to-serial, and
-    reproducible fault injection (:class:`FaultPlan`) — see
+    search, batch runs) gets a per-task deadline, and each task a pool
+    fails is re-run in-process, bit-exact with the serial run;
+    reproducible fault injection for tests and CI goes through the
+    ``REPRO_FAULT_PLAN`` environment variable — see
     ``docs/RESILIENCE.md``.
 ``repro.obs``
     The observability layer: nestable spans on an injected clock with
@@ -90,13 +91,11 @@ from repro.errors import (
     GraphError,
     MiningError,
     ReproError,
-    WorkerFailure,
 )
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
-from repro.runtime import FaultEvent, FaultPlan
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "AStar",
@@ -108,8 +107,6 @@ __all__ = [
     "CSPMConfig",
     "CSPMResult",
     "ConfigError",
-    "FaultEvent",
-    "FaultPlan",
     "GraphError",
     "MASK_BACKENDS",
     "MaskBackend",
@@ -119,7 +116,6 @@ __all__ = [
     "PipelineStage",
     "ReproError",
     "SEARCHES",
-    "WorkerFailure",
     "fit_many",
     "__version__",
 ]

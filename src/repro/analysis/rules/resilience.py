@@ -1,8 +1,8 @@
 """Resilience rules for the supervised parallel runtime.
 
 The supervisor (``runtime/supervisor.py``) owns failure handling for
-every worker pool: timeouts, bounded retries, and bit-exact in-process
-degradation.  Two contracts keep that ownership real (see
+every worker pool: a per-task deadline, failure detection, and a
+bit-exact in-process re-run of each failed task.  Two contracts keep that ownership real (see
 docs/INVARIANTS.md, family 5):
 
 * a future/async-result harvested from a pool must always carry a
@@ -12,8 +12,8 @@ docs/INVARIANTS.md, family 5):
 * ``BaseException`` (and the bare ``except:`` that implies it) may be
   caught only at the supervisor boundary.  Anywhere else, a handler
   that wide swallows ``KeyboardInterrupt``/``SystemExit`` and hides
-  worker crashes from the retry accounting, so the failure policy
-  never fires.
+  worker crashes from the supervisor, so the failed task is never
+  re-run.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class HarvestTimeoutRule(Rule):
     Flags argument-less ``.result()`` / ``.get()`` calls in the worker-
     pool modules (``core/``, ``runtime/``, ``batch.py``) when the module
     imports ``concurrent``/``multiprocessing``.  Without a timeout the
-    parent blocks forever on a hung worker — the supervisor's per-task
-    ``worker_timeout`` only bounds anything because every harvest goes
-    through ``future.result(timeout=...)``.  A positional deadline or a
+    parent blocks forever on a hung worker — the supervisor's
+    ``DEFAULT_WORKER_TIMEOUT`` only bounds anything because every
+    harvest goes through ``future.result(timeout=...)``.  A positional deadline or a
     ``timeout=`` keyword both satisfy the rule; ``dict.get(key)``-style
     calls pass because they carry an argument.
     See docs/INVARIANTS.md (family 5).
@@ -115,12 +115,12 @@ class BroadExceptRule(Rule):
     Flags bare ``except:`` handlers and handlers naming
     ``BaseException`` (alone or in a tuple) anywhere in the source
     tree.  A handler that wide swallows ``KeyboardInterrupt`` and
-    ``SystemExit`` and hides worker failures from the supervisor's
-    retry accounting, so the configured failure policy never runs.
-    Handlers whose last statement is a bare ``raise`` (cleanup-then-
-    re-raise) are exempt; the supervisor's own boundary handler —
-    which re-raises interrupts but converts worker errors into retry
-    charges — carries ``# repro: noqa[RES002]``.
+    ``SystemExit`` and hides worker failures from the supervisor, so
+    the failed task is never re-run.  Handlers whose last statement is
+    a bare ``raise`` (cleanup-then-re-raise) are exempt; the
+    supervisor's own boundary handler — which re-raises interrupts but
+    turns worker errors into in-process re-runs — carries
+    ``# repro: noqa[RES002]``.
     See docs/INVARIANTS.md (family 5).
     """
 

@@ -31,7 +31,7 @@ from repro.core.result import CSPMResult
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import Observation, activate, clock, current
-from repro.runtime.supervisor import RuntimePolicy, SiteReport, run_supervised
+from repro.runtime.supervisor import SiteReport, run_supervised
 
 EXECUTORS = ("serial", "process")
 
@@ -152,9 +152,9 @@ def _fit_one(payload: Tuple[int, AttributedGraph, CSPMConfig]) -> BatchRun:
     per-run error record and the other graphs in the batch are
     unaffected.  Catching here (``Exception``, never
     ``BaseException`` — a crash or interrupt must stay visible to the
-    supervisor) also means deterministic failures never burn pool
-    retries: only process-level events (crash, hang, pickle) reach the
-    supervisor's failure handling.
+    supervisor) also means a deterministic failure is never re-run
+    in-process: only process-level events (crash, hang, pickle) reach
+    the supervisor's failure handling.
     """
     from repro.pipeline import MiningPipeline
 
@@ -240,17 +240,15 @@ def fit_many(
             runs = [_fit_one(payload) for payload in payloads]
         else:
             # The pool is supervised (site "batch", task index = run
-            # index): a crashed or hung worker is retried on a fresh
-            # pool and, past the retry budget, the run is mined
-            # in-process — per-run *exceptions* never get that far,
-            # ``_fit_one`` already converts them to error records
+            # index): a run whose worker crashed or hung is mined
+            # again in-process — per-run *exceptions* never get that
+            # far, ``_fit_one`` already converts them to error records
             # inside the worker.
             workers = min(n_jobs, len(payloads))
             runs, report = run_supervised(
                 "batch",
                 payloads,
                 _fit_one,
-                RuntimePolicy.from_config(config),
                 max_workers=workers,
                 expect_type=BatchRun,
             )

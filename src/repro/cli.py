@@ -33,7 +33,6 @@ from repro.config import (
     ENCODERS,
     MASK_BACKENDS,
     METHODS,
-    ON_WORKER_FAILURE,
     SEARCHES,
     UPDATE_SCOPES,
     CSPMConfig,
@@ -98,40 +97,6 @@ def _add_mine(subparsers) -> None:
         metavar="N",
         help="worker processes for --search sharded "
         "(default: one per usable CPU)",
-    )
-    parser.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task deadline for supervised worker pools "
-        "(repro.runtime.supervisor; default: the supervisor's built-in "
-        "generous deadline)",
-    )
-    parser.add_argument(
-        "--max-task-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-submissions of a failed pool task before the "
-        "supervisor falls back per --on-worker-failure (default: 2)",
-    )
-    parser.add_argument(
-        "--on-worker-failure",
-        choices=ON_WORKER_FAILURE,
-        default="degrade",
-        help="after the retry budget: 'degrade' re-executes the task "
-        "in-process (bit-exact with the serial run, the default) or "
-        "'raise' aborts the run with a WorkerFailure",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="JSON|FILE",
-        help="deterministic fault-injection schedule for chaos testing "
-        "(repro.runtime.faults.FaultPlan as inline JSON or a file "
-        "path; the REPRO_FAULT_PLAN environment variable is the "
-        "flag-less spelling)",
     )
     parser.add_argument(
         "--trace",
@@ -312,10 +277,6 @@ def _mine_config(args) -> CSPMConfig:
         mask_backend=args.mask_backend,
         search=args.search,
         search_workers=args.search_workers,
-        worker_timeout=args.worker_timeout,
-        max_task_retries=args.max_task_retries,
-        on_worker_failure=args.on_worker_failure,
-        fault_plan=args.fault_plan,
         trace=args.trace is not None,
         metrics=args.metrics is not None,
         progress=args.progress,
@@ -470,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Dispatch a subcommand, converting failures to one-line exits.
 
     Library errors (:class:`~repro.errors.ReproError`, which covers
-    ``MiningError``/``ConfigError``/``WorkerFailure``) and Ctrl-C both
+    ``GraphError``/``MiningError``/``ConfigError``) and Ctrl-C both
     exit non-zero with a single stderr line instead of a traceback —
     the CLI is the process boundary, so this is where a stack dump
     stops being diagnostics and starts being noise.

@@ -24,17 +24,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.runtime.faults import FaultPlan
 
 METHODS: Tuple[str, ...] = ("partial", "basic")
 ENCODERS: Tuple[str, ...] = ("singleton", "slim", "krimp")
 UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "related")
 # Canonical backend-name registry; repro.core.masks re-exports it (this
-# module imports only repro.errors, so that direction is cycle-free;
-# repro.runtime.faults likewise imports only repro.errors).
+# module imports only repro.errors, so that direction is cycle-free).
 MASK_BACKENDS: Tuple[str, ...] = ("auto", "bigint", "chunked")
 SEARCHES: Tuple[str, ...] = ("serial", "sharded")
-ON_WORKER_FAILURE: Tuple[str, ...] = ("degrade", "raise")
 
 
 @dataclass(frozen=True)
@@ -94,31 +91,6 @@ class CSPMConfig:
         Worker-process count for ``search="sharded"`` (``None`` = one
         per CPU the process may run on, capped by the component
         count).  Ignored under serial search.
-    worker_timeout:
-        Per-task deadline, in seconds, for every supervised worker
-        pool (:mod:`repro.runtime.supervisor`); ``None`` (default)
-        uses the supervisor's generous built-in deadline — there is no
-        way to wait forever.  Execution-engine knob: serialised only
-        when non-default.
-    max_task_retries:
-        How many times a failed pool task (crash, hang, pickle error,
-        corrupt result) is re-submitted before the supervisor gives
-        up on the pool for that task (default 2).  Execution-engine
-        knob: serialised only when non-default.
-    on_worker_failure:
-        What the supervisor does with a task that exhausts its
-        retries: ``"degrade"`` (default) re-executes it in-process —
-        bit-exact with the serial run — while ``"raise"`` raises
-        :class:`~repro.errors.WorkerFailure`.  Execution-engine knob:
-        serialised only when non-default.
-    fault_plan:
-        Deterministic fault-injection schedule for tests and chaos
-        runs (:class:`repro.runtime.faults.FaultPlan`; also accepts
-        its mapping/JSON/path spellings, and the ``REPRO_FAULT_PLAN``
-        environment variable supplies one when this is ``None``).
-        Injected failures only ever occur inside worker processes, so
-        the mined output is still bit-exact.  Serialised only when
-        set.
     trace:
         Record nestable spans for every pipeline stage, construction
         phase, worker task and supervisor event (:mod:`repro.obs`),
@@ -128,7 +100,7 @@ class CSPMConfig:
         when enabled.
     metrics:
         Record named counters/gauges/histograms (the ``RunTrace``
-        perf counters, mask memory, supervisor retry/degrade/timeout
+        perf counters, mask memory, supervisor degrade/timeout
         telemetry, per-run batch durations) into a
         :class:`repro.obs.MetricsRegistry` (``mine --metrics``).
         Serialised only when enabled.
@@ -147,10 +119,6 @@ class CSPMConfig:
     mask_backend: str = "auto"
     search: str = "serial"
     search_workers: Optional[int] = None
-    worker_timeout: Optional[float] = None
-    max_task_retries: int = 2
-    on_worker_failure: str = "degrade"
-    fault_plan: Optional[FaultPlan] = None
     trace: bool = False
     metrics: bool = False
     progress: bool = False
@@ -218,29 +186,6 @@ class CSPMConfig:
                 f"search_workers must be None or a positive int, "
                 f"got {self.search_workers!r}"
             )
-        if self.worker_timeout is not None and not (
-            isinstance(self.worker_timeout, (int, float))
-            and not isinstance(self.worker_timeout, bool)
-            and self.worker_timeout > 0
-        ):
-            raise ConfigError(
-                f"worker_timeout must be None or a positive number, "
-                f"got {self.worker_timeout!r}"
-            )
-        if not (
-            isinstance(self.max_task_retries, int)
-            and not isinstance(self.max_task_retries, bool)
-            and self.max_task_retries >= 0
-        ):
-            raise ConfigError(
-                f"max_task_retries must be a non-negative int, "
-                f"got {self.max_task_retries!r}"
-            )
-        if self.on_worker_failure not in ON_WORKER_FAILURE:
-            raise ConfigError(
-                f"on_worker_failure must be one of {ON_WORKER_FAILURE}, "
-                f"got {self.on_worker_failure!r}"
-            )
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be a bool, got {self.trace!r}")
         if not isinstance(self.metrics, bool):
@@ -248,14 +193,6 @@ class CSPMConfig:
         if not isinstance(self.progress, bool):
             raise ConfigError(
                 f"progress must be a bool, got {self.progress!r}"
-            )
-        if self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
-            # Accept the mapping/JSON/path spellings at construction
-            # so configs rebuilt from job documents stay one-step.
-            object.__setattr__(
-                self, "fault_plan", FaultPlan.coerce(self.fault_plan)
             )
 
     # ------------------------------------------------------------------
@@ -273,16 +210,12 @@ class CSPMConfig:
         """A JSON-serialisable mapping of the config.
 
         The execution-engine knobs (``mask_backend``,
-        ``search``/``search_workers`` and the supervised-runtime knobs
-        ``worker_timeout``/``max_task_retries``/``on_worker_failure``/
-        ``fault_plan``, and the observability knobs
+        ``search``/``search_workers``, and the observability knobs
         ``trace``/``metrics``/``progress``) are included only when
-        non-default: they never
-        change the mined output, and omitting the defaults keeps
-        existing schema-v1 result documents (including the CLI golden
-        file) byte-identical.  :meth:`from_dict` round-trips either
-        way (a serialised ``fault_plan`` comes back as its mapping and
-        is re-coerced to a :class:`FaultPlan` at construction).
+        non-default: they never change the mined output, and omitting
+        the defaults keeps existing schema-v1 result documents
+        (including the CLI golden file) byte-identical.
+        :meth:`from_dict` round-trips either way.
         """
         document = dataclasses.asdict(self)
         if document["mask_backend"] == "auto":
@@ -291,25 +224,12 @@ class CSPMConfig:
             del document["search"]
         if document["search_workers"] is None:
             del document["search_workers"]
-        if document["worker_timeout"] is None:
-            del document["worker_timeout"]
-        if document["max_task_retries"] == 2:
-            del document["max_task_retries"]
-        if document["on_worker_failure"] == "degrade":
-            del document["on_worker_failure"]
         if document["trace"] is False:
             del document["trace"]
         if document["metrics"] is False:
             del document["metrics"]
         if document["progress"] is False:
             del document["progress"]
-        if document["fault_plan"] is None:
-            del document["fault_plan"]
-        else:
-            # asdict recursed into the plan dataclass; replace with the
-            # canonical FaultPlan.to_dict shape (provenance seed omitted
-            # when unset) so every serialised plan spells the same way.
-            document["fault_plan"] = self.fault_plan.to_dict()
         return document
 
     @classmethod

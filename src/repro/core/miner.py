@@ -49,8 +49,7 @@ class CSPM:
         override the corresponding config fields.
     method, coreset_encoder, include_model_cost, max_iterations, \
     partial_update_scope, top_k, min_leafset, mask_backend, search, \
-    search_workers, worker_timeout, max_task_retries, on_worker_failure, \
-    fault_plan, trace, metrics, progress:
+    search_workers, trace, metrics, progress:
         Legacy/convenience knobs; see :class:`~repro.config.CSPMConfig`
         for their meaning.
     """
@@ -67,10 +66,6 @@ class CSPM:
         mask_backend: str = _UNSET,
         search: str = _UNSET,
         search_workers: Optional[int] = _UNSET,
-        worker_timeout: Optional[float] = _UNSET,
-        max_task_retries: int = _UNSET,
-        on_worker_failure: str = _UNSET,
-        fault_plan=_UNSET,
         trace: bool = _UNSET,
         metrics: bool = _UNSET,
         progress: bool = _UNSET,
@@ -89,10 +84,6 @@ class CSPM:
                 ("mask_backend", mask_backend),
                 ("search", search),
                 ("search_workers", search_workers),
-                ("worker_timeout", worker_timeout),
-                ("max_task_retries", max_task_retries),
-                ("on_worker_failure", on_worker_failure),
-                ("fault_plan", fault_plan),
                 ("trace", trace),
                 ("metrics", metrics),
                 ("progress", progress),
@@ -144,22 +135,6 @@ class CSPM:
     @property
     def search_workers(self) -> Optional[int]:
         return self.config.search_workers
-
-    @property
-    def worker_timeout(self) -> Optional[float]:
-        return self.config.worker_timeout
-
-    @property
-    def max_task_retries(self) -> int:
-        return self.config.max_task_retries
-
-    @property
-    def on_worker_failure(self) -> str:
-        return self.config.on_worker_failure
-
-    @property
-    def fault_plan(self):
-        return self.config.fault_plan
 
     @property
     def trace(self) -> bool:

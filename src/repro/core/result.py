@@ -20,6 +20,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional
 from repro.config import CSPMConfig
 from repro.core.astar import AStar, astar_entries
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
+from repro.core.collector import paused_collector
 from repro.core.instrumentation import COUNT, NUMBER, RunTrace, check_field_types
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import DescriptionLength
@@ -99,9 +100,9 @@ class CSPMResult:
     core_table: CoreCodeTable
     inverted_db: Optional[InvertedDatabase] = field(default=None, repr=False)
     config: Optional[CSPMConfig] = None
-    #: Supervised-runtime failure telemetry (per-site retry counts,
-    #: degraded-task lists, the active fault plan), populated only when
-    #: a supervised pool actually ran — ``None`` for serial execution,
+    #: Supervised-runtime failure telemetry (each site's report:
+    #: degraded-task list and failure lines), populated only when a
+    #: supervised pool actually ran — ``None`` for serial execution,
     #: which keeps schema-v1 documents byte-identical.
     runtime: Optional[Dict[str, Any]] = None
 
@@ -260,8 +261,15 @@ class CSPMResult:
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        """:meth:`to_dict` rendered as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
+        """:meth:`to_dict` rendered as a JSON document.
+
+        Serialising makes no cyclic garbage, so it runs with the
+        collector paused, like a mining run.  (With ``indent`` set, the
+        ``json`` module's pure-Python encoder leaves a fixed handful of
+        closure cycles per call; the next full collection frees them.)
+        """
+        with paused_collector():
+            return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "CSPMResult":

@@ -87,7 +87,7 @@ from repro.core.inverted_db import CoreKey, InvertedDatabase, Mask
 from repro.core.mdl import description_length
 from repro.errors import MiningError
 from repro.obs import Observation, activate, current
-from repro.runtime.supervisor import RuntimePolicy, SiteReport, run_supervised
+from repro.runtime.supervisor import SiteReport, run_supervised
 
 #: Queue-head decision kinds in a :class:`ComponentRun` event log.
 EV_CLEAN_MERGE = 0
@@ -331,7 +331,6 @@ def _mine_components(
     update_scope: str,
     components: List[List[int]],
     workers: Optional[int],
-    policy: Optional[RuntimePolicy] = None,
 ) -> Tuple[List[ComponentRun], Optional[SiteReport]]:
     """Run :func:`_mine_component` over all components, in order.
 
@@ -343,8 +342,8 @@ def _mine_components(
     through :func:`repro.runtime.supervisor.run_supervised` (site
     ``"search"``, task index = position in the largest-first
     submission order): the parent keeps ``_WORKER_STATE`` installed on
-    every platform so an exhausted component degrades to an in-process
-    — bit-exact — re-mine.
+    every platform so a component the pool failed is re-mined
+    in-process, bit-exact.
     """
     requested = workers if workers is not None else _usable_cpus()
     order = sorted(
@@ -379,7 +378,6 @@ def _mine_components(
                     "search",
                     jobs,
                     _mine_component,
-                    policy,
                     max_workers=min(requested, len(jobs)),
                     mp_context=multiprocessing.get_context("fork"),
                     expect_type=ComponentRun,
@@ -389,7 +387,6 @@ def _mine_components(
                     "search",
                     jobs,
                     _mine_component,
-                    policy,
                     max_workers=min(requested, len(jobs)),
                     initializer=_set_worker_state,
                     initargs=(state,),
@@ -581,7 +578,6 @@ def run_sharded(
     update_scope: str = "lazy",
     initial_dl_bits: Optional[float] = None,
     workers: Optional[int] = None,
-    policy: Optional[RuntimePolicy] = None,
 ) -> ShardedSearch:
     """Component-sharded CSPM-Partial, bit-exact with the serial run.
 
@@ -591,10 +587,8 @@ def run_sharded(
     worker-process cap (``None``: the usable CPU count); iteration caps are
     not supported — a cap cuts the global merge sequence at a point no
     worker can locate, so the pipeline falls back to the serial path.
-    ``policy`` configures the supervised pool (timeouts, retries,
-    degradation, fault injection); degraded components are re-mined
-    in-process, so the bit-exactness contract holds under arbitrary
-    worker failure.
+    Components the supervised pool fails are re-mined in-process, so
+    the bit-exactness contract holds under arbitrary worker failure.
     """
     if update_scope not in UPDATE_SCOPES:
         raise MiningError(
@@ -621,7 +615,6 @@ def run_sharded(
         update_scope,
         components,
         workers,
-        policy,
     )
     trace = _stitch(db, update_scope, initial_dl_bits, components, runs)
     largest = max((len(component) for component in components), default=0)

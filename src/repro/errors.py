@@ -29,28 +29,6 @@ class ConfigError(MiningError):
     """
 
 
-class WorkerFailure(MiningError):
-    """Raised when a supervised parallel task exhausts its retry budget.
-
-    Only reachable with ``on_worker_failure="raise"`` — the default
-    policy degrades exhausted tasks to in-process execution instead.
-    Carries the failing site, task index, and attempt count so callers
-    and CLIs can report *where* the runtime gave up.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        site: str = "",
-        task_index: int = -1,
-        attempts: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.site = site
-        self.task_index = task_index
-        self.attempts = attempts
-
-
 class EncodingError(ReproError):
     """Raised when a code table cannot encode the requested object."""
 

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import Union
 
+from repro.core.collector import paused_collector
 from repro.errors import GraphError
 from repro.graphs.attributed_graph import AttributedGraph
 
@@ -115,16 +116,25 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
 
 def save_json(graph: AttributedGraph, path: PathLike) -> None:
     """Write ``graph`` to ``path`` as a JSON document."""
-    Path(path).write_text(json.dumps(to_json_dict(graph), indent=2))
+    Path(path).write_text(
+        json.dumps(to_json_dict(graph), indent=2), encoding="utf-8"
+    )
 
 
 def load_json(path: PathLike, int_vertices: bool = True) -> AttributedGraph:
-    """Load a graph previously written by :func:`save_json`."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphError(f"cannot load graph from {path}: {exc}") from exc
-    return from_json_dict(document, int_vertices=int_vertices)
+    """Load a graph previously written by :func:`save_json`.
+
+    The file is read as UTF-8 whatever the locale; a file that cannot
+    be read or decoded raises :class:`~repro.errors.GraphError` naming
+    it.  Loading makes no cyclic garbage, so it runs with the collector
+    paused, like a mining run.
+    """
+    with paused_collector():
+        try:
+            document = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise GraphError(f"cannot load graph from {path}: {exc}") from exc
+        return from_json_dict(document, int_vertices=int_vertices)
 
 
 def to_adjacency_text(graph: AttributedGraph) -> str:

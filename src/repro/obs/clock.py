@@ -5,7 +5,7 @@ so that (a) the determinism linter can verify that no mining code
 consults the clock directly (DET003 keeps ``core/`` clean; OBS002
 extends the contract to the whole package — see docs/INVARIANTS.md,
 family 6), and (b) tests can monkeypatch one seam to drive timers,
-span clocks and backoff sleeps deterministically.
+span clocks and sleeps deterministically.
 
 The names are rebound module attributes, not wrappers: calling through
 ``clock.perf_counter()`` costs one attribute lookup over ``import
@@ -25,8 +25,7 @@ perf_counter = _time.perf_counter
 #: :func:`perf_counter`).
 monotonic = _time.monotonic
 
-#: Blocking sleep; the supervisor's backoff and the fault injector's
-#: hang both route through here.
+#: Blocking sleep; the fault injector's hang routes through here.
 sleep = _time.sleep
 
 __all__ = ["perf_counter", "monotonic", "sleep"]

@@ -2,15 +2,15 @@
 
 The registry unifies the project's ad-hoc perf accounting — the
 ``RunTrace`` search counters, the mask-memory gauge, the supervisor's
-retry/degrade/timeout telemetry, per-run batch durations — behind one
+degrade/timeout telemetry, per-run batch durations — behind one
 name-addressed surface::
 
-    metrics.counter("runtime.retries").inc(1, site="search")
+    metrics.counter("runtime.degraded_tasks").inc(1, site="search")
     metrics.gauge("build.mask_memory_bytes").set(db.mask_memory_bytes())
     metrics.histogram("batch.run_seconds").observe(run.seconds)
 
 Instruments are created on first use; labels flatten into the series
-key (``runtime.retries{site=search}``) so :meth:`MetricsRegistry.snapshot`
+key (``runtime.degraded_tasks{site=search}``) so :meth:`MetricsRegistry.snapshot`
 is a flat, JSON-ready, deterministically ordered mapping — the shape
 folded into BENCH schema-v7 documents and ``mine --metrics`` files.
 

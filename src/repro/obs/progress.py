@@ -5,7 +5,7 @@ stderr so a multi-minute search is no longer a black box::
 
     [repro] build: rows=1842 seconds=0.41
     [repro] search: merges=120 queue=483
-    [repro] runtime: site=search done=3 pending=1 retries=1
+    [repro] runtime: site=search done=3 pending=1
 
 :meth:`ProgressEmitter.heartbeat` is rate-limited per phase on the
 injected clock (default :func:`repro.obs.clock.perf_counter`, 0.5 s

@@ -85,7 +85,7 @@ class SpanTracer:
             )
 
     def instant(self, name: str, **attrs: Any) -> None:
-        """Record a zero-duration event (supervisor retries, degrades)."""
+        """Record a zero-duration event (a supervisor's in-process re-run)."""
         self.events.append(
             (name, self._clock(), self._depth, _encode_attrs(attrs))
         )

@@ -85,14 +85,10 @@ flags select the execution for every partial run; the sharded path is
 bit-exact with the serial one, so all counter bounds apply unchanged —
 the CI sharded smoke's gate.
 
-Schema v6 adds the supervised runtime (:mod:`repro.runtime`): the
-document records the suite-level ``fault_plan`` (the deterministic
-injection schedule of a chaos run, ``null`` for normal runs) plus the
-runtime knobs (``worker_timeout``/``max_task_retries``/
-``on_worker_failure``); supervised sharded runs record ``retries`` and
-``degraded_tasks``.  Injected failures are recovered by retry or
-bit-exact in-process degradation, so **all counter bounds still apply
-unchanged under any fault plan**.
+Schema v6 adds the supervised runtime (:mod:`repro.runtime`):
+supervised sharded runs record ``degraded_tasks``, the tasks a pool
+failed and the parent re-ran in-process, bit-exact, so **all counter
+bounds still apply unchanged under any fault plan**.
 
 Schema v7 adds observability (:mod:`repro.obs`): the suite-level
 ``--trace FILE`` records nested spans — including real worker-process
@@ -118,6 +114,11 @@ value: the full scan seeded every possible pair), on every entry.  Run
 keys keep their ``/overlap`` suffix so :func:`merge_into` never mixes
 key spellings.
 
+Schema v10 drops v6's suite-level fault plan and supervisor settings,
+and the per-run ``retries``: the supervisor runs each task once in a
+pool and re-runs a failed one in-process, so nothing is left to set or
+count.  A chaos run sets ``REPRO_FAULT_PLAN`` instead.
+
 A single workload family can be re-measured without discarding the
 rest of an existing document: ``--workload <name>`` (repeatable)
 restricts the run, and when the output file already exists its other
@@ -125,11 +126,11 @@ workload entries are carried over unchanged (see :func:`merge_into`).
 ``--list-workloads`` (or ``--list``) prints the registered families
 with their quick/full member sizes instead of running anything.
 
-Output document (``BENCH_cspm.json``, schema v9, abridged — the
-runtime and observability keys of v6/v7 are left out)::
+Output document (``BENCH_cspm.json``, schema v10, abridged — the
+observability keys of v7 are left out)::
 
     {
-      "schema_version": 9,
+      "schema_version": 10,
       "suite": "cspm-perf",
       "quick": bool,
       "mask_backend": "auto",                    # the suite-level request
@@ -186,12 +187,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.config import (
-    MASK_BACKENDS,
-    ON_WORKER_FAILURE,
-    SEARCHES,
-    CSPMConfig,
-)
+from repro.config import MASK_BACKENDS, SEARCHES, CSPMConfig
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.search_shard import connected_components, run_sharded
@@ -207,9 +203,8 @@ from repro.obs import (
     emit_run_trace,
 )
 from repro.pipeline import BuildInvertedDB, EncodeCoresets, PipelineContext
-from repro.runtime.supervisor import RuntimePolicy
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 WORKLOAD_NAMES = (
     "sparse-scaling",
@@ -331,17 +326,15 @@ def _run_case(
     initial_mask_bytes: int,
     search: str = "serial",
     search_workers: Optional[int] = None,
-    policy: Optional[RuntimePolicy] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """One measured search run on a fresh copy of the database.
 
     ``search`` selects the CSPM-Partial execution: ``sharded`` runs
     :func:`repro.core.search_shard.run_sharded` (bit-exact with the
-    serial loop, so every recorded counter is identical by contract)
-    under ``policy``'s supervision, recording schema v6's ``retries``/
-    ``degraded_tasks`` when a pool actually ran; ``basic`` runs always
-    stay serial.
+    serial loop, so every recorded counter is identical by contract),
+    recording the supervisor's ``degraded_tasks`` when a pool actually
+    ran; ``basic`` runs always stay serial.
 
     ``metrics`` (schema v7) gives this run a fresh
     :class:`~repro.obs.MetricsRegistry` — composed with whatever suite-
@@ -369,7 +362,7 @@ def _run_case(
         elif search == "sharded":
             sharded = run_sharded(
                 db, standard, core, initial_dl_bits=initial_bits,
-                workers=search_workers, policy=policy,
+                workers=search_workers,
             )
             trace = sharded.trace
             report = sharded.report
@@ -407,7 +400,6 @@ def _run_case(
         if search == "sharded":
             entry["search_workers"] = search_workers
     if report is not None:
-        entry["retries"] = report.retries
         entry["degraded_tasks"] = list(report.degraded_tasks)
     if registry is not None:
         entry["metrics"] = registry.snapshot()
@@ -422,15 +414,11 @@ def _measure_size(
     search: str = "serial",
     search_workers: Optional[int] = None,
     workload: Optional[str] = None,
-    runtime_kwargs: Optional[Dict[str, Any]] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """All algorithm runs for one workload size."""
     db0, standard, core, initial_bits, construction_seconds = _prepare(
         graph, mask_backend=mask_backend
-    )
-    policy = RuntimePolicy.from_config(
-        CSPMConfig(**(runtime_kwargs or {}))
     )
     num_leafsets = db0.num_leafsets
     initial_mask_bytes = db0.mask_memory_bytes()
@@ -452,7 +440,6 @@ def _measure_size(
             initial_mask_bytes,
             search=search,
             search_workers=search_workers,
-            policy=policy,
             metrics=metrics,
         )
     possible_pairs = num_leafsets * (num_leafsets - 1) // 2
@@ -561,10 +548,6 @@ def run_suite(
     mask_backend: str = "auto",
     search: str = "serial",
     search_workers: Optional[int] = None,
-    worker_timeout: Optional[float] = None,
-    max_task_retries: int = 2,
-    on_worker_failure: str = "degrade",
-    fault_plan: Optional[Any] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """Run the workloads and return the ``BENCH_cspm.json`` document.
@@ -586,12 +569,9 @@ def run_suite(
     ``search``/``search_workers`` select the CSPM-Partial execution
     (schema v5): the component-sharded path stitches a bit-exact
     serial-equivalent trace, so the same counter bounds gate it too.
-    The supervised-runtime knobs (schema v6) — ``worker_timeout``,
-    ``max_task_retries``, ``on_worker_failure``, ``fault_plan`` (a
-    :class:`~repro.runtime.faults.FaultPlan` or its mapping/JSON/path
-    spellings) — govern every worker pool the suite spins up; injected
-    failures recover by retry or bit-exact degradation, so the bounds
-    still apply.
+    A fault plan set in ``REPRO_FAULT_PLAN`` reaches every worker pool
+    the suite spins up; failed tasks are re-run in-process, bit-exact,
+    so the bounds still apply.
     """
     if only:
         unknown = sorted(set(only) - set(WORKLOAD_NAMES))
@@ -609,24 +589,6 @@ def run_suite(
             f"unknown search {search!r}; available: {list(SEARCHES)}"
         )
 
-    if on_worker_failure not in ON_WORKER_FAILURE:
-        raise ValueError(
-            f"unknown on_worker_failure {on_worker_failure!r}; "
-            f"available: {list(ON_WORKER_FAILURE)}"
-        )
-    # Normalise the plan once (CSPMConfig would coerce anyway; doing it
-    # here surfaces a malformed plan before any measurement runs, and
-    # gives the document a serialisable copy to record).
-    from repro.runtime.faults import FaultPlan
-
-    plan = FaultPlan.coerce(fault_plan)
-    runtime_kwargs: Dict[str, Any] = {
-        "worker_timeout": worker_timeout,
-        "max_task_retries": max_task_retries,
-        "on_worker_failure": on_worker_failure,
-        "fault_plan": plan,
-    }
-
     def wanted(name: str) -> bool:
         return not only or name in only
 
@@ -641,7 +603,6 @@ def run_suite(
             search=search,
             search_workers=search_workers,
             workload=workload,
-            runtime_kwargs=runtime_kwargs,
             metrics=metrics,
             **kwargs,
         )
@@ -746,10 +707,6 @@ def run_suite(
         "mask_backend": mask_backend,
         "search": search,
         "search_workers": search_workers,
-        "worker_timeout": worker_timeout,
-        "max_task_retries": max_task_retries,
-        "on_worker_failure": on_worker_failure,
-        "fault_plan": plan.to_dict() if plan is not None else None,
         "metrics": metrics,
         "workloads": workloads,
     }
@@ -1049,41 +1006,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: one per CPU)",
     )
     parser.add_argument(
-        "--worker-timeout",
-        dest="worker_timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task timeout for supervised worker pools (default: "
-        "300s); a timed-out task counts as one failed attempt",
-    )
-    parser.add_argument(
-        "--max-task-retries",
-        dest="max_task_retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="pool re-submissions per task before the failure policy "
-        "applies (default: 2)",
-    )
-    parser.add_argument(
-        "--on-worker-failure",
-        dest="on_worker_failure",
-        choices=ON_WORKER_FAILURE,
-        default="degrade",
-        help="after retries are exhausted: 'degrade' re-runs the task "
-        "in-process (bit-exact vs serial), 'raise' aborts the suite",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        dest="fault_plan",
-        default=None,
-        metavar="JSON|FILE",
-        help="deterministic fault-injection plan (inline JSON or a path "
-        "to a JSON file) applied to every worker pool; counter bounds "
-        "apply unchanged under any plan",
-    )
-    parser.add_argument(
         "--trace",
         dest="trace",
         default=None,
@@ -1166,10 +1088,6 @@ def execute(args) -> int:
             mask_backend=args.mask_backend,
             search=args.search,
             search_workers=args.search_workers,
-            worker_timeout=getattr(args, "worker_timeout", None),
-            max_task_retries=getattr(args, "max_task_retries", 2),
-            on_worker_failure=getattr(args, "on_worker_failure", "degrade"),
-            fault_plan=getattr(args, "fault_plan", None),
             metrics=getattr(args, "metrics", None) is not None,
         )
     if getattr(args, "trace", None):

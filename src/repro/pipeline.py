@@ -61,7 +61,6 @@ from repro.core.result import CSPMResult
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import Observation, activate, clock, current, emit_run_trace
-from repro.runtime.supervisor import RuntimePolicy
 
 Value = Hashable
 Vertex = Hashable
@@ -319,7 +318,6 @@ class Search(PipelineStage):
                 update_scope=config.partial_update_scope,
                 initial_dl_bits=initial_bits,
                 workers=config.search_workers,
-                policy=RuntimePolicy.from_config(config),
             )
             context.trace = sharded.trace
             context.extras["num_components"] = sharded.num_components
@@ -375,15 +373,6 @@ class RankAndFilter(PipelineStage):
         if config.top_k is not None:
             astars = astars[: config.top_k]
         context.astars = astars
-        runtime = context.extras.get("runtime")
-        if runtime is not None and "fault_plan" not in runtime:
-            # Record which injection schedule (if any) the supervised
-            # pools ran under, so a chaos run's telemetry is
-            # self-describing.
-            from repro.runtime.faults import resolve_plan
-
-            plan = resolve_plan(config.fault_plan)
-            runtime["fault_plan"] = plan.to_dict() if plan is not None else None
         context.result = CSPMResult(
             astars=astars,
             trace=context.trace,
@@ -393,7 +382,7 @@ class RankAndFilter(PipelineStage):
             core_table=context.core_table,
             inverted_db=db,
             config=config,
-            runtime=runtime,
+            runtime=context.extras.get("runtime"),
         )
 
 

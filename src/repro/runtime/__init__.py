@@ -1,11 +1,11 @@
-"""Supervised parallel runtime: fault injection, retries, degradation.
+"""Supervised parallel runtime: deadlines, failure detection, in-process re-runs.
 
 :mod:`repro.runtime.supervisor` wraps every multiprocess pool in the
-repo (sharded search, batch ``fit_many``) with per-task timeouts,
-bounded deterministic retries, and bit-exact degrade-to-serial
-fallback; :mod:`repro.runtime.faults` is the
-deterministic fault-injection layer that tests and the CI chaos job
-drive.  See ``docs/RESILIENCE.md``.
+repo (sharded search, batch ``fit_many``) with a per-task deadline and
+re-runs each failed task in the parent process, bit-exact with the
+serial run; :mod:`repro.runtime.faults` is the deterministic
+fault-injection layer that tests and the CI chaos job drive through
+``REPRO_FAULT_PLAN``.  See ``docs/RESILIENCE.md``.
 """
 
 from repro.runtime.faults import (
@@ -14,13 +14,10 @@ from repro.runtime.faults import (
     FaultEvent,
     FaultPlan,
     environment_plan,
-    resolve_plan,
 )
 from repro.runtime.supervisor import (
     DEFAULT_WORKER_TIMEOUT,
-    RuntimePolicy,
     SiteReport,
-    backoff_seconds,
     run_supervised,
 )
 
@@ -30,10 +27,7 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "environment_plan",
-    "resolve_plan",
     "DEFAULT_WORKER_TIMEOUT",
-    "RuntimePolicy",
     "SiteReport",
-    "backoff_seconds",
     "run_supervised",
 ]

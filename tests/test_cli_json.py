@@ -183,22 +183,33 @@ class TestMalformedGraphFile:
             {"attributes": 1.5},
             {"vertices": 3},
             {"edges": 5},
+            # Bytes that are not UTF-8 (an executable's header).
+            pytest.param(b"\x7fELF\x02\x01\x01\x00\xff\xfe{}", id="non-utf8"),
         ],
     )
     def test_mine_exits_2_without_traceback(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(json.dumps(document))
         assert main(["mine", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        if isinstance(document, bytes):
+            assert str(path) in err
 
 
 RETIRED_FLAGS = [
     pytest.param(["--construction", "partitioned"], id="partitioned-construction"),
     pytest.param(["--construction-workers", "2"], id="construction-workers"),
     pytest.param(["--mask-backend", "numpy"], id="numpy-backend"),
+    pytest.param(["--worker-timeout", "5"], id="worker-timeout"),
+    pytest.param(["--max-task-retries", "0"], id="max-task-retries"),
+    pytest.param(["--on-worker-failure", "raise"], id="on-worker-failure"),
+    pytest.param(["--fault-plan", "{}"], id="fault-plan"),
 ]
 # ``bench`` has no ``--scope``; the retired scope value is a mine-only row.
 RETIRED_MINE_FLAGS = [

@@ -5,13 +5,19 @@ Two contracts:
 * the pause itself: a run started with the collector enabled starts no
   collection, leaves no young backlog and hands the collector back
   enabled, also when a stage raises; a caller that disabled the
-  collector, or holds frozen objects, finds its state as it left it;
+  collector, or holds frozen objects, finds its state as it left it.
+  The other two steps of ``mine --json``, ``load_json`` and
+  ``CSPMResult.to_json``, start no collection either;
 * the invariant that makes the pause safe: with the collector off, a
-  run leaves nothing for ``gc.collect()`` to find, on every execution
-  path, so pausing it never lets garbage pile up.
+  run, a graph load or a result serialisation leaves nothing for
+  ``gc.collect()`` to find, on every execution path, so pausing it
+  never lets garbage pile up.
 """
 
 import gc
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +27,7 @@ from repro.core.collector import paused_collector
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
+from repro.graphs.io import load_json, save_json, to_json_dict
 from repro.perf.suite import pokec_sparse_graph, sparse_scaling_graph
 
 
@@ -95,12 +102,30 @@ def batch_graphs():
     return graphs
 
 
+def mine_json_steps(tmp_path):
+    """The three steps of ``mine --json`` on one graph, as calls.
+
+    The graph is large enough that each step, run with the collector
+    on, would start collections.
+    """
+    graph = pokec_sparse_graph(40)
+    path = tmp_path / "graph.json"
+    save_json(graph, path)
+    pipeline = MiningPipeline.default(CSPMConfig())
+    result = pipeline.run_context(graph).result
+    return {
+        "load_json": lambda: load_json(path).num_vertices,
+        "run_context": lambda: pipeline.run_context(graph).result.astars,
+        "to_json": result.to_json,
+    }
+
+
 class TestPause:
-    def test_a_run_starts_no_collection(self, enabled_collector):
-        graph = pokec_sparse_graph(8)
-        pipeline = MiningPipeline.default(CSPMConfig())
-        started, context = collections_during(lambda: pipeline.run_context(graph))
-        assert context.result.astars
+    @pytest.mark.parametrize("step", ["load_json", "run_context", "to_json"])
+    def test_a_run_starts_no_collection(self, enabled_collector, tmp_path, step):
+        call = mine_json_steps(tmp_path)[step]
+        started, value = collections_during(call)
+        assert value
         assert started == []
 
     def test_a_run_leaves_no_young_backlog(self, enabled_collector):
@@ -204,6 +229,22 @@ def run_batch():
     assert not batch.errors
 
 
+def run_load_json():
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "graph.json"
+        # Written without ``indent``: the indenting encoder (pure
+        # Python) leaves a few closure cycles of its own behind.
+        path.write_text(json.dumps(to_json_dict(sparse_scaling_graph(6))))
+        assert load_json(path).num_vertices
+
+
+def run_to_json():
+    context = MiningPipeline.default(CSPMConfig()).run_context(
+        sparse_scaling_graph(6)
+    )
+    assert context.result.to_json()
+
+
 #: One run per execution path; each must leave no cyclic garbage.
 RUNS = {
     "paper": run_pipeline(paper_running_example),
@@ -217,6 +258,8 @@ RUNS = {
     "traced": run_pipeline(lambda: sparse_scaling_graph(4), trace=True, metrics=True),
     "raising-stage": run_raising,
     "fit-many-process": run_batch,
+    "load-json": run_load_json,
+    "to-json": run_to_json,
 }
 
 

@@ -81,6 +81,12 @@ class TestRoundTrip:
             CSPMConfig.from_dict({"method": "basic", "typo_field": 1})
         with pytest.raises(ConfigError, match="construction"):
             CSPMConfig.from_dict({"construction": "partitioned"})
+        # The retired supervisor knobs are unknown fields now.
+        for retired in (
+            "worker_timeout", "max_task_retries", "on_worker_failure", "fault_plan"
+        ):
+            with pytest.raises(ConfigError, match=retired):
+                CSPMConfig.from_dict({retired: None})
         for not_a_mapping in (5, [], "method", None):
             with pytest.raises(ConfigError, match="config must be an object"):
                 CSPMConfig.from_dict(not_a_mapping)

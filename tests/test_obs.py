@@ -40,7 +40,7 @@ from repro.obs import (
     emit_run_trace,
 )
 from repro.pipeline import MiningPipeline
-from repro.runtime import FaultEvent, FaultPlan
+from repro.runtime import ENV_VAR
 
 
 class FakeClock:
@@ -59,10 +59,9 @@ class FakeClock:
         self.now += seconds
 
 
-def crash_plan(site, times=1):
-    return FaultPlan(
-        events=(FaultEvent(site=site, index=0, kind="crash", times=times),)
-    )
+def crash_plan(site):
+    """The JSON text of a plan that crashes task 0 of ``site``."""
+    return json.dumps({"events": [{"site": site, "index": 0, "kind": "crash"}]})
 
 
 def two_component_graph():
@@ -464,15 +463,13 @@ class TestPipelineSpans:
         assert set(attrs["build.rows"]) == {"coresets"}
         assert attrs["build.rows"]["coresets"] > 0
 
-    def test_supervised_run_adopts_worker_lanes_and_retry_instants(self):
+    def test_supervised_run_adopts_worker_lanes_and_degrade_instants(
+        self, monkeypatch
+    ):
         # Two components, so the sharded search runs a real pool.
         graph = two_component_graph()
-        config = CSPMConfig(
-            trace=True,
-            search="sharded",
-            search_workers=2,
-            fault_plan=crash_plan("search"),
-        )
+        config = CSPMConfig(trace=True, search="sharded", search_workers=2)
+        monkeypatch.setenv(ENV_VAR, crash_plan("search"))
         context = MiningPipeline.default(config).run_context(graph)
         tracer = context.obs.tracer
         lanes = [lane for _pid, lane, _spans in tracer.adopted]
@@ -481,10 +478,10 @@ class TestPipelineSpans:
             assert all(
                 record[0] == "search.component" for record in spans
             )
-        assert "supervisor.retry" in [
+        assert "supervisor.degrade" in [
             record[0] for record in tracer.events
         ]
-        assert "supervisor.round" in [
+        assert "supervisor.pool" in [
             record[0] for record in tracer.spans
         ]
 
@@ -504,30 +501,27 @@ class TestTracedBitExactness:
         # progress writes to stderr; the signature must still match.
         assert run_signature(traced) == run_signature(reference)
 
-    def test_sharded_search_traced_under_crash(self):
+    def test_sharded_search_traced_under_crash(self, monkeypatch):
         graph = planted(seed=13)
         reference = CSPM().fit(graph)
+        monkeypatch.setenv(ENV_VAR, crash_plan("search"))
         traced = CSPM(
             config=CSPMConfig(
                 trace=True,
                 metrics=True,
                 search="sharded",
                 search_workers=2,
-                fault_plan=crash_plan("search"),
             )
         ).fit(graph)
         assert run_signature(traced) == run_signature(reference)
 
-    def test_fit_many_process_traced_under_crash(self):
+    def test_fit_many_process_traced_under_crash(self, monkeypatch):
         graphs = [paper_running_example(), planted(seed=17)]
         serial = fit_many(graphs, CSPMConfig())
+        monkeypatch.setenv(ENV_VAR, crash_plan("batch"))
         traced = fit_many(
             graphs,
-            CSPMConfig(
-                trace=True,
-                metrics=True,
-                fault_plan=crash_plan("batch"),
-            ),
+            CSPMConfig(trace=True, metrics=True),
             n_jobs=2,
             executor="process",
         )

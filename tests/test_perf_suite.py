@@ -10,6 +10,7 @@ import json
 import pytest
 from oracles import naive_search
 
+from repro.graphs.attributed_graph import AttributedGraph
 from repro.perf.suite import (
     SCHEMA_VERSION,
     _measure_size,
@@ -46,7 +47,7 @@ class TestMeasureSize:
         assert tiny_entry["runs"]["basic/overlap"]["peak_queue_size"] == 0
 
     def test_schema_version_and_lazy_counters(self, tiny_entry):
-        assert SCHEMA_VERSION == 9
+        assert SCHEMA_VERSION == 10
         partial = tiny_entry["runs"]["partial/overlap"]
         # Partial runs use (and record) the library default scope, and
         # the bound-driven refresh skips at least something on any
@@ -83,6 +84,30 @@ class TestMeasureSize:
         document = run_suite(quick=True, only=["usflight"])
         assert "construction" not in document
         assert "construction_workers" not in document
+
+    def test_schema_v10_drops_runtime_knobs(self):
+        # The supervisor has no knobs left to record, and a sharded run
+        # that opened a pool records its re-run tasks but no retries.
+        document = run_suite(quick=True, only=["usflight"])
+        for key in (
+            "fault_plan", "worker_timeout", "max_task_retries", "on_worker_failure"
+        ):
+            assert key not in document
+        two_parts = AttributedGraph.from_edges(
+            edges=[(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)],
+            attributes={
+                1: {"a", "b"}, 2: {"a", "b"}, 3: {"a"},
+                4: {"c", "d"}, 5: {"c", "d"}, 6: {"c"},
+            },
+        )
+        entry = _measure_size(
+            two_parts, "two-parts", run_basic_too=False,
+            search="sharded", search_workers=2,
+        )
+        assert entry["num_components"] == 2
+        run = entry["runs"]["partial/overlap"]
+        assert run["degraded_tasks"] == []
+        assert "retries" not in run
 
     def test_schema_v9_entry_keys(self, tiny_entry):
         # No full-scan runs, hence no full/overlap wall-clock ratios.
