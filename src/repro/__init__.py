@@ -13,8 +13,8 @@ The package is organised around the paper's pipeline:
     The paper's primary contribution: the inverted database, MDL
     accounting, the CSPM-Basic and CSPM-Partial search procedures, and
     the a-star scoring module (Algorithm 5).  Position masks are
-    pluggable (``repro.core.masks``): whole-graph bigint bitmaps or a
-    sparse chunked representation for paper-scale graphs — both mining
+    pluggable (``repro.core.masks``): Python-int bitmaps or a sparse
+    chunked representation for paper-scale graphs — both mining
     bit-identical models (``CSPMConfig(mask_backend=...)``, default
     ``"auto"``).
 ``repro.config`` / ``repro.pipeline`` / ``repro.batch``
@@ -95,7 +95,7 @@ from repro.errors import (
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "AStar",

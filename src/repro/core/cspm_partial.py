@@ -32,7 +32,8 @@ Two update scopes are provided:
       just materialised, and every gain term requires a non-empty
       positional intersection — so a participant pair whose positions
       are disjoint from the rows the merge touched is provably
-      unchanged and its refresh is skipped with one mask AND.
+      unchanged and its refresh is skipped with one mask AND per
+      touched coreset.
 
     The result is exactly CSPM-Basic's merge sequence, with
     bit-identical DL accounting — the equivalence suites assert it
@@ -352,34 +353,31 @@ def _update_lazy(
     participants and the new leafset — against every leafset under a
     touched coreset, plus the subset-union pairs) but skips the pairs
     whose gain provably did not change for the better.
-    The union-level tests are answered in bulk (one
+    The union test is answered in bulk (one
     :meth:`~repro.core.masks.base.MaskBackend.overlaps_many` call per
-    focus leafset over all its untested partners), survivors face a
-    per-coreset confirmation, and queue insertions are applied as one
-    batch per focus leafset:
+    focus leafset over all its untested partners), survivors face the
+    touched test, and queue insertions are applied as one batch per
+    focus leafset:
 
     * current union masks disjoint — every per-coreset intersection is
       empty, the gain is exactly zero; a queued entry is dropped.
-    * the related leafset's positions are disjoint from the rows the
-      merge touched (:attr:`MergeOutcome.touched_row_unions`) — every
-      gain term that existed before the merge still has the same
-      per-coreset state, so the gain is unchanged; a queued entry keeps
-      its stored value (still a sound upper bound from its own
-      validation epoch), an absent pair stays provably non-positive.
-    * the per-coreset refinement of the same test
-      (:attr:`MergeOutcome.touched_core_rows`): every gain term is
-      gated on a non-empty *same-coreset* intersection, so a pair whose
-      partner rows are disjoint from the focus leafset's role rows at
-      every touched coreset is unchanged even when the whole-union
-      masks collide across coresets (each vertex keeps one global bit,
-      so the union test conflates coresets).
+    * the partner's rows are disjoint from the focus leafset's rows
+      the merge touched (:attr:`MergeOutcome.touched_core_rows`), each
+      compared at its own coreset — every gain term is gated on a
+      non-empty same-coreset intersection, so every term that existed
+      before the merge still has the same per-coreset state and the
+      gain is unchanged; a queued entry keeps its stored value (still
+      a sound upper bound from its own validation epoch), an absent
+      pair stays provably non-positive.  By the cover invariant
+      (:mod:`repro.core.inverted_db`) this is the same answer a test
+      of the partner's union against the touched rows' vertices gives.
 
     Pairs not involving a merge participant are never refreshed at all:
     their gain can only fall (only ``fe`` shrank), so their stored
     gains remain upper bounds and the queue-head revalidation in
     :func:`run_partial` settles them if they ever surface.  Returns the
-    number of gain computations; every skip — union-level or
-    per-coreset — is counted on ``trace``.
+    number of gain computations; every skip, by either test, is
+    counted on ``trace``.
     """
     gains = 0
     ids = db.interner.ids
@@ -400,17 +398,15 @@ def _update_lazy(
     overlaps = backend.union_overlaps
     overlaps_many = backend.overlaps_many
     rows_of = db.rows_of
-    touched_unions = outcome.touched_row_unions
     touched_rows = outcome.touched_core_rows
     queue = state.queue
     refreshed = set()
     for leaf_id in sorted(focus):
         leaf = leafset_of(leaf_id)
-        touched_mask = touched_unions.get(leaf)
         role_rows = touched_rows.get(leaf, ())
         leaf_union = union_of(leaf)
         # Gather this focus leafset's untested partners, then answer
-        # both union-level skip tests for the whole batch at once.
+        # the union test for the whole batch at once.
         keys: List[int] = []
         rel_leaves: List[LeafKey] = []
         for rel in rel_ids:
@@ -426,19 +422,11 @@ def _update_lazy(
             continue
         rel_unions = [union_of(rel_leaf) for rel_leaf in rel_leaves]
         alive = overlaps_many(leaf_union, rel_unions)
-        touched = (
-            overlaps_many(touched_mask, rel_unions)
-            if touched_mask is not None
-            else None
-        )
         additions: List[Tuple[int, float, object]] = []
         for index, key in enumerate(keys):
             if not alive[index]:
                 if key in queue:
                     state.drop_candidate(key)
-                trace.refreshes_skipped += 1
-                continue
-            if touched is None or not touched[index]:
                 trace.refreshes_skipped += 1
                 continue
             rel_leaf = rel_leaves[index]

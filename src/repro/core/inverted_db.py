@@ -7,17 +7,19 @@ cover.  Initially every row is a one-leaf-value a-star; CSPM mines by
 repeatedly *merging* two leafsets, which moves the common positions of
 each shared coreset into a new ``SLx | SLy`` row.
 
-Positions are stored as bitmasks over a fixed vertex order — the
-co-occurrence counts behind Eq. 9-15 are position-set intersections,
-and AND+popcount on machine words is what keeps gain computation fast
-at Pokec scale.  The mask *representation* is pluggable
-(:mod:`repro.core.masks`): whole-graph Python ints (``bigint``, the
-default) or sparse dict-of-chunk bitmaps (``chunked``) — bit-exact
-interchangeable, selected per database at construction.  The
-vertex->bit table is assigned once per construction (in first-touch
-order over repr-sorted coresets, so community positions land in
-adjacent bits) and shared by every mask the database owns; nothing
-adds a position after construction, so the order never changes.
+Positions are stored as bitmasks — the co-occurrence counts behind
+Eq. 9-15 are position-set intersections, and AND+popcount on machine
+words is what keeps gain computation fast at Pokec scale.  Every gain
+term and every merge intersects two rows of one coreset, so a row mask
+is **coreset-local**: bit ``i`` is the ``i``-th vertex of the
+coreset's position list ``_core_members[core]``.  A leafset's union
+mask spans its coresets, so it uses the vertex->bit table instead
+(first-touch order over repr-sorted coresets, so community positions
+land in adjacent bits).  Both are fixed at construction.  The mask
+*representation* is pluggable (:mod:`repro.core.masks`): Python ints
+(``bigint``, the default) or sparse dict-of-chunk bitmaps
+(``chunked``) — bit-exact interchangeable, selected per database at
+construction.
 
 Each row lives once, in ``_leaf_rows``: leafset -> ``{coreset: (mask,
 frequency)}``.  A leafset's row map keeps insertion order — coresets in
@@ -26,9 +28,9 @@ and the gain engine sums its terms in that order, so the order is part
 of the float contract.  The only reverse index is ``_core_leaf_ids``,
 each coreset's ascending interned leafset ids.
 
-Construction itself is **columnar**: phase 1 plans the iteration and
-assigns vertex bits, phase 2 collects, per ``(coreset, leafset)`` row,
-the full sorted bit list and materialises the rows with bulk
+Construction itself is **columnar**: phase 1 plans the iteration,
+phase 2 collects, per ``(coreset, leafset)`` row, the full sorted
+local-bit list and materialises the rows with bulk
 ``MaskBackend.make_batch`` calls, taking row frequencies from batch
 lengths instead of per-bit increments.  The construction equivalence
 suite pins it to a one-triple-at-a-time reference builder,
@@ -38,6 +40,13 @@ Invariants maintained by this class (checked by :meth:`validate`):
 
 * for a given coreset and vertex, each adjacent leaf value is covered
   by exactly one row (cover uniqueness);
+* the **cover invariant**: at each vertex, the leafsets whose rows
+  contain it are the same under every coreset present there — initial
+  rows list the whole neighbourhood under each coreset, and a merge
+  moves a vertex under all of its coresets at once.  So each row is
+  its leafset's union restricted to the coreset's positions, two
+  unions overlap exactly when rows of a common coreset do, and a merge
+  moves exactly the intersection of the two unions;
 * ``coreset_frequency[Sc] == sum of row frequencies of Sc`` at all
   times (the paper's note that ``sum_i l_ij == c_j``);
 * position sets are never empty (empty rows are dropped).
@@ -88,25 +97,17 @@ class MergeOutcome:
     (``leafset_sort_key`` order); the merge moved positions under
     exactly these.
 
-    ``touched_row_unions`` maps each participating leafset (the two
-    merged leafsets and the merged result) to the union bitmask of its
-    rows under the *touched* coresets — for the survivors the pre-merge
-    rows, for the new leafset the post-merge rows (which contain the
-    pre-merge ones).  A third leafset's gain against a participant can
-    only have changed if its positions intersect this mask (every gain
-    term requires a non-empty per-coreset intersection), which is what
-    lets the lazy refresh skip provably-unchanged pairs with one AND.
-    The masks are values of the owning database's mask backend.
-
-    ``touched_core_rows`` is the per-coreset refinement of the same
-    information: for each participating leafset, the list of
-    ``(coreset, row mask)`` pairs over the touched coresets — the
-    survivors' *pre-merge* rows (which contain their post-merge
-    remainders), the new leafset's *post-merge* rows.  A pair's gain
-    can only have changed if some touched coreset's role row intersects
-    the partner's row *at that same coreset*, which is strictly sharper
-    than the whole-union test.  Masks are references into the merge's
-    own working values — never mutated, safe to hold.
+    ``touched_core_rows`` maps each participating leafset (the two
+    merged leafsets and the merged result) to its ``(coreset, row
+    mask)`` pairs over the touched coresets — the survivors'
+    *pre-merge* rows (which contain their post-merge remainders), the
+    new leafset's *post-merge* rows.  Every gain term requires a
+    non-empty same-coreset intersection, so a third leafset's gain
+    against a participant can only have changed if its row intersects
+    one of these at that same coreset: the lazy refresh's touched
+    test.  Masks are coreset-local values of the owning database's
+    backend, references into the merge's own working values — never
+    mutated, safe to hold.
     """
 
     leaf_x: LeafKey
@@ -114,7 +115,6 @@ class MergeOutcome:
     new_leafset: LeafKey
     touched_coresets: List[CoreKey] = field(default_factory=list)
     removed_leafsets: Set[LeafKey] = field(default_factory=set)
-    touched_row_unions: Dict[LeafKey, Mask] = field(default_factory=dict)
     touched_core_rows: Dict[LeafKey, List[Tuple[CoreKey, Mask]]] = field(
         default_factory=dict
     )
@@ -143,13 +143,15 @@ class InvertedDatabase:
             mask_backend if mask_backend is not None else BigintMaskBackend()
         )
         # The one row store: leafset -> {coreset: (mask, frequency)}.
-        # The frequency is the mask's popcount, kept so gain evaluation
-        # reads an int.  Gain terms accumulate in each row map's
-        # insertion order, so it must be deterministic and survive
-        # copies; a leafset with no rows has no entry.
+        # The mask is coreset-local (bit i is _core_members[core][i]);
+        # the frequency is its popcount, kept so gain evaluation reads
+        # an int.  Gain terms accumulate in each row map's insertion
+        # order, so it must be deterministic and survive copies; a
+        # leafset with no rows has no entry.
         self._leaf_rows: Dict[LeafKey, Dict[CoreKey, Tuple[Mask, int]]] = {}
         self._core_freq: Dict[CoreKey, int] = {}
-        self._vertex_ids: List[Vertex] = []
+        # Each coreset's positions: local bit i names members[i].
+        self._core_members: Dict[CoreKey, List[Vertex]] = {}
         self._vertex_bit: Dict[Vertex, int] = {}
         # Union of a leafset's row positions over all its coresets.
         # Disjoint unions imply zero gain, which lets candidate
@@ -252,23 +254,23 @@ class InvertedDatabase:
         vertex: Vertex,
         neighbor_values: Callable[[Vertex], FrozenSet[Value]],
         ordinal_of: Dict[Value, int],
-    ) -> Tuple:
-        """First-encounter record: ``(bit, ordinals, [bit]*k)`` or ``()``.
+        union_bits: List[List[int]],
+    ) -> List[int]:
+        """First-encounter record: the vertex's neighbour-value ordinals.
 
-        Bit assignment happens here, at a vertex's first encounter in
-        plan order over per-coreset member order, and only for vertices
-        with neighbour values.
+        Called once per vertex, at its first encounter in plan order
+        over per-coreset member order.  A vertex with neighbour values
+        gets the next vertex bit here, which joins the union bit list of
+        each of its values, so every list comes out ascending.
         """
         values = neighbor_values(vertex)
         if not values:
-            return ()
-        bit = self._vertex_bit.get(vertex)
-        if bit is None:
-            bit = len(self._vertex_ids)
-            self._vertex_bit[vertex] = bit
-            self._vertex_ids.append(vertex)
+            return []
+        bit = self._vertex_bit[vertex] = len(self._vertex_bit)
         ordinals = [ordinal_of[value] for value in values]
-        return (bit, ordinals, [bit] * len(ordinals))
+        for ordinal in ordinals:
+            union_bits[ordinal].append(bit)
+        return ordinals
 
     @staticmethod
     def _dedupe_members(members: List[Vertex]) -> List[Vertex]:
@@ -292,16 +294,19 @@ class InvertedDatabase:
     def _build_rows(
         self, plan: Mapping[CoreKey, List[Vertex]], graph: AttributedGraph
     ) -> None:
-        """Phase 2, columnar: flat (core, leaf, bit) triple columns, one
-        sort per block, rows read off the group boundaries.
+        """Phase 2, columnar: flat (core, leaf, local bit) triple
+        columns, one sort per block, rows read off the group boundaries.
 
-        The collect loop does three C-level ``extend`` calls per
-        (coreset, vertex) pair instead of one dict probe per triple; a
+        The collect loop does C-level ``extend`` calls per (coreset,
+        vertex) pair instead of one dict probe per triple; the local bit
+        is the vertex's index in the coreset's position list, and a
         coreset's triple count is its frequency.  The sort then delivers
         every row's bit list already ascending and in global (coreset,
         leafset) order, so each leafset's row map receives its coresets
         in plan order.  Masks are built with bulk ``make_batch`` calls
-        and row frequencies are group lengths.
+        and row frequencies are group lengths.  A singleton leafset's
+        union is the vertex bits of every encountered vertex that has
+        its value as a neighbour value, collected at first encounter.
         """
         # Dense leaf ordinals in global ``_key_of`` order (for the
         # singleton leafsets of construction that is repr order of the
@@ -313,10 +318,11 @@ class InvertedDatabase:
         ordinal_rows: List[Dict[CoreKey, Tuple[Mask, int]]] = [
             {} for _ in ordered_values
         ]
+        union_bits: List[List[int]] = [[] for _ in ordered_values]
         neighbor_values = graph.neighbor_values
         make_batch = self._masks.make_batch
         core_freq = self._core_freq
-        vertex_rowinfo: Dict[Vertex, Tuple] = {}
+        vertex_ordinals: Dict[Vertex, List[int]] = {}
         core_keys: List[CoreKey] = []
         cores_flat: List[int] = []
         ords_flat: List[int] = []
@@ -376,38 +382,34 @@ class InvertedDatabase:
             members = self._dedupe_members(members)
             core_index = len(core_keys)
             core_keys.append(core_key)
+            positions: List[Vertex] = []
             before = len(ords_flat)
             for vertex in members:
-                info = vertex_rowinfo.get(vertex)
-                if info is None:
-                    info = vertex_rowinfo[vertex] = self._vertex_info(
-                        vertex, neighbor_values, ordinal_of
+                ordinals = vertex_ordinals.get(vertex)
+                if ordinals is None:
+                    ordinals = vertex_ordinals[vertex] = self._vertex_info(
+                        vertex, neighbor_values, ordinal_of, union_bits
                     )
-                if not info:
+                if not ordinals:
                     continue
-                ords_extend(info[1])
-                bits_extend(info[2])
+                ords_extend(ordinals)
+                bits_extend(repeat(len(positions), len(ordinals)))
+                positions.append(vertex)
             added = len(ords_flat) - before
             if added:
+                self._core_members[core_key] = positions
                 core_freq[core_key] = added
                 cores_extend(repeat(core_index, added))
                 if len(cores_flat) >= block_cap:
                     flush()
         flush()
-        # A union is the OR of the leafset's rows; a single-row leafset
-        # shares the row's mask value outright, which is safe because
-        # every post-construction mask operation is pure.
-        or_ = self._masks.or_
-        for value, rows in zip(ordered_values, ordinal_rows):
-            if not rows:
-                continue
-            leaf = frozenset((value,))
-            self._leaf_rows[leaf] = rows
-            masks = iter(rows.values())
-            union = next(masks)[0]
-            for mask, _frequency in masks:
-                union = or_(union, mask)
-            self._leaf_union[leaf] = union
+        for value, rows, union in zip(
+            ordered_values, ordinal_rows, make_batch(union_bits)
+        ):
+            if rows:
+                leaf = frozenset((value,))
+                self._leaf_rows[leaf] = rows
+                self._leaf_union[leaf] = union
 
     def _finalise_construction(self) -> None:
         """The epilogue of :meth:`from_graph`.
@@ -439,9 +441,10 @@ class InvertedDatabase:
                     ids.append(leaf_id)
         return id_lists
 
-    def _to_vertices(self, mask: Mask) -> FrozenSet[Vertex]:
-        ids = self._vertex_ids
-        return frozenset(ids[bit] for bit in self._masks.iter_bits(mask))
+    def _to_vertices(self, core: CoreKey, mask: Mask) -> FrozenSet[Vertex]:
+        """The vertices of a row mask of ``core``."""
+        members = self._core_members[core]
+        return frozenset(members[bit] for bit in self._masks.iter_bits(mask))
 
     # ------------------------------------------------------------------
     # Read access
@@ -458,7 +461,7 @@ class InvertedDatabase:
         """Iterate ``(coreset, leafset, positions)`` over all rows."""
         for leaf, rows in self._leaf_rows.items():
             for core, (mask, _frequency) in rows.items():
-                yield core, leaf, self._to_vertices(mask)
+                yield core, leaf, self._to_vertices(core, mask)
 
     def row_items(self) -> Iterator[Tuple[CoreKey, LeafKey, int]]:
         """Iterate ``(coreset, leafset, frequency)`` without decoding."""
@@ -471,8 +474,9 @@ class InvertedDatabase:
 
         In the row map's insertion order, the order gain terms are
         summed in; empty for a leafset with no rows.  The masks are
-        values of :attr:`mask_backend`, read-only like every mask the
-        database hands out.
+        coreset-local values of :attr:`mask_backend` (bit ``i`` is the
+        coreset's ``i``-th position), so only masks of one coreset
+        combine; read-only like every mask the database hands out.
         """
         return self._leaf_rows.get(leaf, _NO_ROWS)
 
@@ -484,7 +488,7 @@ class InvertedDatabase:
     @property
     def num_position_bits(self) -> int:
         """Width of the vertex order (bits a whole-graph mask spans)."""
-        return len(self._vertex_ids)
+        return len(self._vertex_bit)
 
     @property
     def num_leafsets(self) -> int:
@@ -494,10 +498,10 @@ class InvertedDatabase:
     def vertex_bit_table(self) -> Mapping[Vertex, int]:
         """The shared vertex -> bit index table (do not mutate).
 
-        Precomputed once per construction; every mask the database owns
-        is expressed over this one order, so backends (and any external
-        mask consumer) can translate vertices to bits without touching
-        backend internals.
+        Precomputed once per construction; every leafset-union mask is
+        expressed over this one order (row masks are coreset-local), so
+        backends (and any external mask consumer) can translate
+        vertices to bits without touching backend internals.
         """
         return self._vertex_bit
 
@@ -513,19 +517,22 @@ class InvertedDatabase:
         return sum(map(self._masks.mask_bytes, self._masks_held()))
 
     def bigint_mask_bytes_estimate(self) -> int:
-        """What these same masks would cost on the bigint backend.
+        """What these masks would cost as whole-graph ints.
 
         The reference the perf suite's mask-memory reduction ratio is
-        measured against.  Each mask is priced at its actual bit span
-        (a Python int only pays up to its highest set bit), so this is
-        exactly the total ``BigintMaskBackend.mask_bytes`` would report
-        for an identical database — not an ``O(|V|)``-per-mask
-        overstatement.
+        measured against.  Each mask is priced as a Python int over the
+        vertex order at its actual span (an int pays only up to its
+        highest set bit): a union at its own span, a coreset-local row
+        at the largest vertex bit among its positions, plus one.
         """
-        span_of = self._masks.bit_span
-        return sum(
-            bigint_mask_bytes(max(1, span_of(mask))) for mask in self._masks_held()
-        )
+        masks = self._masks
+        spans = [masks.bit_span(union) for union in self._leaf_union.values()]
+        for rows in self._leaf_rows.values():
+            for core, (mask, _frequency) in rows.items():
+                members = self._core_members[core]
+                bits = [self._vertex_bit[members[i]] for i in masks.iter_bits(mask)]
+                spans.append(1 + max(bits))
+        return sum(bigint_mask_bytes(max(1, span)) for span in spans)
 
     @property
     def interner(self) -> LeafsetInterner:
@@ -593,7 +600,7 @@ class InvertedDatabase:
     def positions(self, core: CoreKey, leaf: LeafKey) -> FrozenSet[Vertex]:
         """Positions of row ``(core, leaf)`` (empty if absent)."""
         row = self._leaf_rows.get(leaf, _NO_ROWS).get(core)
-        return frozenset() if row is None else self._to_vertices(row[0])
+        return frozenset() if row is None else self._to_vertices(core, row[0])
 
     def row_frequency(self, core: CoreKey, leaf: LeafKey) -> int:
         """``fL`` of the row (0 if the row does not exist)."""
@@ -603,8 +610,9 @@ class InvertedDatabase:
     def row_mask(self, core: CoreKey, leaf: LeafKey) -> Optional[Mask]:
         """The row's raw position mask, or ``None`` when absent.
 
-        A backend value of :attr:`mask_backend` — read-only, like every
-        mask the database hands out.
+        A coreset-local value of :attr:`mask_backend` (see
+        :meth:`rows_of`) — read-only, like every mask the database
+        hands out.
         """
         row = self._leaf_rows.get(leaf, _NO_ROWS).get(core)
         return None if row is None else row[0]
@@ -641,8 +649,10 @@ class InvertedDatabase:
         For every common coreset ``e`` with a non-empty position
         intersection, the intersection moves into the row
         ``(e, leaf_x | leaf_y)`` and is removed from both source rows;
-        emptied rows are dropped.  Returns the :class:`MergeOutcome`
-        describing what happened.
+        emptied rows are dropped.  By the cover invariant the moved
+        vertices are exactly the intersection of the two leafsets'
+        unions, so the three unions change by set algebra alone.
+        Returns the :class:`MergeOutcome` describing what happened.
         """
         if leaf_x == leaf_y:
             raise MiningError("cannot merge a leafset with itself")
@@ -660,9 +670,6 @@ class InvertedDatabase:
         epoch = self._merge_index
         outcome = MergeOutcome(leaf_x=leaf_x, leaf_y=leaf_y, new_leafset=new_leaf)
         masks = self._masks
-        union_x = masks.empty()
-        union_y = masks.empty()
-        union_new = masks.empty()
         rows_new = leaf_rows.get(new_leaf)
         core_freq = self._core_freq
         core_rows_x: List[Tuple[CoreKey, Mask]] = []
@@ -678,8 +685,6 @@ class InvertedDatabase:
                 continue
             touched.append(core)
             self._core_epoch[core] = epoch
-            union_x = masks.or_(union_x, px)
-            union_y = masks.or_(union_y, py)
             core_rows_x.append((core, px))
             core_rows_y.append((core, py))
             if rows_new is None:
@@ -687,7 +692,6 @@ class InvertedDatabase:
             target = rows_new.get(core)
             if target is None:
                 rows_new[core] = (inter, count)
-                union_new = masks.or_(union_new, inter)
                 core_rows_new.append((core, inter))
                 insort(self._core_leaf_ids[core], new_id)
             else:
@@ -696,7 +700,6 @@ class InvertedDatabase:
                 # the key keeps its slot in the row map.
                 merged = masks.or_(target[0], inter)
                 rows_new[core] = (merged, target[1] + count)
-                union_new = masks.or_(union_new, merged)
                 core_rows_new.append((core, merged))
             # Each merged position replaces two row usages by one.
             core_freq[core] -= count
@@ -704,22 +707,15 @@ class InvertedDatabase:
                 (leaf_x, rows_x, px, xe),
                 (leaf_y, rows_y, py, ye),
             ):
-                remaining = masks.andnot(mask, inter)
-                if not masks.is_empty(remaining):
-                    rows[core] = (remaining, frequency - count)
+                if frequency != count:
+                    rows[core] = (masks.andnot(mask, inter), frequency - count)
                     continue
                 del rows[core]
                 self._core_leaf_ids[core].remove(intern(leaf))
                 if not rows:
                     del leaf_rows[leaf]
-                    del self._leaf_union[leaf]
                     outcome.removed_leafsets.add(leaf)
         if core_rows_new:
-            outcome.touched_row_unions = {
-                leaf_x: union_x,
-                leaf_y: union_y,
-                new_leaf: union_new,
-            }
             outcome.touched_core_rows = {
                 leaf_x: core_rows_x,
                 leaf_y: core_rows_y,
@@ -728,14 +724,17 @@ class InvertedDatabase:
             self._leaf_epoch[leaf_x] = epoch
             self._leaf_epoch[leaf_y] = epoch
             self._leaf_epoch[new_leaf] = epoch
-        # Refresh the union masks of the leafsets the merge touched.
-        for leaf in (leaf_x, leaf_y, new_leaf):
-            rows = leaf_rows.get(leaf)
-            if rows:
-                union = masks.empty()
-                for mask, _frequency in rows.values():
-                    union = masks.or_(union, mask)
-                self._leaf_union[leaf] = union
+            unions = self._leaf_union
+            moved = masks.and_(unions[leaf_x], unions[leaf_y])
+            for leaf in (leaf_x, leaf_y):
+                if leaf in leaf_rows:
+                    unions[leaf] = masks.andnot(unions[leaf], moved)
+                else:
+                    del unions[leaf]
+            previous = unions.get(new_leaf)
+            unions[new_leaf] = (
+                moved if previous is None else masks.or_(previous, moved)
+            )
         return outcome
 
     def leaf_union_mask(self, leaf: LeafKey) -> Mask:
@@ -755,30 +754,44 @@ class InvertedDatabase:
         """Check structural invariants; raise :class:`MiningError` if broken.
 
         Every row is non-empty with its popcount as frequency, every
-        leafset has rows, is interned and carries the union of its rows
-        (and only leafsets with rows carry one), coreset frequencies sum
-        their rows, and the per-coreset id lists equal the adjacency the
-        rows define.  With ``graph`` given, also checks losslessness for
-        singleton coresets: the union of rows reconstructs exactly the
-        initial (core value, vertex) -> adjacent-leaf-values relation.
+        leafset has rows and is interned, coreset frequencies sum their
+        rows, and the per-coreset id lists equal the adjacency the rows
+        define.  The cover invariant is checked through the unions: a
+        leafset's union, spread over the coresets present at each of its
+        vertices, must give exactly its rows (so only leafsets with rows
+        carry a union).  With ``graph`` given, also checks losslessness
+        for singleton coresets: the union of rows reconstructs exactly
+        the initial (core value, vertex) -> adjacent-leaf-values relation.
         """
         masks = self._masks
         recomputed: Dict[CoreKey, int] = {}
+        # Vertex bit -> the (coreset, local bit) slots of that vertex.
+        slots: Dict[int, List[Tuple[CoreKey, int]]] = {}
+        for core, members in self._core_members.items():
+            for local, vertex in enumerate(members):
+                slots.setdefault(self._vertex_bit[vertex], []).append((core, local))
         for leaf, rows in self._leaf_rows.items():
             if not rows:
                 raise MiningError(f"leafset {set(leaf)} has no rows")
             if leaf not in self._interner:
                 raise MiningError(f"leafset {set(leaf)} missing from interner")
-            union = masks.empty()
             for core, (mask, frequency) in rows.items():
                 if masks.is_empty(mask):
                     raise MiningError(f"empty row {(core, leaf)}")
                 if masks.popcount(mask) != frequency:
                     raise MiningError(f"stale row frequency for {(core, leaf)}")
                 recomputed[core] = recomputed.get(core, 0) + frequency
-                union = masks.or_(union, mask)
-            if not masks.equals(self.leaf_union_mask(leaf), union):
-                raise MiningError(f"stale union mask for leafset {set(leaf)}")
+            spread: Dict[CoreKey, Set[int]] = {core: set() for core in rows}
+            for bit in masks.iter_bits(self.leaf_union_mask(leaf)):
+                for core, local in slots.get(bit, ()):
+                    spread.setdefault(core, set()).add(local)
+            for core, local_bits in spread.items():
+                row = rows.get(core)
+                if row is None or set(masks.iter_bits(row[0])) != local_bits:
+                    raise MiningError(
+                        f"row {(core, leaf)} is not its leafset's union on "
+                        "the coreset's positions (cover invariant)"
+                    )
         extra = self._leaf_union.keys() - self._leaf_rows.keys()
         if extra:
             leaf = min(extra, key=_key_of)
@@ -835,7 +848,7 @@ class InvertedDatabase:
         db = InvertedDatabase(mask_backend=self._masks)
         db._leaf_rows = {leaf: dict(rows) for leaf, rows in self._leaf_rows.items()}
         db._core_freq = dict(self._core_freq)
-        db._vertex_ids = list(self._vertex_ids)
+        db._core_members = self._core_members
         db._vertex_bit = dict(self._vertex_bit)
         db._leaf_union = dict(self._leaf_union)
         db._interner = self._interner.copy()
@@ -859,9 +872,9 @@ class InvertedDatabase:
         frequencies, and a fresh interner whose first-sight ids are the
         repr-sorted order of the member leafsets — order-isomorphic to
         the parent's ids restricted to the set, so pair tie-breaks
-        agree.  Mask values, the vertex->bit table and the vertex order
-        are shared (all post-construction mask ops are pure).  Epochs
-        restart at zero.
+        agree.  Mask values, the coreset position lists and the
+        vertex->bit table are shared (all post-construction mask ops are
+        pure).  Epochs restart at zero.
 
         Raises :class:`MiningError` when the set is not coreset-closed
         (a merge outside the set could then change these rows' gains).
@@ -869,7 +882,7 @@ class InvertedDatabase:
         keep = set(leafsets)
         ordered = sorted(keep, key=_key_of)
         db = InvertedDatabase(mask_backend=self._masks)
-        db._vertex_ids = self._vertex_ids
+        db._core_members = self._core_members
         db._vertex_bit = self._vertex_bit
         leafset_of = self._interner.leafset_of
         for leaf in ordered:
@@ -916,7 +929,8 @@ class InvertedDatabase:
         merge epochs are translated.  ``ids`` must be increasing — true
         when merged leafsets were interned here in a merge order that
         keeps each component's own — so translated id lists stay sorted.
-        The vertex order and the interner stay this database's own.
+        The coreset position lists, the vertex order and the interner
+        stay this database's own.
         """
         leaf_rows: Dict[LeafKey, Dict[CoreKey, Tuple[Mask, int]]] = {}
         core_freq: Dict[CoreKey, int] = {}

@@ -6,7 +6,7 @@ bit-exactness contract.  Two backends ship:
 ========  ==========================================  =================
 name      representation                              best for
 ========  ==========================================  =================
-bigint    one whole-graph Python int per mask         small graphs
+bigint    one Python int per mask                     small graphs
 chunked   dict of non-empty fixed-width int chunks    paper-scale sparse
 ========  ==========================================  =================
 
@@ -34,7 +34,7 @@ from repro.errors import MiningError
 
 #: ``auto`` switches from bigint to chunked masks at this vertex count:
 #: below it a whole-graph int is a few machine words and unbeatable;
-#: above it per-row O(|V|) memory starts to dominate (measured in the
+#: above it per-union O(|V|) memory starts to dominate (measured in the
 #: perf suite's pokec-sparse family).
 AUTO_CHUNKED_MIN_BITS = 65536
 

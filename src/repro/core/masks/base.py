@@ -1,22 +1,23 @@
 """The position-mask backend protocol.
 
 The inverted database (paper, Section IV-B) stores every row's position
-set as a bitmask over a fixed vertex order, and all of Section V's
-machinery — gain terms (``xye`` co-occurrence counts), overlap-driven
-candidate generation, the lazy refresh's touched-row tests — reduces to
+set as a bitmask over its coreset's positions and every leafset's
+union over a fixed vertex order, and all of Section V's machinery —
+gain terms (``xye`` co-occurrence counts), overlap-driven candidate
+generation, the lazy refresh's touched-row tests — reduces to
 AND/OR/popcount on those masks.  The *representation* of a mask is a
 backend choice:
 
 ``bigint``
-    One Python integer spanning the whole vertex order (the seed's
-    representation).  Simplest and fastest on small graphs, but every
-    row pays ``O(|V|)`` memory and AND cost regardless of how few
-    positions it holds — the scale ceiling named on the ROADMAP.
+    One Python integer per mask (the seed's representation).
+    Simplest and fastest on small graphs, but a mask pays memory and
+    AND cost up to its highest set bit regardless of how few positions
+    it holds: ``O(|V|)`` for a union mask.
 ``chunked``
-    The vertex order is sharded into fixed-width blocks; a mask stores
-    only its non-empty chunks in a dict.  Sparse rows touch only their
+    The bit order is sharded into fixed-width blocks; a mask stores
+    only its non-empty chunks in a dict.  Sparse masks touch only their
     chunks, so memory and AND cost follow ``O(set bits)`` instead of
-    ``O(|V|)``.
+    the span.
 
 A backend is a *stateless* strategy object: masks are plain values
 (``int`` / ``dict``) interpreted through the backend that made them,
@@ -111,20 +112,15 @@ class MaskBackend:
         """
         raise NotImplementedError
 
-    def equals(self, a: Mask, b: Mask) -> bool:
-        """Exact equality of the two masks' bit sets."""
-        raise NotImplementedError
-
     def overlaps_many(self, mask: Mask, others: Sequence[Mask]) -> List[bool]:
         """``[union_overlaps(mask, other) for other in others]`` in bulk.
 
         The lazy refresh's batched skip test: one probe mask (a leaf
-        union or a touched-row union) is tested against every candidate
-        partner's union in a single call, so backends can amortise the
-        per-AND dispatch.  A pure read: neither ``mask`` nor any member
-        of ``others`` may be mutated.  The default implementation is
-        the scalar loop, so results are bit-exact across backends by
-        construction.
+        union) is tested against every candidate partner's union in a
+        single call, so backends can amortise the per-AND dispatch.  A
+        pure read: neither ``mask`` nor any member of ``others`` may be
+        mutated.  The default implementation is the scalar loop, so
+        results are bit-exact across backends by construction.
         """
         overlaps = self.union_overlaps
         return [overlaps(mask, other) for other in others]
@@ -159,9 +155,9 @@ class MaskBackend:
     def bit_span(self, mask: Mask) -> int:
         """Index of the highest set bit plus one (0 when empty).
 
-        The width a whole-graph big-int holding this mask would
-        actually occupy — what makes the bigint memory reference
-        honest instead of an O(|V|)-per-mask overstatement.
+        The width a big-int holding this mask would actually occupy —
+        what makes the bigint memory reference honest instead of an
+        O(|V|)-per-mask overstatement.
         """
         raise NotImplementedError
 

@@ -56,9 +56,6 @@ class BigintMaskBackend(MaskBackend):
     def union_overlaps(self, a: int, b: int) -> bool:
         return bool(a & b)
 
-    def equals(self, a: int, b: int) -> bool:
-        return a == b
-
     def or_(self, a: int, b: int) -> int:
         return a | b
 

@@ -1,18 +1,18 @@
 """The ``chunked`` mask backend: sparse dict-of-int-chunk bitmaps.
 
-The vertex order is sharded into fixed-width blocks
+The bit order is sharded into fixed-width blocks
 (:attr:`ChunkedMaskBackend.chunk_bits`, default 256) and a mask stores
 only its *non-empty* chunks in a ``{chunk_index: int}`` dict.  A sparse
-row holding ``k`` positions costs ``O(k)`` memory and its AND/popcount
-walks the smaller chunk map — independent of ``|V|``, which is what
+mask holding ``k`` bits costs ``O(k)`` memory and its AND/popcount
+walks the smaller chunk map — independent of the span, which is what
 makes paper-scale graphs (pokec, 1.6M vertices) feasible: a
-whole-graph bigint mask costs ~200 KB per row there, a chunked mask of
-a 25-vertex community row costs one chunk.
+whole-graph bigint mask costs ~200 KB per leafset union there.
 
-Locality matters: ``InvertedDatabase.from_graph`` assigns vertex bits
-in first-touch order over repr-sorted coresets, so the positions of a
-community-structured coreset land in adjacent bits and typically share
-a single chunk — intersections then touch one dict slot.
+Locality matters: row masks are coreset-local, so a coreset of at most
+``chunk_bits`` positions keeps each of its rows in one chunk, and
+``InvertedDatabase.from_graph`` assigns vertex bits in first-touch
+order over repr-sorted coresets, so a community-structured leafset's
+union covers few chunks — intersections then touch few dict slots.
 
 All counts are exact, so mining output is bit-identical to the bigint
 backend (asserted by the equivalence suite).
@@ -105,9 +105,6 @@ class ChunkedMaskBackend(MaskBackend):
             if other is not None and word & other:
                 return True
         return False
-
-    def equals(self, a: ChunkMask, b: ChunkMask) -> bool:
-        return a == b
 
     def or_(self, a: ChunkMask, b: ChunkMask) -> ChunkMask:
         if len(a) < len(b):

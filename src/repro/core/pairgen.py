@@ -19,17 +19,16 @@ enumeration strategies produce the identical candidate set:
 * **mask sweep** — test every leafset pair with a single AND of the
   leaf-union masks.  Cost ``O(|SL|^2)`` cheap word ops.
 
-The two are equivalent because for databases built by
-``InvertedDatabase.from_graph`` the per-vertex cover is identical
-across every coreset present at a vertex (initial rows list the whole
-neighbourhood for each coreset, and a merge moves a vertex in all of
-its coresets simultaneously).  Hence overlapping *union* masks at some
-vertex ``v`` imply both leafsets have rows containing ``v`` under each
-coreset of ``v`` — a common coreset with positionally overlapping rows
-— while the converse is immediate.  :func:`overlap_pairs` picks
-whichever strategy is cheaper for the current adjacency (sparse
-many-community graphs -> walk; small dense value universes -> sweep),
-so generation cost is ``~min(sum deg^2, |SL|^2)``.
+The two are equivalent by the cover invariant of
+:mod:`repro.core.inverted_db` (at a vertex, the leafsets whose rows
+contain it are the same under every coreset present there): union
+masks overlapping at some vertex ``v`` imply both leafsets have rows
+containing ``v`` under each coreset of ``v`` — a common coreset with
+positionally overlapping rows — while the converse is immediate.
+:func:`overlap_pairs` picks whichever strategy is cheaper for the
+current adjacency (sparse many-community graphs -> walk; small dense
+value universes -> sweep), so generation cost is
+``~min(sum deg^2, |SL|^2)``.
 
 Pairs are returned as ascending packed keys, the exact order
 :func:`repro.core.candidates.enumerate_pairs` yields under the same

@@ -58,9 +58,10 @@ over workers (plus the synthetic clean re-pops), ``gains_computed``
 flushes a single global pending counter at each merge,
 ``initial_candidate_gains`` sums over workers (no overlapping pair
 crosses components, since overlapping leaf-union masks at a vertex
-imply a common coreset — the invariant of :mod:`repro.core.pairgen`),
-and ``peak_queue_size`` is the high-water mark of the summed component
-queue sizes, rebuilt from each decision's local window peak.
+imply a common coreset — the cover invariant of
+:mod:`repro.core.inverted_db`), and ``peak_queue_size`` is the
+high-water mark of the summed component queue sizes, rebuilt from each
+decision's local window peak.
 
 The fork/initializer/in-process triad (docs/INVARIANTS.md, family 3):
 workers receive the database by fork inheritance where possible, and

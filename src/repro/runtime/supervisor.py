@@ -10,7 +10,8 @@ the pool failed.
   task instead of wedging the run;
 * **crash detection** — a dead worker surfaces as
   ``BrokenProcessPool`` on every unfinished future, with no word of
-  *which* task killed it, so every unfinished task counts as failed;
+  *which* task killed it, so every unfinished task counts as failed,
+  while the crash itself is counted once per broken pool;
 * **in-process re-run** — a task that crashed, timed out, raised, or
   returned the wrong type runs again in the parent, with the worker
   state it already holds.  Every parallel path here is pinned
@@ -146,8 +147,13 @@ def run_supervised(
                 broken = True
                 continue
             except BrokenProcessPool:
-                obs.metrics.counter("runtime.worker_crashes").inc(1, site=site)
-                _fail(index, "worker process died")
+                # Every unfinished future re-raises the one crash that
+                # broke the pool: count and name it at the first only.
+                if broken:
+                    _fail(index, "pool broken by worker crash")
+                else:
+                    obs.metrics.counter("runtime.worker_crashes").inc(1, site=site)
+                    _fail(index, "worker process died")
                 broken = True
                 continue
             except BaseException as exc:  # repro: noqa[RES002] supervisor boundary

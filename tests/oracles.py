@@ -60,11 +60,14 @@ def triples_database(graph, coreset_positions=None, mask_backend=None):
 
     Coresets are walked in ``leafset_sort_key`` order (keys that
     collapse to one frozenset pool their members) and each coreset's
-    members in repr order.  A vertex gets the next bit at its first
-    encounter, if it has neighbour values.  Every ``(coreset, vertex,
-    leaf value)`` triple adds the vertex's bit to a plain set; each row
-    and union mask is then made once with ``backend.make``, and each
-    leafset's row map receives its coresets in walk order.
+    members in repr order.  A vertex with neighbour values gets the next
+    vertex bit at its first encounter anywhere, and the next local bit
+    of a coreset at its first encounter in that coreset, which also
+    appends it to the coreset's position list.  Every ``(coreset,
+    vertex, leaf value)`` triple adds the local bit to its row's plain
+    set and the vertex bit to its leafset's; each row and union mask is
+    then made once with ``backend.make``, and each leafset's row map
+    receives its coresets in walk order.
     """
     db = InvertedDatabase(mask_backend=mask_backend)
     make = db.mask_backend.make
@@ -79,23 +82,26 @@ def triples_database(graph, coreset_positions=None, mask_backend=None):
     ):
         plan.setdefault(frozenset(coreset), []).extend(sorted(vertices, key=repr))
     row_bits = {}
+    union_bits = {}
     for core, members in plan.items():
+        local_of = {}
         for vertex in members:
             values = graph.neighbor_values(vertex)
             if not values:
                 continue
-            bit = db._vertex_bit.setdefault(vertex, len(db._vertex_ids))
-            if bit == len(db._vertex_ids):
-                db._vertex_ids.append(vertex)
+            bit = db._vertex_bit.setdefault(vertex, len(db._vertex_bit))
+            local = local_of.setdefault(vertex, len(local_of))
+            if local == len(db._core_members.setdefault(core, [])):
+                db._core_members[core].append(vertex)
             for value in values:
-                row_bits.setdefault((core, frozenset([value])), set()).add(bit)
-    union_bits = {}
+                leaf = frozenset([value])
+                row_bits.setdefault((core, leaf), set()).add(local)
+                union_bits.setdefault(leaf, set()).add(bit)
     core_to_leaves = {}
     for (core, leaf), bits in row_bits.items():
         db._leaf_rows.setdefault(leaf, {})[core] = (make(sorted(bits)), len(bits))
         db._core_freq[core] = db._core_freq.get(core, 0) + len(bits)
         core_to_leaves.setdefault(core, set()).add(leaf)
-        union_bits.setdefault(leaf, set()).update(bits)
     for leaf, bits in union_bits.items():
         db._leaf_union[leaf] = make(sorted(bits))
     db._interner.intern_all(sorted(db._leaf_rows, key=leafset_sort_key))

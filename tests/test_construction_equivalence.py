@@ -3,8 +3,8 @@
 The columnar batch builder (``InvertedDatabase.from_graph``) must
 reproduce the reference builder (``tests/oracles.py::triples_database``
 — one (coreset, vertex, leaf-value) triple at a time) *exactly*:
-identical row masks, row frequencies, interner ids, each leafset's
-row-map order, snapshots, leaf unions and initial
+identical row masks, row frequencies, coreset position lists, interner
+ids, each leafset's row-map order, snapshots, leaf unions and initial
 ``description_length`` floats, on every mask backend including the
 64- and 1024-bit-chunk variants, and on the edge-case inputs the
 generator never produces.  The vectorised grouping's block boundaries
@@ -99,6 +99,8 @@ def fingerprint(db):
             for leaf in sorted(db.leafsets(), key=repr)
         },
         dict(db.vertex_bit_table()),
+        # Each coreset's position list: the vertices its local bits name.
+        db._core_members,
         {
             leaf: frozenset(backend.iter_bits(db.leaf_union_mask(leaf)))
             for leaf in db.leafsets()

@@ -1,10 +1,13 @@
 """Unit tests for the inverted database, including the Fig. 2 golden
 values and the Fig. 4 worked merge."""
 
+import re
+
 import pytest
 from oracles import merge_stats
 
 from repro.core.inverted_db import InvertedDatabase
+from repro.core.masks import get_backend
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 
@@ -201,3 +204,17 @@ class TestValidation:
         corrupt(paper_db)
         with pytest.raises(MiningError, match=message):
             paper_db.validate()
+
+    @pytest.mark.parametrize("backend", ["bigint", "chunked"])
+    def test_validate_names_a_row_that_left_its_union(self, paper_graph, backend):
+        # Row (c, a) loses one of its two positions and every frequency
+        # agrees, so only the cover invariant can tell.
+        db = InvertedDatabase.from_graph(paper_graph, mask_backend=get_backend(backend))
+        masks = db.mask_backend
+        mask, frequency = db._leaf_rows[fs("a")][fs("c")]
+        kept = list(masks.iter_bits(mask))[1:]
+        db._leaf_rows[fs("a")][fs("c")] = (masks.make(kept), frequency - 1)
+        db._core_freq[fs("c")] -= 1
+        row = re.escape(f"row {(fs('c'), fs('a'))} is not its leafset's union")
+        with pytest.raises(MiningError, match=row):
+            db.validate()

@@ -101,7 +101,7 @@ class TestBackendOps:
         built = backend.make_batch(bit_lists)
         assert len(built) == len(bit_lists)
         for bits, mask in zip(bit_lists, built):
-            assert backend.equals(mask, backend.make(bits)), bits
+            assert mask == backend.make(bits), bits
             assert list(backend.iter_bits(mask)) == sorted(set(bits))
 
     @given(
@@ -343,17 +343,19 @@ class TestMiningEquivalence:
                 assert stats[name] == stats["bigint"], name
                 assert outcome.touched_coresets == reference.touched_coresets, name
                 assert outcome.removed_leafsets == reference.removed_leafsets
-                decoded = {
-                    leaf: dbs[name]._to_vertices(mask)
-                    for leaf, mask in outcome.touched_row_unions.items()
-                }
-                ref_decoded = {
-                    leaf: ref_db._to_vertices(mask)
-                    for leaf, mask in reference.touched_row_unions.items()
-                }
-                assert decoded == ref_decoded, name
+                assert touched_rows(dbs[name], outcome) == touched_rows(
+                    ref_db, reference
+                ), name
         for name, db in dbs.items():
             assert db.snapshot() == ref_db.snapshot(), name
+
+
+def touched_rows(db, outcome):
+    """``outcome.touched_core_rows`` with every mask decoded to vertices."""
+    return {
+        leaf: [(core, db._to_vertices(core, mask)) for core, mask in rows]
+        for leaf, rows in outcome.touched_core_rows.items()
+    }
 
 
 VALUES = ["a", "b", "c", "d", "e"]
@@ -407,12 +409,20 @@ class TestVertexBitTable:
         table = db.vertex_bit_table()
         assert db.num_position_bits == len(table)
         assert sorted(table.values()) == list(range(len(table)))
-        # Decoding any row goes through the shared order.
+        # A row decodes through its coreset's positions, a union
+        # through the shared order.
         for core, leaf, positions in db.rows():
+            members = db._core_members[core]
             mask = db.row_mask(core, leaf)
             assert {
-                bit for bit in db.mask_backend.iter_bits(mask)
-            } == {table[v] for v in positions}
+                members[bit] for bit in db.mask_backend.iter_bits(mask)
+            } == positions
+        for leaf in db.leafsets():
+            union = db.leaf_union_mask(leaf)
+            assert set(db.mask_backend.iter_bits(union)) == {
+                table[v] for _core, row_leaf, positions in db.rows()
+                if row_leaf == leaf for v in positions
+            }
 
     def test_vertices_without_leaves_get_no_bit(self):
         from repro.graphs.attributed_graph import AttributedGraph
@@ -470,20 +480,27 @@ class TestMemoryAccounting:
         assert db.bigint_mask_bytes_estimate() > 0
 
     def test_bigint_estimate_is_what_bigint_actually_pays(self):
-        # The reduction ratio's denominator must be honest: the
-        # estimate computed on a chunked database equals the measured
-        # mask bytes of the identical database built on bigint masks.
+        # The reduction ratio's denominator must be honest: on either
+        # backend, the estimate equals the bytes of whole-graph ints
+        # actually built from each held row's and union's vertex bits.
         from repro.perf.suite import pokec_sparse_graph
 
         graph = pokec_sparse_graph(20)
-        sparse = InvertedDatabase.from_graph(
-            graph, mask_backend=get_backend("chunked")
-        )
-        bigint = InvertedDatabase.from_graph(
-            graph, mask_backend=get_backend("bigint")
-        )
-        assert sparse.bigint_mask_bytes_estimate() == bigint.mask_memory_bytes()
-        assert bigint.bigint_mask_bytes_estimate() == bigint.mask_memory_bytes()
+        for name in ("chunked", "bigint"):
+            db = InvertedDatabase.from_graph(graph, mask_backend=get_backend(name))
+            table = db.vertex_bit_table()
+            bit_sets = [
+                [table[vertex] for vertex in positions]
+                for _core, _leaf, positions in db.rows()
+            ]
+            bit_sets += [
+                db.mask_backend.iter_bits(db.leaf_union_mask(leaf))
+                for leaf in db.leafsets()
+            ]
+            whole_graph_ints = [sum(1 << bit for bit in bits) for bits in bit_sets]
+            assert db.bigint_mask_bytes_estimate() == sum(
+                map(BigintMaskBackend().mask_bytes, whole_graph_ints)
+            ), name
 
 
 class TestConfigIntegration:

@@ -3,8 +3,10 @@
 Random attributed graphs are generated from a compact strategy, and
 the DESIGN.md invariants are checked on them: cover uniqueness and
 losslessness of the inverted database through arbitrary merge
-sequences, DL monotonicity, Eq. 7/8 identity, and Partial's
-equivalence with CSPM-Basic, the naive Algorithm 1-2 oracle.
+sequences, the cover invariant (rows agree with their leafset's
+union under every coreset, also for explicit multi-value coresets),
+DL monotonicity, Eq. 7/8 identity, and Partial's equivalence with
+CSPM-Basic, the naive Algorithm 1-2 oracle.
 """
 
 import math
@@ -17,6 +19,7 @@ from repro.core.candidates import leafset_sort_key
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
+from repro.core.masks import get_backend
 from repro.core.mdl import (
     conditional_entropy,
     data_leaf_bits,
@@ -82,6 +85,58 @@ def test_merges_preserve_losslessness(graph, data):
             continue
         db.merge(leafsets[i], leafsets[j])
         db.validate(graph)
+
+
+@st.composite
+def explicit_coresets(draw, graph):
+    """``coreset_positions`` of a multi-value encoder: 1-4 coresets of
+    2-3 values over arbitrary member lists, so several coresets overlap
+    at a vertex; keys may list their values in any order (two can
+    collapse to one coreset) and members may repeat."""
+    vertices = sorted(graph.vertices())
+    positions = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        core = draw(st.sets(st.sampled_from(VALUES), min_size=2, max_size=3))
+        key = tuple(draw(st.permutations(sorted(core))))
+        positions[key] = draw(st.lists(st.sampled_from(vertices)))
+    return positions
+
+
+@given(
+    graph=attributed_graphs(),
+    data=st.data(),
+    backend=st.sampled_from(["bigint", "chunked"]),
+)
+@common
+def test_merges_keep_the_cover_invariant(graph, data, backend):
+    """Through random merge sequences, on singleton or explicit
+    multi-value coresets, ``validate`` passes and every union is the
+    OR of its rows' vertices."""
+    positions = data.draw(st.none() | explicit_coresets(graph))
+    db = InvertedDatabase.from_graph(
+        graph, positions, mask_backend=get_backend(backend)
+    )
+    table = db.vertex_bit_table()
+
+    def check():
+        db.validate(graph)
+        for leaf in db.leafsets():
+            rows_or = {
+                table[vertex]
+                for core in db.coresets_of(leaf)
+                for vertex in db.positions(core, leaf)
+            }
+            union = db.mask_backend.iter_bits(db.leaf_union_mask(leaf))
+            assert set(union) == rows_or
+
+    check()
+    for _ in range(6):
+        leafsets = sorted(db.leafsets(), key=leafset_sort_key)
+        if len(leafsets) < 2:
+            break
+        pair = data.draw(st.permutations(leafsets).map(lambda order: order[:2]))
+        db.merge(*pair)
+        check()
 
 
 @given(graph=attributed_graphs())

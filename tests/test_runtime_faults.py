@@ -11,7 +11,8 @@ re-runs each failed task in-process.  Faults come from deterministic
 
 Covered per site (search components, batch runs): each fault kind,
 re-run in-process and ``==`` the serial run; the search site also on
-the chunked mask backend.  Hangs run under a patched
+the chunked mask backend, and with one crash counted once however many
+unfinished tasks it fails.  Hangs run under a patched
 ``DEFAULT_WORKER_TIMEOUT``.
 """
 
@@ -31,6 +32,7 @@ from repro.errors import ConfigError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
+from repro.obs import Observation, activate
 from repro.runtime import (
     ENV_VAR,
     FaultEvent,
@@ -279,8 +281,8 @@ class TestSupervisor:
 # ----------------------------------------------------------------------
 
 
-def assert_search_bit_exact(mask_backend=None, seed=6):
-    graph = multi_component_graph(seed)
+def assert_search_bit_exact(mask_backend=None, seed=6, parts=3):
+    graph = multi_component_graph(seed, parts)
     db_serial, standard, core = search_setup(graph, mask_backend)
     trace_serial = run_partial(db_serial, standard, core, update_scope="lazy")
     db_sharded, _, _ = search_setup(graph, mask_backend)
@@ -302,6 +304,25 @@ class TestSearchSite:
         inject("search", "crash")
         report = assert_search_bit_exact(mask_backend="chunked")
         assert 0 in report.degraded_tasks
+
+    def test_one_crash_is_counted_once(self, inject):
+        # Every unfinished future of the broken pool re-raises the one
+        # crash: it is counted and named once, the rest are charged to
+        # the broken pool, and the re-run is still == the serial run.
+        inject("search", "crash")
+        obs = Observation.create(metrics=True)
+        with activate(obs):
+            report = assert_search_bit_exact(parts=4)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["runtime.worker_crashes{site=search}"] == 1
+        died = [line for line in report.failures if "worker process died" in line]
+        assert died == ["search[0]: worker process died"]
+        assert 0 in report.degraded_tasks
+        assert all(
+            line.endswith(("pool broken by worker crash", "injected crash"))
+            for line in report.failures
+            if line not in died
+        )
 
 
 # ----------------------------------------------------------------------
