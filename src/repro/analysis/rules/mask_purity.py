@@ -3,7 +3,7 @@
 ``InvertedDatabase.copy`` shares mask *values* between copies, and the
 lazy refresh keeps masks cached across merges — both are sound only
 because every :class:`~repro.core.masks.base.MaskBackend` operation
-except the two fresh-value constructors (``make``/``make_batch``) is
+except the two fresh-value constructors (``make``/``make_runs``) is
 pure: it never mutates ``self`` or an argument.  These rules check that
 contract statically for every class that subclasses ``MaskBackend``
 (see docs/INVARIANTS.md, family 2).
@@ -33,7 +33,7 @@ BACKEND_BASE_CLASS = "MaskBackend"
 
 #: The fresh-value constructors, which may build their result in
 #: place; everything else must be pure.
-CONSTRUCTION_OPS = frozenset({"make", "make_batch"})
+CONSTRUCTION_OPS = frozenset({"make", "make_runs"})
 
 #: Method names that mutate their receiver (list/set/dict/ndarray).
 MUTATING_METHODS = frozenset(
@@ -121,7 +121,7 @@ class BackendSurfaceRule(Rule):
     protocol surface with matching arity.
 
     Required methods are those whose ``MaskBackend`` body raises
-    ``NotImplementedError``; methods with a default body (``make_batch``,
+    ``NotImplementedError``; methods with a default body (``make_runs``,
     ``overlaps_many``) are optional overrides.  Arity is compared
     positionally (``self`` included); a ``*args`` signature on either
     side skips the comparison.  A partial backend would fail at the
@@ -177,7 +177,7 @@ class PureOpMutationRule(Rule):
     """MSK002: no statement in a pure mask op mutates ``self`` or an
     argument.
 
-    Pure ops are every protocol method except ``make``/``make_batch``.
+    Pure ops are every protocol method except ``make``/``make_runs``.
     Flagged shapes, on any name derived from ``self`` or a parameter
     (tracking aliases through plain ``a, b = b, a`` rebinds and loop
     targets over tracked containers):

@@ -19,7 +19,7 @@ code lengths ``-log2(fL / fc)`` (Eq. 6) are derived on demand by
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Mapping
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional
 
 from repro.errors import EncodingError
 from repro.graphs.attributed_graph import AttributedGraph
@@ -50,9 +50,19 @@ class StandardCodeTable:
         self._reprs = _repr_index(self._lengths)
 
     @classmethod
-    def from_graph(cls, graph: AttributedGraph) -> "StandardCodeTable":
-        """ST over the graph's vertex->value mapping function."""
-        frequencies = graph.value_frequencies()
+    def from_graph(
+        cls,
+        graph: AttributedGraph,
+        frequencies: Optional[Mapping[Value, int]] = None,
+    ) -> "StandardCodeTable":
+        """ST over the graph's vertex->value mapping function.
+
+        ``frequencies`` are the graph's value frequencies when the
+        caller has counted them already (the encode stage takes them
+        from ``value_positions``); otherwise they are counted here.
+        """
+        if frequencies is None:
+            frequencies = graph.value_frequencies()
         if not frequencies:
             raise EncodingError("graph has no attribute values")
         return cls(frequencies)
@@ -152,13 +162,19 @@ class CoreCodeTable:
         }
 
     @classmethod
-    def singletons_from_graph(cls, graph: AttributedGraph) -> "CoreCodeTable":
-        """The singleton-coreset table: CTc == ST (paper, Section IV-C)."""
+    def singletons_from_graph(
+        cls,
+        graph: AttributedGraph,
+        frequencies: Optional[Mapping[Value, int]] = None,
+    ) -> "CoreCodeTable":
+        """The singleton-coreset table: CTc == ST (paper, Section IV-C).
+
+        ``frequencies`` as for :meth:`StandardCodeTable.from_graph`.
+        """
+        if frequencies is None:
+            frequencies = graph.value_frequencies()
         return cls(
-            {
-                frozenset([value]): count
-                for value, count in graph.value_frequencies().items()
-            }
+            {frozenset([value]): count for value, count in frequencies.items()}
         )
 
     @property

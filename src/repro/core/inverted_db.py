@@ -29,12 +29,14 @@ of the float contract.  The only reverse index is ``_core_leaf_ids``,
 each coreset's ascending interned leafset ids.
 
 Construction itself is **columnar**: phase 1 plans the iteration,
-phase 2 collects, per ``(coreset, leafset)`` row, the full sorted
-local-bit list and materialises the rows with bulk
-``MaskBackend.make_batch`` calls, taking row frequencies from batch
-lengths instead of per-bit increments.  The construction equivalence
-suite pins it to a one-triple-at-a-time reference builder,
-``tests/oracles.py::triples_database``.
+phase 2 collects one flat leaf-ordinal column plus per-position widths
+and per-coreset sizes, derives the coreset and local-bit columns from
+those counts with numpy, groups the triples into rows with one stable
+sort per block, and materialises every row of a block — and every
+leafset union — with one bulk ``MaskBackend.make_runs`` call, taking
+row frequencies from run lengths instead of per-bit increments.  The
+construction equivalence suite pins it to a one-triple-at-a-time
+reference builder, ``tests/oracles.py::triples_database``.
 
 Invariants maintained by this class (checked by :meth:`validate`):
 
@@ -56,10 +58,9 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 from types import MappingProxyType
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -206,7 +207,9 @@ class InvertedDatabase:
 
         Every initial row is ``(Sc, {leaf value})`` with positions the
         vertices where ``Sc`` holds and some neighbour carries the leaf
-        value.
+        value.  Raises :class:`MiningError` for an empty coreset, for
+        positions that are not an iterable, and naming the coreset and
+        the position for a position that is not a vertex of ``graph``.
         """
         db = cls(mask_backend=mask_backend)
         if coreset_positions is None:
@@ -242,35 +245,18 @@ class InvertedDatabase:
             core_key = frozenset(coreset)
             if not core_key:
                 raise MiningError("empty coreset is not allowed")
-            members = sorted(vertices, key=repr)
+            try:
+                members = sorted(vertices, key=repr)
+            except TypeError:
+                raise MiningError(
+                    f"positions of coreset {set(core_key)} are not an "
+                    "iterable of vertices"
+                ) from None
             if core_key in plan:
                 plan[core_key].extend(members)
             else:
                 plan[core_key] = members
         return plan
-
-    def _vertex_info(
-        self,
-        vertex: Vertex,
-        neighbor_values: Callable[[Vertex], FrozenSet[Value]],
-        ordinal_of: Dict[Value, int],
-        union_bits: List[List[int]],
-    ) -> List[int]:
-        """First-encounter record: the vertex's neighbour-value ordinals.
-
-        Called once per vertex, at its first encounter in plan order
-        over per-coreset member order.  A vertex with neighbour values
-        gets the next vertex bit here, which joins the union bit list of
-        each of its values, so every list comes out ascending.
-        """
-        values = neighbor_values(vertex)
-        if not values:
-            return []
-        bit = self._vertex_bit[vertex] = len(self._vertex_bit)
-        ordinals = [ordinal_of[value] for value in values]
-        for ordinal in ordinals:
-            union_bits[ordinal].append(bit)
-        return ordinals
 
     @staticmethod
     def _dedupe_members(members: List[Vertex]) -> List[Vertex]:
@@ -278,7 +264,7 @@ class InvertedDatabase:
 
         Two ``coreset_positions`` keys can collapse to one frozenset
         (and an iterable may repeat a vertex); row bit lists must stay
-        duplicate-free for batch lengths to be frequencies.
+        duplicate-free for run lengths to be frequencies.
         """
         if len(members) > 1 and len(members) != len(set(members)):
             seen: Set[Vertex] = set()
@@ -287,26 +273,31 @@ class InvertedDatabase:
 
     #: Triples buffered between vectorised grouping flushes.  Blocks
     #: end on coreset boundaries, so the cap bounds transient memory
-    #: (three int64 arrays plus the decoded bit list) without ever
-    #: splitting a coreset across flushes.
+    #: (the ordinal column plus a few narrow arrays of its length)
+    #: without ever splitting a coreset across flushes.
     _GROUP_BLOCK_TRIPLES = 2_000_000
 
     def _build_rows(
         self, plan: Mapping[CoreKey, List[Vertex]], graph: AttributedGraph
     ) -> None:
-        """Phase 2, columnar: flat (core, leaf, local bit) triple
-        columns, one sort per block, rows read off the group boundaries.
+        """Phase 2, columnar: one flat ordinal column, one sort per
+        block, rows read off the group boundaries.
 
-        The collect loop does C-level ``extend`` calls per (coreset,
-        vertex) pair instead of one dict probe per triple; the local bit
-        is the vertex's index in the coreset's position list, and a
-        coreset's triple count is its frequency.  The sort then delivers
-        every row's bit list already ascending and in global (coreset,
+        The collect loop does one C-level ``extend`` per (coreset,
+        vertex) pair — the vertex's neighbour-value ordinals, recorded
+        at its first encounter — and keeps one width per position and
+        one size per coreset; nothing is appended per triple.  At flush
+        the coreset and local-bit columns are derived from those counts
+        with ``np.repeat`` (a position's local bit is its index in the
+        coreset's position list, and a coreset's triple count is its
+        frequency).  A stable sort on the (coreset, ordinal) key keeps
+        each row's bits ascending and delivers rows in global (coreset,
         leafset) order, so each leafset's row map receives its coresets
-        in plan order.  Masks are built with bulk ``make_batch`` calls
-        and row frequencies are group lengths.  A singleton leafset's
-        union is the vertex bits of every encountered vertex that has
-        its value as a neighbour value, collected at first encounter.
+        in plan order.  One ``make_runs`` call per block builds the
+        masks, and row frequencies are run lengths.  A singleton
+        leafset's union is the vertex bits of every encountered vertex
+        that has its value as a neighbour value: the first-encounter
+        ordinals, in vertex-bit order, are one more column.
         """
         # Dense leaf ordinals in global ``_key_of`` order (for the
         # singleton leafsets of construction that is repr order of the
@@ -314,98 +305,108 @@ class InvertedDatabase:
         # frozensets, and row ordering reduces to int comparisons — no
         # key function, no repr recomputation.
         ordered_values = sorted(graph.attribute_values(), key=repr)
+        num_values = len(ordered_values)
         ordinal_of = {value: i for i, value in enumerate(ordered_values)}
         ordinal_rows: List[Dict[CoreKey, Tuple[Mask, int]]] = [
             {} for _ in ordered_values
         ]
-        union_bits: List[List[int]] = [[] for _ in ordered_values]
         neighbor_values = graph.neighbor_values
-        make_batch = self._masks.make_batch
-        core_freq = self._core_freq
+        make_runs = self._masks.make_runs
+        vertex_bit = self._vertex_bit
         vertex_ordinals: Dict[Vertex, List[int]] = {}
-        core_keys: List[CoreKey] = []
-        cores_flat: List[int] = []
+        block_cores: List[CoreKey] = []
+        block_sizes: List[int] = []
+        widths: List[int] = []
         ords_flat: List[int] = []
-        bits_flat: List[int] = []
-        cores_extend = cores_flat.extend
+        widths_append = widths.append
         ords_extend = ords_flat.extend
-        bits_extend = bits_flat.extend
 
         def flush() -> None:
-            count = len(cores_flat)
-            if not count:
+            if not block_cores:
                 return
-            cores_a = _np.array(cores_flat, dtype=_np.int64)
-            ords_a = _np.array(ords_flat, dtype=_np.int64)
-            bits_a = _np.array(bits_flat, dtype=_np.int64)
-            del cores_flat[:], ords_flat[:], bits_flat[:]
-            # One radix sort on a packed (core, leaf, bit) key beats
-            # three lexsort passes when the key fits a machine word;
-            # the widths come from the actual block maxima.
-            bit_width = int(bits_a.max()).bit_length()
-            ord_width = int(ords_a.max()).bit_length()
-            core_width = int(cores_a.max()).bit_length()
-            if bit_width + ord_width + core_width <= 62:
-                packed = (
-                    (cores_a << (ord_width + bit_width))
-                    | (ords_a << bit_width)
-                    | bits_a
-                )
-                order = _np.argsort(packed, kind="stable")
-            else:  # pragma: no cover - >2^62 key space
-                order = _np.lexsort((bits_a, ords_a, cores_a))
-            cores_a = cores_a[order]
-            ords_a = ords_a[order]
-            bits_a = bits_a[order]
-            row_change = _np.empty(count, dtype=bool)
-            row_change[0] = True
-            _np.not_equal(ords_a[1:], ords_a[:-1], out=row_change[1:])
-            row_change[1:] |= cores_a[1:] != cores_a[:-1]
-            starts = _np.flatnonzero(row_change)
-            counts_a = _np.diff(_np.append(starts, count))
-            bits_list = bits_a.tolist()
-            bounds = starts.tolist()
-            bounds.append(count)
-            built = make_batch(
-                [bits_list[bounds[i] : bounds[i + 1]] for i in range(len(starts))]
+            sizes = _np.array(block_sizes, dtype=_np.int64)
+            width = _np.array(widths, dtype=_np.int64)
+            ords = _np.array(ords_flat, dtype=_narrow(num_values))
+            del block_sizes[:], widths[:], ords_flat[:]
+            # Each position's local bit (its index within its coreset)
+            # and row-key base (its coreset's), spread over its triples.
+            local = _np.arange(len(width)) - _np.repeat(
+                _np.cumsum(sizes) - sizes, sizes
             )
+            bits = _np.repeat(local.astype(_narrow(int(sizes.max()))), width)
+            row_dtype = _narrow(len(block_cores) * num_values)
+            bases = _np.arange(len(block_cores), dtype=row_dtype) * num_values
+            keys = _np.repeat(_np.repeat(bases, sizes), width)
+            del local, width, bases
+            keys += ords
+            del ords
+            order = _np.argsort(keys, kind="stable")
+            keys = keys[order]
+            bits = bits[order]
+            del order
+            heads = _np.empty(len(keys), dtype=bool)
+            heads[0] = True
+            _np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+            starts = _np.flatnonzero(heads)
+            del heads
+            counts = _np.diff(_np.append(starts, len(keys)))
+            masks = make_runs(bits, starts, counts)
+            del bits
+            cores, ordinals = _np.divmod(keys[starts], num_values)
             for core_index, ordinal, mask, frequency in zip(
-                cores_a[starts].tolist(),
-                ords_a[starts].tolist(),
-                built,
-                counts_a.tolist(),
+                cores.tolist(), ordinals.tolist(), masks, counts.tolist()
             ):
-                ordinal_rows[ordinal][core_keys[core_index]] = (mask, frequency)
+                ordinal_rows[ordinal][block_cores[core_index]] = (mask, frequency)
+            del block_cores[:]
 
         block_cap = self._GROUP_BLOCK_TRIPLES
         for core_key, members in plan.items():
-            members = self._dedupe_members(members)
-            core_index = len(core_keys)
-            core_keys.append(core_key)
             positions: List[Vertex] = []
             before = len(ords_flat)
-            for vertex in members:
-                ordinals = vertex_ordinals.get(vertex)
-                if ordinals is None:
-                    ordinals = vertex_ordinals[vertex] = self._vertex_info(
-                        vertex, neighbor_values, ordinal_of, union_bits
-                    )
-                if not ordinals:
-                    continue
-                ords_extend(ordinals)
-                bits_extend(repeat(len(positions), len(ordinals)))
-                positions.append(vertex)
+            try:
+                for vertex in self._dedupe_members(members):
+                    ordinals = vertex_ordinals.get(vertex)
+                    if ordinals is None:
+                        # First encounter, in plan order over member
+                        # order: a vertex with neighbour values takes
+                        # the next vertex bit.
+                        values = neighbor_values(vertex)
+                        if values:
+                            vertex_bit[vertex] = len(vertex_bit)
+                        ordinals = vertex_ordinals[vertex] = [
+                            ordinal_of[value] for value in values
+                        ]
+                    if ordinals:
+                        ords_extend(ordinals)
+                        widths_append(len(ordinals))
+                        positions.append(vertex)
+            except (KeyError, TypeError):
+                raise _bad_position(core_key, members, graph) from None
             added = len(ords_flat) - before
             if added:
                 self._core_members[core_key] = positions
-                core_freq[core_key] = added
-                cores_extend(repeat(core_index, added))
-                if len(cores_flat) >= block_cap:
+                self._core_freq[core_key] = added
+                block_cores.append(core_key)
+                block_sizes.append(len(positions))
+                if len(ords_flat) >= block_cap:
                     flush()
         flush()
-        for value, rows, union in zip(
-            ordered_values, ordinal_rows, make_batch(union_bits)
-        ):
+        # The union column: each vertex bit's first-encounter ordinals,
+        # in bit order (vertices without neighbour values have no bit
+        # and no ordinals); a stable sort by ordinal keeps bits ascending.
+        firsts = [ordinals for ordinals in vertex_ordinals.values() if ordinals]
+        union_ords = _np.fromiter(
+            chain.from_iterable(firsts), dtype=_narrow(num_values)
+        )
+        union_bits = _np.repeat(
+            _np.arange(len(firsts), dtype=_narrow(len(firsts))),
+            _np.fromiter(map(len, firsts), dtype=_np.int64, count=len(firsts)),
+        )
+        del firsts
+        order = _np.argsort(union_ords, kind="stable")
+        counts = _np.bincount(union_ords, minlength=num_values)
+        unions = make_runs(union_bits[order], _np.cumsum(counts) - counts, counts)
+        for value, rows, union in zip(ordered_values, ordinal_rows, unions):
             if rows:
                 leaf = frozenset((value,))
                 self._leaf_rows[leaf] = rows
@@ -971,3 +972,37 @@ _key_of = leafset_sort_key
 
 # The row map of a leafset with no rows; shared, so never mutated.
 _NO_ROWS: Mapping[CoreKey, Tuple[Mask, int]] = MappingProxyType({})
+
+
+def _narrow(limit: int) -> type:
+    """The narrowest build-column dtype that holds ``0 .. limit``.
+
+    A 16-bit key column also gets numpy's radix sort for
+    ``kind="stable"`` (six times faster than the merge sort it uses for
+    wider ints on a ``dense-wide`` block).
+    """
+    if limit < 2**16:
+        return _np.uint16
+    return _np.int32 if limit < 2**31 else _np.int64
+
+
+def _bad_position(
+    core: CoreKey, members: Iterable[Vertex], graph: AttributedGraph
+) -> Exception:
+    """The :class:`MiningError` for a coreset position the graph lacks.
+
+    Called only after the build loop raised ``KeyError`` (an unknown
+    vertex) or ``TypeError`` (an unhashable one) on ``core``'s members;
+    names the first such member.  Any other cause is re-raised as is.
+    """
+    for vertex in members:
+        try:
+            known = vertex in graph
+        except TypeError:
+            known = False
+        if not known:
+            return MiningError(
+                f"coreset {set(core)} has position {vertex!r}, which is not "
+                "a vertex of the graph"
+            )
+    raise  # pragma: no cover - every member is a vertex: not ours to name

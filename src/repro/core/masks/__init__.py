@@ -10,6 +10,10 @@ bigint    one Python int per mask                     small graphs
 chunked   dict of non-empty fixed-width int chunks    paper-scale sparse
 ========  ==========================================  =================
 
+Both build masks in bulk from one flat bit column of ascending runs
+(:meth:`MaskBackend.make_runs`): bigint packs every run at once with
+numpy, chunked groups each run's bits by chunk.
+
 Selection is by name through :func:`get_backend` /
 :func:`resolve_backend`; ``"auto"`` picks ``bigint`` below
 :data:`AUTO_CHUNKED_MIN_BITS` vertices and ``chunked`` at or above it,

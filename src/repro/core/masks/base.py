@@ -24,7 +24,7 @@ A backend is a *stateless* strategy object: masks are plain values
 and two databases built with the same backend class can share one
 instance.  Mutation discipline: no operation mutates ``self`` or a
 mask it is given.  The two construction ops, :meth:`MaskBackend.make`
-and :meth:`MaskBackend.make_batch`, build fresh values (and only they
+and :meth:`MaskBackend.make_runs`, build fresh values (and only they
 may build one in place); every other operation is pure, which is what
 lets ``InvertedDatabase.copy`` share mask values between copies.
 
@@ -37,9 +37,13 @@ floats are identical across backends — the equivalence suite in
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Sequence
+from typing import Any, Iterable, Iterator, List, Sequence, Union
+
+import numpy as np
 
 Mask = Any
+#: A one-dimensional integer column: a numpy array or a sequence of ints.
+IntColumn = Union[np.ndarray, Sequence[int]]
 
 # CPython's int layout: ~28-byte header plus one 4-byte digit per 30
 # bits of payload.  This is the per-mask cost a whole-graph bigint
@@ -83,20 +87,29 @@ class MaskBackend:
         """A fresh mask with exactly ``bits`` set."""
         raise NotImplementedError
 
-    def make_batch(self, bit_lists: Sequence[Sequence[int]]) -> List[Mask]:
-        """One fresh mask per bit list, materialised in one bulk call.
+    def make_runs(
+        self, bits: IntColumn, starts: IntColumn, counts: IntColumn
+    ) -> List[Mask]:
+        """One fresh mask per run of one flat bit column, in one bulk call.
 
-        Every list must be sorted ascending; duplicates are allowed
-        (setting a bit twice is idempotent).  This is the columnar
-        builder's phase-2 primitive: the database collects each row's
-        full bit list first and materialises all of a coreset's rows
-        here, so backends can amortise per-mask setup — the bigint
-        backend packs bytes and shifts once, the chunked backend
-        groups consecutive bits by chunk index instead of re-hashing
-        the chunk key per bit.  The default implementation falls back
-        to :meth:`make` per list.
+        Run ``i`` is ``bits[starts[i] : starts[i] + counts[i]]``; the
+        three columns are one-dimensional integer arrays (numpy arrays
+        or sequences of ints).  Each run must be ascending; duplicates
+        are allowed (setting a bit twice is idempotent), runs may be
+        empty, and different runs may share bits.  This is the columnar
+        builder's primitive: the database collects every row of a
+        block, and every leafset union, as runs of one column, so
+        backends can vectorise the whole batch — the bigint backend
+        packs all runs with numpy and converts each with one
+        ``int.from_bytes``, the chunked backend groups consecutive bits
+        by chunk index instead of re-hashing the chunk key per bit.
+        The default implementation falls back to :meth:`make` per run.
         """
-        return [self.make(bits) for bits in bit_lists]
+        column = run_column(bits)
+        return [
+            self.make(column[start : start + count])
+            for start, count in zip(run_column(starts), run_column(counts))
+        ]
 
     # -- predicates ----------------------------------------------------
 
@@ -181,3 +194,11 @@ def iter_int_bits(value: int, offset: int = 0) -> Iterator[int]:
         low = value & -value
         yield offset + low.bit_length() - 1
         value ^= low
+
+
+def run_column(column: IntColumn) -> List[int]:
+    """An integer column as a list of Python ints (numpy ints would
+    overflow in ``1 << bit``)."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return [int(value) for value in column]

@@ -2,35 +2,32 @@
 
 The seed's representation, extracted behind the backend protocol with
 zero behavioural change: a mask is a plain non-negative ``int`` over
-the whole vertex order, and every operation is a single big-int machine
-op.  This stays the default for graphs below the auto-selection
-threshold — Python ints beat any chunked layout while ``|V|`` fits in a
-few machine words.
+its bit order (a coreset's positions for a row, the vertex order for a
+leafset union), and every operation is a single big-int machine op.
+This stays the default for graphs below the auto-selection threshold —
+Python ints beat any chunked layout while ``|V|`` fits in a few machine
+words.  Construction is vectorised: :meth:`BigintMaskBackend.make_runs`
+packs every run of a build block with numpy and pays one
+``int.from_bytes`` per mask.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List
 
-from repro.core.masks.base import MaskBackend, int_value_bytes, iter_int_bits
+import numpy as np
+
+from repro.core.masks.base import (
+    IntColumn,
+    MaskBackend,
+    int_value_bytes,
+    iter_int_bits,
+)
 
 
-def _int_from_sorted_bits(bits: Sequence[int]) -> int:
-    """A whole-graph int with the ascending ``bits`` set.
-
-    Packs the spanned byte range into a ``bytearray`` (one small-int
-    byte op per bit) and converts with a single ``int.from_bytes`` plus
-    one accumulate shift — O(n + span/8) instead of n big-int
-    shift-and-OR round trips, and the span is measured from the lowest
-    set bit so a sparse mask far up the vertex order stays cheap.
-    """
-    if not bits:
-        return 0
-    base = bits[0] >> 3
-    buffer = bytearray((bits[-1] >> 3) - base + 1)
-    for bit in bits:
-        buffer[(bit >> 3) - base] |= 1 << (bit & 7)
-    return int.from_bytes(buffer, "little") << (base << 3)
+#: Packed bytes per :meth:`BigintMaskBackend.make_runs` group: its
+#: scratch holds eight times as many one-byte bit slots (1 MB).
+_PACK_BYTES = 1 << 17
 
 
 class BigintMaskBackend(MaskBackend):
@@ -47,8 +44,54 @@ class BigintMaskBackend(MaskBackend):
             mask |= 1 << bit
         return mask
 
-    def make_batch(self, bit_lists: Sequence[Sequence[int]]) -> List[int]:
-        return [_int_from_sorted_bits(bits) for bits in bit_lists]
+    def make_runs(
+        self, bits: IntColumn, starts: IntColumn, counts: IntColumn
+    ) -> List[int]:
+        # Runs' spanned bytes are laid end to end, and each group of
+        # runs gets one byte slot per bit of its bytes: one scatter sets
+        # them (idempotent, so a duplicate bit is harmless) and
+        # ``packbits`` packs them eight to a byte.  Then one
+        # ``int.from_bytes`` per run, shifted up to the run's lowest
+        # byte, so a sparse run far up the order stays cheap.  Groups
+        # keep the slot scratch under ``_PACK_BYTES * 8`` however wide
+        # the runs (a leafset union spans its whole vertex range).
+        bits = np.asarray(bits, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        masks = [0] * len(counts)
+        full = np.flatnonzero(counts)
+        if not len(full):
+            return masks
+        counts = counts[full]
+        starts = np.asarray(starts, dtype=np.int64)[full]
+        low = bits[starts] >> 3
+        sizes = (bits[starts + counts - 1] >> 3) - low + 1
+        offsets = np.cumsum(sizes) - sizes
+        heads = np.cumsum(counts) - counts
+        gathered = np.arange(int(counts.sum()))
+        gathered += np.repeat(starts - heads, counts)
+        slots = bits[gathered] + np.repeat((offsets - low) << 3, counts)
+        del gathered
+        ends = offsets + sizes
+        firsts = np.flatnonzero(np.diff(offsets // _PACK_BYTES, prepend=-1))
+        bounds = firsts.tolist() + [len(full)]
+        from_bytes = int.from_bytes
+        for first, stop in zip(bounds, bounds[1:]):
+            base = int(offsets[first])
+            scratch = np.zeros((int(ends[stop - 1]) - base) << 3, dtype=bool)
+            scratch[
+                slots[int(heads[first]) : int(heads[stop - 1] + counts[stop - 1])]
+                - (base << 3)
+            ] = True
+            data = np.packbits(scratch, bitorder="little").tobytes()
+            del scratch
+            for run, offset, end, shift in zip(
+                full[first:stop].tolist(),
+                (offsets[first:stop] - base).tolist(),
+                (ends[first:stop] - base).tolist(),
+                (low[first:stop] << 3).tolist(),
+            ):
+                masks[run] = from_bytes(data[offset:end], "little") << shift
+        return masks
 
     def is_empty(self, mask: int) -> bool:
         return not mask

@@ -20,9 +20,15 @@ backend (asserted by the equivalence suite).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List
 
-from repro.core.masks.base import MaskBackend, int_value_bytes, iter_int_bits
+from repro.core.masks.base import (
+    IntColumn,
+    MaskBackend,
+    int_value_bytes,
+    iter_int_bits,
+    run_column,
+)
 
 ChunkMask = Dict[int, int]
 
@@ -59,30 +65,34 @@ class ChunkedMaskBackend(MaskBackend):
             mask[chunk] = mask.get(chunk, 0) | (1 << (bit & low))
         return mask
 
-    def make_batch(self, bit_lists: Sequence[Sequence[int]]) -> List[ChunkMask]:
-        # Sorted input means each chunk's bits are consecutive: one
+    def make_runs(
+        self, bits: IntColumn, starts: IntColumn, counts: IntColumn
+    ) -> List[ChunkMask]:
+        # Ascending runs mean each chunk's bits are consecutive: one
         # dict store per chunk run instead of a get+set per bit.  The
         # dominant construction case — a community row inside a single
         # chunk — skips the per-bit chunk bookkeeping entirely.
+        column = run_column(bits)
         shift = self._shift
         low = self._low
         out: List[ChunkMask] = []
         append = out.append
-        for bits in bit_lists:
-            if not bits:
+        for start, count in zip(run_column(starts), run_column(counts)):
+            if not count:
                 append({})
                 continue
-            first = bits[0] >> shift
-            if bits[-1] >> shift == first:
+            run = column[start : start + count]
+            first = run[0] >> shift
+            if run[-1] >> shift == first:
                 word = 0
-                for bit in bits:
+                for bit in run:
                     word |= 1 << (bit & low)
                 append({first: word})
                 continue
             mask: ChunkMask = {}
             current = first
             word = 0
-            for bit in bits:
+            for bit in run:
                 chunk = bit >> shift
                 if chunk != current:
                     mask[current] = word

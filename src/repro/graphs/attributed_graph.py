@@ -19,6 +19,7 @@ from typing import (
     Iterator,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -53,18 +54,28 @@ class AttributedGraph:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[Tuple[Vertex, Vertex]],
+        edges: Iterable[Sequence[Vertex]],
         attributes: Optional[Mapping[Vertex, Iterable[Value]]] = None,
+        vertices: Iterable[Vertex] = (),
     ) -> "AttributedGraph":
         """Build a graph from an edge list and a vertex->values mapping.
 
+        The bulk-construction path (graph files load through it too):
+        one validating pass fills the adjacency sets.  The vertex order
+        is what ``add_vertex``/``add_edge`` calls in input order would
+        give — ``vertices`` first, then each edge's endpoints at their
+        first appearance; duplicate and reversed edges count once.
         Vertices mentioned only in ``attributes`` are added as isolated
-        vertices; vertices mentioned only in ``edges`` get an empty
-        attribute set.
+        vertices after them; vertices without an entry there get an
+        empty attribute set.
+
+        Raises :class:`~repro.errors.GraphError` naming the entry for an
+        unhashable id in ``vertices``, and naming the edge by its index
+        for an edge that is not a two-item list or tuple, holds an
+        unhashable id or is a self-loop.
         """
         graph = cls()
-        for u, v in edges:
-            graph.add_edge(u, v)
+        graph._fill(vertices, edges)
         if attributes is not None:
             for vertex, values in attributes.items():
                 if vertex not in graph._adjacency:
@@ -110,6 +121,51 @@ class AttributedGraph:
             if u != v:
                 graph.add_edge(u, v)
         return graph
+
+    def _fill(
+        self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]]
+    ) -> None:
+        """:meth:`from_edges`' pass over an empty graph: no per-edge
+        method calls, and ``_attributes`` filled once at the end in the
+        adjacency's key order (the order ``add_vertex`` keeps both in)."""
+        adjacency = self._adjacency
+        for index, vertex in enumerate(vertices):
+            try:
+                if vertex not in adjacency:
+                    adjacency[vertex] = set()
+            except TypeError:
+                raise GraphError(
+                    f"'vertices' entry {index} is not a hashable vertex id: "
+                    f"{vertex!r}"
+                ) from None
+        near = adjacency.get
+        num_edges = 0
+        for index, edge in enumerate(edges):
+            if (type(edge) is not list and type(edge) is not tuple) or len(edge) != 2:
+                raise GraphError(f"edge {index} is not a [u, v] pair: {edge!r}")
+            u, v = edge
+            if u == v:
+                raise GraphError(
+                    f"edge {index} is a self-loop: self-loops are not allowed "
+                    f"(vertex {u!r})"
+                )
+            try:
+                near_u = near(u)
+                near_v = near(v)
+            except TypeError:
+                raise GraphError(
+                    f"edge {index} has an unhashable vertex id: {edge!r}"
+                ) from None
+            if near_u is None:
+                near_u = adjacency[u] = set()
+            if near_v is None:
+                near_v = adjacency[v] = set()
+            if v not in near_u:
+                near_u.add(v)
+                near_v.add(u)
+                num_edges += 1
+        self._attributes = dict.fromkeys(adjacency, frozenset())
+        self._num_edges = num_edges
 
     def to_networkx(self, attribute_key: str = "values"):
         """Export to ``networkx.Graph`` with values stored per node."""

@@ -3,7 +3,8 @@
 Two formats are supported:
 
 * JSON — explicit ``{"edges": [...], "attributes": {...}}`` documents,
-  round-trip safe for string/int vertex ids and string values.
+  round-trip safe for string/int vertex ids and string values, loaded
+  through :meth:`AttributedGraph.from_edges`' one validating pass.
 * An adjacency text format — one ``vertex | neighbours | values`` line
   per vertex, convenient for eyeballing small graphs.
 """
@@ -45,12 +46,19 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
     ``int_vertices`` is true, the key is parsed back to an int when
     possible.
 
+    ``vertices`` and ``edges`` go through
+    :meth:`AttributedGraph.from_edges` in one validating pass (no
+    per-edge method calls), so the vertex order is ``vertices`` first,
+    then edge endpoints at their first appearance, then attribute keys
+    naming new vertices.
+
     Raises :class:`~repro.errors.GraphError` naming the bad field for
     a document that is not an object, a ``vertices``/``edges`` that is
     not an array, an ``attributes`` that is not an object, an
-    unhashable id in ``vertices``, an edge that is not a ``[u, v]``
-    pair of vertex ids, or an attribute entry that is not an array of
-    values.  Each check is O(1) per entry.
+    unhashable id in ``vertices``, an edge (by its index) that is not a
+    ``[u, v]`` pair of vertex ids or is a self-loop, or an attribute
+    entry that is not an array of values.  Each check is O(1) per
+    entry.
     """
 
     def parse(key: str):
@@ -78,24 +86,7 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
             raise GraphError(
                 f"{name!r} must be {noun}, got {type(value).__name__}"
             )
-    graph = AttributedGraph()
-    for index, vertex in enumerate(vertices):
-        try:
-            graph.add_vertex(vertex)
-        except TypeError:
-            raise GraphError(
-                f"'vertices' entry {index} is not a hashable vertex id: "
-                f"{vertex!r}"
-            ) from None
-    for index, edge in enumerate(edges):
-        if type(edge) is not list or len(edge) != 2:
-            raise GraphError(f"edge {index} is not a [u, v] pair: {edge!r}")
-        try:
-            graph.add_edge(edge[0], edge[1])
-        except TypeError:
-            raise GraphError(
-                f"edge {index} has an unhashable vertex id: {edge!r}"
-            ) from None
+    graph = AttributedGraph.from_edges(edges, vertices=vertices)
     for key, values in attributes.items():
         if type(values) is not list:
             raise GraphError(

@@ -159,13 +159,25 @@ class EncodeCoresets(PipelineStage):
         with obs.span(
             "mine.encode", encoder=context.config.coreset_encoder
         ):
-            context.standard_table = StandardCodeTable.from_graph(graph)
+            # One pass over the mapping function serves both tables: a
+            # value's frequency is the size of its vertex set.  The keys
+            # come in ``value_frequencies``' order (first occurrence),
+            # and both tables are read in sorted order anyway.
+            value_positions = graph.value_positions()
+            frequencies = {
+                value: len(vertices) for value, vertices in value_positions.items()
+            }
+            context.standard_table = StandardCodeTable.from_graph(
+                graph, frequencies
+            )
             if context.config.coreset_encoder == "singleton":
                 context.coreset_positions = {
                     frozenset([value]): vertices
-                    for value, vertices in graph.value_positions().items()
+                    for value, vertices in value_positions.items()
                 }
-                context.core_table = CoreCodeTable.singletons_from_graph(graph)
+                context.core_table = CoreCodeTable.singletons_from_graph(
+                    graph, frequencies
+                )
             else:
                 # Multi-value coresets: mine itemsets over vertex
                 # attribute sets and cover each vertex's attribute set

@@ -12,6 +12,10 @@ sequence and every description-length float exactly.
 ``(coreset, vertex, leaf value)`` triple at a time, the reference the
 columnar ``InvertedDatabase.from_graph`` is pinned to.
 
+:func:`per_edge_graph` loads a graph document one ``add_vertex`` /
+``add_edge`` / ``set_attributes`` call at a time, the reference the
+one-pass ``repro.graphs.io.from_json_dict`` is pinned to.
+
 :func:`sorted_rows` is the canonical row order as one global sort with
 a key per row, the order ``repro.core.mdl.canonical_order`` builds from
 per-set keys.
@@ -27,6 +31,7 @@ from repro.core.cspm_basic import run_basic as naive_search
 from repro.core.gain import GainBreakdown
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import xlog2x
+from repro.graphs.attributed_graph import AttributedGraph
 
 __all__ = [
     "CoresetMergeStats",
@@ -34,6 +39,7 @@ __all__ = [
     "naive_search",
     "outcome",
     "pair_gain",
+    "per_edge_graph",
     "sorted_rows",
     "triples_database",
 ]
@@ -53,6 +59,30 @@ def outcome(trace, db):
         ),
         "snapshot": db.snapshot(),
     }
+
+
+def per_edge_graph(document, int_vertices=True):
+    """A valid graph document, loaded the way ``from_json_dict`` did
+    before its one-pass fill: each listed vertex, then each edge, then
+    each attribute entry, through the graph's own mutators.  A key names
+    the vertex it spells when that exists, else parses to an int when
+    ``int_vertices`` and it can."""
+    graph = AttributedGraph()
+    for vertex in document.get("vertices", []):
+        graph.add_vertex(vertex)
+    for u, v in document.get("edges", []):
+        graph.add_edge(u, v)
+    for key, values in document.get("attributes", {}).items():
+        vertex = key
+        if int_vertices and key not in graph:
+            try:
+                vertex = int(key)
+            except ValueError:
+                pass
+        if vertex not in graph:
+            graph.add_vertex(vertex)
+        graph.set_attributes(vertex, values)
+    return graph
 
 
 def triples_database(graph, coreset_positions=None, mask_backend=None):

@@ -5,6 +5,7 @@ import copy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import per_edge_graph
 
 from repro.errors import DatasetError, GraphError, ReproError
 from repro.graphs.builders import paper_running_example, path_graph, star_graph
@@ -130,6 +131,42 @@ JSON_JUNK = st.recursive(
 )
 
 
+VERTEX_IDS = st.one_of(
+    st.integers(min_value=-2, max_value=9),
+    st.sampled_from(["a", "b", "7", "x1"]),
+)
+#: Keys that parse to ints ("05", " 3", "-2") and keys that do not.
+ATTRIBUTE_KEYS = st.one_of(
+    VERTEX_IDS.map(str), st.sampled_from(["05", " 3", "-2", "1e3", "3.5", "q"])
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """Valid graph documents: int and string ids, duplicate and reversed
+    edges, vertices only in ``vertices``, vertices only in
+    ``attributes``."""
+    edges = draw(
+        st.lists(
+            st.lists(VERTEX_IDS, min_size=2, max_size=2).filter(
+                lambda edge: edge[0] != edge[1]
+            ),
+            max_size=20,
+        )
+    )
+    if edges:
+        repeated = draw(st.lists(st.sampled_from(edges), max_size=4))
+        edges += [edge[::-1] for edge in repeated[::2]] + repeated[1::2]
+    keys = draw(st.lists(ATTRIBUTE_KEYS, max_size=8, unique=True))
+    return {
+        "vertices": draw(st.lists(VERTEX_IDS, max_size=6)),
+        "edges": draw(st.permutations(edges)),
+        "attributes": {
+            key: draw(st.lists(st.sampled_from("abcd"), max_size=3)) for key in keys
+        },
+    }
+
+
 class TestIO:
     def test_json_round_trip(self, tmp_path, paper_graph):
         path = tmp_path / "graph.json"
@@ -197,7 +234,7 @@ class TestIO:
             from_json_dict({"edges": [[1, 2]], "attributes": {"3": values}})
 
     @pytest.mark.parametrize(
-        "edge", [[1], [1, 2, 3], [[1], 2], "ab", 5, None, {"u": 1, "v": 2}]
+        "edge", [[1], [1, 2, 3], [[1], 2], "ab", 5, None, {"u": 1, "v": 2}, [2, 2]]
     )
     def test_malformed_edge_rejected_with_its_index(self, edge):
         with pytest.raises(GraphError, match="edge 1 "):
@@ -257,6 +294,17 @@ class TestIO:
             from_json_dict(document)
         except ReproError:
             pass
+
+    @given(document=graph_documents(), int_vertices=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_loader_matches_per_edge_reference(self, document, int_vertices):
+        # The bulk pass against add_vertex/add_edge/set_attributes one
+        # call at a time: same graph, vertex order and edge count.
+        expected = per_edge_graph(document, int_vertices)
+        graph = from_json_dict(copy.deepcopy(document), int_vertices)
+        assert graph == expected
+        assert list(graph.vertices()) == list(expected.vertices())
+        assert graph.num_edges == expected.num_edges
 
     def test_adjacency_text_mentions_all_vertices(self, paper_graph):
         text = to_adjacency_text(paper_graph)

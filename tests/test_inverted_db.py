@@ -49,6 +49,27 @@ class TestConstruction:
                 paper_graph, coreset_positions={frozenset(): [1]}
             )
 
+    @pytest.mark.parametrize("backend", ["bigint", "chunked"])
+    @pytest.mark.parametrize(
+        "positions, named",
+        [([999], "999"), ([[1]], r"\[1\]"), ([2, 999, 1], "999")],
+        ids=["unknown", "unhashable", "unknown-among-known"],
+    )
+    def test_bad_position_names_coreset_and_position(
+        self, paper_graph, backend, positions, named
+    ):
+        # Used to escape as a bare KeyError / TypeError.
+        with pytest.raises(MiningError, match=rf"coreset {{'a'}} has position {named},"):
+            InvertedDatabase.from_graph(
+                paper_graph,
+                coreset_positions={fs("a"): positions},
+                mask_backend=get_backend(backend),
+            )
+
+    def test_positions_must_be_iterable(self, paper_graph):
+        with pytest.raises(MiningError, match="not an iterable"):
+            InvertedDatabase.from_graph(paper_graph, coreset_positions={fs("a"): 5})
+
     def test_isolated_vertices_produce_no_rows(self):
         graph = AttributedGraph.from_edges([(1, 2)], {1: {"a"}, 2: {"b"}, 3: {"c"}})
         db = InvertedDatabase.from_graph(graph)

@@ -17,6 +17,7 @@ database was built on.  This file pins that contract three ways:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from repro.core.masks import (
     MASK_BACKENDS,
     BigintMaskBackend,
     ChunkedMaskBackend,
+    MaskBackend,
     bigint_mask_bytes,
     get_backend,
     resolve_backend,
@@ -64,6 +66,21 @@ def ref_mask(bits):
     return out
 
 
+def runs_column(runs):
+    """``runs`` as make_runs' flat column, run starts and run lengths."""
+    counts = [len(run) for run in runs]
+    starts = [sum(counts[:index]) for index in range(len(runs))]
+    return [bit for run in runs for bit in run], starts, counts
+
+
+def assert_runs_match_make(backend, runs, built):
+    assert len(built) == len(runs)
+    for bits, mask in zip(runs, built):
+        assert mask == backend.make(bits), bits
+        assert backend.popcount(mask) == len(set(bits))
+        assert list(backend.iter_bits(mask)) == sorted(set(bits))
+
+
 @pytest.fixture(params=ALL_BACKENDS, ids=lambda b: repr(b))
 def backend(request):
     return request.param
@@ -86,48 +103,86 @@ class TestBackendOps:
         present = set(backend.iter_bits(mask))
         assert present.isdisjoint((2, 62, 66, 254, 258, 1022, 1026))
 
-    def test_make_batch_matches_make(self, backend):
-        # The columnar builder's bulk materialiser: ascending input,
-        # duplicates allowed, one mask per list, boundary bits heavy.
-        bit_lists = [
+    @pytest.mark.parametrize("column", ["list", "int64", "int32", "uint16"])
+    def test_make_runs_matches_make(self, backend, column):
+        # The columnar builder's bulk materialiser: one flat column of
+        # ascending runs, each compared with make(bits).  Empty runs,
+        # duplicates inside a run, adjacent runs sharing a bit (300),
+        # the chunk boundaries, and a run above 2**20.
+        runs = [
             [],
             [0],
             [5, 5, 70, 300],
+            [300, 301],
             sorted(BOUNDARY_BITS),
             sorted(BOUNDARY_BITS) + [1025, 1025],
+            [],
             [63, 64],
             [2000],
         ]
-        built = backend.make_batch(bit_lists)
-        assert len(built) == len(bit_lists)
-        for bits, mask in zip(bit_lists, built):
-            assert mask == backend.make(bits), bits
-            assert list(backend.iter_bits(mask)) == sorted(set(bits))
+        if column != "uint16":
+            runs.append([2**20 + 3, 2**20 + 3, 2**20 + 700, 2**21])
+        bits, starts, counts = runs_column(runs)
+        if column != "list":
+            bits = np.array(bits, dtype=column)
+            starts, counts = np.array(starts), np.array(counts)
+        assert_runs_match_make(backend, runs, backend.make_runs(bits, starts, counts))
+
+    def test_make_runs_reads_any_slices(self, backend):
+        # Run i is bits[starts[i] : starts[i] + counts[i]], wherever it
+        # sits: out of column order, overlapping, or skipping entries.
+        bits = np.array([1, 4, 9, 9, 300, 2, 3])
+        starts, counts = [4, 0, 1, 5, 2], [1, 4, 2, 2, 0]
+        runs = [bits[s : s + c].tolist() for s, c in zip(starts, counts)]
+        assert_runs_match_make(backend, runs, backend.make_runs(bits, starts, counts))
+
+    def test_make_runs_of_nothing(self, backend):
+        assert backend.make_runs([], [], []) == []
+        assert backend.make_runs(np.array([], dtype=np.int64), [0, 0], [0, 0]) == [
+            backend.empty(),
+            backend.empty(),
+        ]
+
+    @pytest.mark.parametrize("pack_bytes", [1, 9, 200])
+    def test_bigint_make_runs_packs_in_groups(self, monkeypatch, pack_bytes):
+        # Runs wider than a pack group, and groups of several runs.
+        monkeypatch.setattr("repro.core.masks.bigint._PACK_BYTES", pack_bytes)
+        runs = [[3, 9], [], [0, 70, 300, 300], [300], sorted(BOUNDARY_BITS), [2**20]]
+        backend = BigintMaskBackend()
+        assert_runs_match_make(backend, runs, backend.make_runs(*runs_column(runs)))
+
+    def test_default_make_runs_is_make_per_run(self, backend):
+        # The protocol's fallback, for a backend without a bulk path.
+        runs = [[2, 5, 5], [], [5, 1024]]
+        bits, starts, counts = runs_column(runs)
+        built = MaskBackend.make_runs(backend, np.array(bits), starts, counts)
+        assert_runs_match_make(backend, runs, built)
 
     @given(
-        bit_lists=st.lists(
+        runs=st.lists(
             st.lists(
                 st.integers(min_value=0, max_value=1100), max_size=40
             ).map(sorted),
             max_size=6,
-        )
+        ),
+        offset=st.sampled_from([0, 2**20 + 5]),
     )
     @settings(
         max_examples=40,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_property_bulk_ops_match_reference(self, backend, bit_lists):
-        built = backend.make_batch(bit_lists)
-        for bits, mask in zip(bit_lists, built):
-            assert backend.popcount(mask) == len(set(bits))
-            assert list(backend.iter_bits(mask)) == sorted(set(bits))
+    def test_property_make_runs_match_reference(self, backend, runs, offset):
+        runs = [[bit + offset for bit in run] for run in runs]
+        bits, starts, counts = runs_column(runs)
+        built = backend.make_runs(np.array(bits, dtype=np.int64), starts, counts)
+        assert_runs_match_make(backend, runs, built)
         merged = backend.empty()
         for mask in built:
             merged = backend.or_(merged, mask)
-        union = ref_mask(bit for bits in bit_lists for bit in bits)
+        union = ref_mask(bit for run in runs for bit in run)
         assert list(backend.iter_bits(merged)) == [
-            i for i in range(1101) if union >> i & 1
+            offset + i for i in range(1101) if union >> (offset + i) & 1
         ]
 
     @pytest.mark.parametrize(
