@@ -24,7 +24,6 @@ from repro.analysis.core import (
     Finding,
     LintContext,
     Rule,
-    SourceModule,
     register,
     root_name,
 )

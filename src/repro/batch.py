@@ -21,17 +21,16 @@ Example::
 
 from __future__ import annotations
 
-import os
 import traceback as traceback_module
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.config import CSPMConfig
 from repro.core.result import CSPMResult
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import Observation, activate, clock, current
-from repro.runtime.supervisor import SiteReport, run_supervised
+from repro.runtime.supervisor import SiteReport, run_supervised, shared_state
 
 EXECUTORS = ("serial", "process")
 
@@ -46,10 +45,6 @@ class BatchRun:
     (a string, because the original traceback object cannot cross a
     process boundary).  ``seconds`` is the run's wall-clock either way
     — failed runs are timed too, so batch dashboards never undercount.
-
-    Under ``config.trace=True`` the run's closed span buffer and the
-    executing pid ride along (plain tuples, FRK002-shaped) so
-    :func:`fit_many` can fold every run into one parent timeline.
     """
 
     index: int
@@ -57,8 +52,6 @@ class BatchRun:
     seconds: float
     error: Optional[str] = None
     traceback: Optional[str] = None
-    spans: Optional[List[Tuple[str, float, float, int, str]]] = None
-    pid: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -82,8 +75,9 @@ class BatchResult:
     """All runs of one :func:`fit_many` call, in input order.
 
     ``report`` is the supervisor's failure telemetry for the
-    ``"batch"`` site — ``None`` for serial (or single-graph)
-    execution, where no pool exists to supervise.  ``obs`` is the
+    ``"batch"`` site — ``None`` when the runs ran in-process
+    (``executor="serial"``, ``n_jobs=1`` or one graph), where no pool
+    exists to supervise.  ``obs`` is the
     batch-level observation session (spans from every run adopted
     into one timeline, per-run duration metrics) when the config's
     observability knobs — or an already-active session — enabled one.
@@ -145,8 +139,9 @@ class BatchResult:
         )
 
 
-def _fit_one(payload: Tuple[int, AttributedGraph, CSPMConfig]) -> BatchRun:
-    """Worker: mine one graph and time it (top-level for pickling).
+def _fit_one(index: int) -> BatchRun:
+    """Worker: mine graph ``index`` of the shared ``(graphs, config)``
+    and time it (top-level for pickling).
 
     A raising run is *isolated*, not fatal: the exception becomes a
     per-run error record and the other graphs in the batch are
@@ -158,15 +153,10 @@ def _fit_one(payload: Tuple[int, AttributedGraph, CSPMConfig]) -> BatchRun:
     """
     from repro.pipeline import MiningPipeline
 
-    index, graph, config = payload
+    graphs, config = shared_state()
     start = clock.perf_counter()
     try:
-        context = MiningPipeline.default(config).run_context(graph)
-        result = context.result
-        if result is None:
-            raise MiningError(
-                "pipeline finished without producing a result"
-            )
+        result = MiningPipeline.default(config).run(graphs[index])
     except Exception as exc:
         return BatchRun(
             index=index,
@@ -175,24 +165,7 @@ def _fit_one(payload: Tuple[int, AttributedGraph, CSPMConfig]) -> BatchRun:
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback_module.format_exc(),
         )
-    # Ship spans only when the *config* turned tracing on: then
-    # ``run_context`` recorded into a run-private session whose buffer
-    # must travel home.  Tracing inherited from an already-active
-    # parent session recorded straight into the parent's buffer — in
-    # that case shipping would duplicate every span.
-    obs = context.obs
-    spans = (
-        obs.tracer.export_spans()
-        if config.trace and obs is not None and obs.tracer.enabled
-        else None
-    )
-    return BatchRun(
-        index=index,
-        result=result,
-        seconds=clock.perf_counter() - start,
-        spans=spans,
-        pid=os.getpid(),
-    )
+    return BatchRun(index=index, result=result, seconds=clock.perf_counter() - start)
 
 
 def fit_many(
@@ -214,8 +187,11 @@ def fit_many(
         ``"serial"``).
     executor:
         ``"serial"`` (default) runs in-process; ``"process"`` fans out
-        over a :class:`~concurrent.futures.ProcessPoolExecutor` —
-        graphs and results cross process boundaries via pickle.
+        over ``n_jobs`` supervised worker processes
+        (:func:`repro.runtime.supervisor.run_supervised`; one job or
+        ``n_jobs=1`` runs in-process) — workers inherit the graphs by
+        fork where the platform has it, and results come home by
+        pickle.
     """
     if executor not in EXECUTORS:
         raise MiningError(
@@ -225,33 +201,26 @@ def fit_many(
         raise MiningError(f"n_jobs must be a positive int, got {n_jobs!r}")
     config = config if config is not None else CSPMConfig()
     graphs = list(graphs)
-    payloads = [(index, graph, config) for index, graph in enumerate(graphs)]
 
     # Batch-level observation: inherit the caller's active session, or
-    # build one from the config knobs.  Each run records its own spans
-    # (in-process or in a worker) and ships them back on the BatchRun;
-    # they are adopted into this session's timeline below.
+    # build one from the config knobs.  The supervisor runs each graph
+    # under its own span buffer and adopts it as lane ``batch[i]``.
     obs = current()
     if not obs.enabled:
         obs = Observation.from_config(config)
-    report: Optional[SiteReport] = None
     with activate(obs):
-        if executor == "serial" or len(payloads) <= 1:
-            runs = [_fit_one(payload) for payload in payloads]
-        else:
-            # The pool is supervised (site "batch", task index = run
-            # index): a run whose worker crashed or hung is mined
-            # again in-process — per-run *exceptions* never get that
-            # far, ``_fit_one`` already converts them to error records
-            # inside the worker.
-            workers = min(n_jobs, len(payloads))
-            runs, report = run_supervised(
-                "batch",
-                payloads,
-                _fit_one,
-                max_workers=workers,
-                expect_type=BatchRun,
-            )
+        # Supervised (site "batch", task index = run index): a run
+        # whose worker crashed or hung is mined again in-process —
+        # per-run *exceptions* never get that far, ``_fit_one``
+        # already converts them to error records.
+        runs, report = run_supervised(
+            "batch",
+            range(len(graphs)),
+            _fit_one,
+            workers=n_jobs if executor == "process" else 1,
+            expect_type=BatchRun,
+            shared=(graphs, config),
+        )
         _emit_batch_observations(obs, runs)
     return BatchResult(
         runs=runs,
@@ -262,26 +231,11 @@ def fit_many(
 
 
 def _emit_batch_observations(obs: Observation, runs: List[BatchRun]) -> None:
-    """Fold per-run spans and durations into the batch session.
+    """Fold per-run durations into the batch session.
 
-    Runs that executed in this very process share the parent clock, so
-    their spans adopt without an offset; worker-process spans are
-    end-aligned to the harvest instant.  Durations are emitted for
-    *every* run — failed runs included — so the histogram matches what
-    ``BatchResult.total_seconds`` sums.
+    Durations are emitted for *every* run — failed runs included — so
+    the histogram matches what ``BatchResult.total_seconds`` sums.
     """
-    if obs.tracer.enabled:
-        harvest = obs.tracer.now()
-        for run in runs:
-            if not run.spans:
-                continue
-            align = None if run.pid == obs.tracer.pid else harvest
-            obs.tracer.adopt(
-                run.spans,
-                run.pid or 0,
-                f"batch[{run.index}]",
-                align_end=align,
-            )
     if obs.metrics.enabled:
         for run in runs:
             obs.metrics.histogram("batch.run_seconds").observe(run.seconds)

@@ -30,8 +30,8 @@ Value = Hashable
 
 SCHEMA_VERSION = 1
 
-#: Top-level keys every result document must carry (``config`` and
-#: ``runtime`` are optional).
+#: Top-level keys every result document must carry (``config`` is
+#: optional).
 SECTIONS = (
     "astars",
     "trace",
@@ -101,9 +101,9 @@ class CSPMResult:
     inverted_db: Optional[InvertedDatabase] = field(default=None, repr=False)
     config: Optional[CSPMConfig] = None
     #: Supervised-runtime failure telemetry (each site's report:
-    #: degraded-task list and failure lines), populated only when a
-    #: supervised pool actually ran — ``None`` for serial execution,
-    #: which keeps schema-v1 documents byte-identical.
+    #: degraded-task list, failure lines, seconds), populated only when
+    #: a supervised pool actually ran.  It holds wall-clock time, so it
+    #: is not part of the result document.
     runtime: Optional[Dict[str, Any]] = None
 
     @property
@@ -198,7 +198,7 @@ class CSPMResult:
         inverted database.  Attribute values must be JSON-compatible
         (strings, numbers) for :meth:`to_json` to succeed.
         """
-        document = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "config": None if self.config is None else self.config.to_dict(),
             "astars": astar_entries(self.astars),
@@ -208,15 +208,14 @@ class CSPMResult:
             "standard_table": self.standard_table.to_dict(),
             "core_table": self.core_table.to_dict(),
         }
-        if self.runtime is not None:
-            document["runtime"] = self.runtime
-        return document
 
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "CSPMResult":
         """Rebuild a result from :meth:`to_dict` output.
 
-        The returned result has ``inverted_db=None``.  A document of
+        The returned result has ``inverted_db=None`` and
+        ``runtime=None``; the ``runtime`` key that documents written
+        before version 1.19.0 carry is ignored.  A document of
         another ``schema_version``, one missing a section of
         :data:`SECTIONS`, or one holding a malformed section raises
         :class:`~repro.errors.MiningError` naming the key; a config
@@ -257,7 +256,6 @@ class CSPMResult:
             config=None
             if config is None
             else _section(document, "config", CSPMConfig.from_dict),
-            runtime=document.get("runtime"),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -63,17 +63,16 @@ imply a common coreset — the cover invariant of
 high-water mark of the summed component queue sizes, rebuilt from each
 decision's local window peak.
 
-The fork/initializer/in-process triad (docs/INVARIANTS.md, family 3):
-workers receive the database by fork inheritance where possible, and
-every cross-process payload (:class:`ComponentRun`) is plain picklable
+The components run through :func:`repro.runtime.supervisor.run_supervised`
+(site ``"search"``), which alone decides whether a pool runs and how
+the database reaches the workers (docs/INVARIANTS.md, family 3); every
+cross-process payload (:class:`ComponentRun`) is plain picklable
 columns.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -87,25 +86,14 @@ from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_rec
 from repro.core.inverted_db import CoreKey, InvertedDatabase, Mask
 from repro.core.mdl import description_length
 from repro.errors import MiningError
-from repro.obs import Observation, activate, current
-from repro.runtime.supervisor import SiteReport, run_supervised
+from repro.obs import current
+from repro.runtime.supervisor import SiteReport, run_supervised, shared_state
 
 #: Queue-head decision kinds in a :class:`ComponentRun` event log.
 EV_CLEAN_MERGE = 0
 EV_DIRTY_MERGE = 1
 EV_PUSH = 2
 EV_DROP = 3
-
-#: Shared search state in a worker process: ``(database, standard
-#: table, core table, include_model_cost, update_scope, trace
-#: enabled)``.  Set by fork inheritance or the pool initializer.
-_WORKER_STATE: Optional[Tuple] = None
-
-
-def _set_worker_state(state: Optional[Tuple]) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
 
 @dataclass
 class ComponentRun:
@@ -147,11 +135,6 @@ class ComponentRun:
     core_leaf_ids: Dict[CoreKey, List[int]]
     core_epoch: Dict[CoreKey, int]
     leaf_epoch: Dict[LeafKey, int]
-    #: Closed observability spans recorded in the worker (plain str/
-    #: float/int tuples) plus the recording pid, shipped home through
-    #: the ordinary result path when tracing is on.
-    spans: Optional[List[Tuple[str, float, float, int, str]]] = None
-    pid: int = 0
 
 
 class ShardedSearch(NamedTuple):
@@ -268,32 +251,31 @@ def connected_components(db: InvertedDatabase) -> List[List[int]]:
 
 
 def _mine_component(leaf_ids: List[int]) -> ComponentRun:
-    """Worker entrypoint: mine one component on a restricted copy."""
-    db, standard_table, core_table, include_model_cost, scope, traced = (
-        _WORKER_STATE
-    )
-    obs = Observation.for_worker(trace=traced)
+    """Worker entrypoint: mine one component on a restricted copy.
+
+    The shared state is ``(database, standard table, core table,
+    include_model_cost, update_scope)``.
+    """
+    db, standard_table, core_table, include_model_cost, scope = shared_state()
     # A no-op in a forked worker of a paused parent; it pauses the
     # collector where the worker starts without that state.
-    with activate(obs), paused_collector():
-        with obs.span("search.component", leafsets=len(leaf_ids)):
-            leafset_of = db.interner.leafset_of
-            local = db.restricted_copy(leafset_of(i) for i in leaf_ids)
-            recorder = ComponentRecorder()
-            # ``initial_dl_bits=0.0`` skips the from-scratch DL pass:
-            # the stitch rebuilds the global DL from the recorded
-            # breakdowns, so the worker's local DL floats are never
-            # read.
-            trace = run_partial(
-                local,
-                standard_table,
-                core_table,
-                include_model_cost=include_model_cost,
-                update_scope=scope,
-                initial_dl_bits=0.0,
-                recorder=recorder,
-            )
-            recorder.close()
+    with paused_collector(), current().span("search.component", leafsets=len(leaf_ids)):
+        leafset_of = db.interner.leafset_of
+        local = db.restricted_copy(leafset_of(i) for i in leaf_ids)
+        recorder = ComponentRecorder()
+        # ``initial_dl_bits=0.0`` skips the from-scratch DL pass: the
+        # stitch rebuilds the global DL from the recorded breakdowns,
+        # so the worker's local DL floats are never read.
+        trace = run_partial(
+            local,
+            standard_table,
+            core_table,
+            include_model_cost=include_model_cost,
+            update_scope=scope,
+            initial_dl_bits=0.0,
+            recorder=recorder,
+        )
+        recorder.close()
     local_interner = local.interner
     # The restricted copy's columns are handed over as they are: the
     # copy is discarded, and in a pool the pickle copies them anyway.
@@ -310,104 +292,7 @@ def _mine_component(leaf_ids: List[int]) -> ComponentRun:
         core_leaf_ids=local._core_leaf_ids,
         core_epoch=local._core_epoch,
         leaf_epoch=local._leaf_epoch,
-        spans=obs.tracer.export_spans() if traced else None,
-        pid=os.getpid(),
     )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the
-    platform has one (``taskset`` and cgroup cpusets shrink it below
-    the host count), else the host count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return multiprocessing.cpu_count() or 1  # pragma: no cover - macOS/Windows
-
-
-def _mine_components(
-    db: InvertedDatabase,
-    standard_table: StandardCodeTable,
-    core_table: CoreCodeTable,
-    include_model_cost: bool,
-    update_scope: str,
-    components: List[List[int]],
-    workers: Optional[int],
-) -> Tuple[List[ComponentRun], Optional[SiteReport]]:
-    """Run :func:`_mine_component` over all components, in order.
-
-    Jobs are submitted largest-component-first (the tail of small
-    components then packs the stragglers), but results are returned in
-    component order.  One worker — or one component — runs in-process
-    with no supervision (report ``None``); ``workers=None`` means one
-    per usable CPU.  Pool execution goes
-    through :func:`repro.runtime.supervisor.run_supervised` (site
-    ``"search"``, task index = position in the largest-first
-    submission order): the parent keeps ``_WORKER_STATE`` installed on
-    every platform so a component the pool failed is re-mined
-    in-process, bit-exact.
-    """
-    requested = workers if workers is not None else _usable_cpus()
-    order = sorted(
-        range(len(components)), key=lambda i: (-len(components[i]), i)
-    )
-    jobs = [components[i] for i in order]
-    obs = current()
-    state = (
-        db,
-        standard_table,
-        core_table,
-        include_model_cost,
-        update_scope,
-        obs.tracer.enabled,
-    )
-    report: Optional[SiteReport] = None
-    if requested <= 1 or len(jobs) <= 1:
-        _set_worker_state(state)
-        try:
-            results = [_mine_component(job) for job in jobs]
-        finally:
-            _set_worker_state(None)
-    else:
-        # Fork children inherit the parent's memory (the database and
-        # code tables reach the workers without a single pickle byte);
-        # the parent-side state doubles as the supervisor's degraded
-        # re-execution context on every platform.
-        _set_worker_state(state)
-        try:
-            if "fork" in multiprocessing.get_all_start_methods():
-                results, report = run_supervised(
-                    "search",
-                    jobs,
-                    _mine_component,
-                    max_workers=min(requested, len(jobs)),
-                    mp_context=multiprocessing.get_context("fork"),
-                    expect_type=ComponentRun,
-                )
-            else:  # pragma: no cover - non-fork platforms
-                results, report = run_supervised(
-                    "search",
-                    jobs,
-                    _mine_component,
-                    max_workers=min(requested, len(jobs)),
-                    initializer=_set_worker_state,
-                    initargs=(state,),
-                    expect_type=ComponentRun,
-                )
-        finally:
-            _set_worker_state(None)
-    runs: List[Optional[ComponentRun]] = [None] * len(components)
-    for slot, result in zip(order, results):
-        runs[slot] = result
-    if obs.tracer.enabled:
-        harvest = obs.tracer.now()
-        for slot, run in enumerate(runs):
-            if run is None or not run.spans:
-                continue
-            align = None if run.pid == obs.tracer.pid else harvest
-            obs.tracer.adopt(
-                run.spans, run.pid, f"search[{slot}]", align_end=align
-            )
-    return runs, report
 
 
 def _stitch(
@@ -603,22 +488,24 @@ def run_sharded(
         ).total_bits
     num_leafsets = db.num_leafsets
     components = connected_components(db)
-    current().progress.note(
-        "search",
-        components=len(components),
-        largest=max((len(c) for c in components), default=0),
-    )
-    runs, report = _mine_components(
-        db,
-        standard_table,
-        core_table,
-        include_model_cost,
-        update_scope,
-        components,
-        workers,
-    )
-    trace = _stitch(db, update_scope, initial_dl_bits, components, runs)
     largest = max((len(component) for component in components), default=0)
+    current().progress.note("search", components=len(components), largest=largest)
+    # Largest component first, so the tail of small ones packs the
+    # stragglers; the task index (fault plans, failure lines, trace
+    # lanes) is the position in this order.
+    order = sorted(range(len(components)), key=lambda i: (-len(components[i]), i))
+    results, report = run_supervised(
+        "search",
+        [components[i] for i in order],
+        _mine_component,
+        workers=workers,
+        expect_type=ComponentRun,
+        shared=(db, standard_table, core_table, include_model_cost, update_scope),
+    )
+    runs: List[Optional[ComponentRun]] = [None] * len(components)
+    for slot, result in zip(order, results):
+        runs[slot] = result
+    trace = _stitch(db, update_scope, initial_dl_bits, components, runs)
     return ShardedSearch(
         trace=trace,
         num_components=len(components),

@@ -12,12 +12,13 @@ Activation is a per-process stack::
     with activate(Observation.from_config(config)) as obs:
         ...   # current() returns obs anywhere below this frame
 
-``MiningPipeline.run_context`` activates the config-selected session
-around its stages, so deep code (the inverted-database builder, the
-searches, the supervisor) reaches the live session through
-:func:`current` without signature churn.  Worker processes build their
-own session (:meth:`Observation.for_worker`) and ship the closed span
-buffer home inside their ordinary result payload.
+``MiningPipeline.run_context`` activates a session around its stages
+(the active one when it is enabled, else the config-selected one), so
+deep code (the inverted-database builder, the searches, the
+supervisor) reaches the live session through :func:`current` without
+signature churn.  The supervisor runs each task it is handed under a
+session of its own and adopts the task's closed span buffer into a
+lane of the caller's timeline (:mod:`repro.runtime.supervisor`).
 """
 
 from __future__ import annotations
@@ -88,16 +89,6 @@ class Observation:
             stream=stream,
         )
 
-    @classmethod
-    def for_worker(cls, trace: bool) -> "Observation":
-        """A worker-process session: span capture only.
-
-        Metrics and progress stay parent-side (the parent re-emits
-        from the shipped results); the worker just needs a buffer whose
-        closed spans ride home in the result payload.
-        """
-        return cls.create(trace=trace)
-
     def __repr__(self) -> str:
         flags = [
             name
@@ -114,7 +105,8 @@ class Observation:
 NULL_OBS = Observation(NULL_TRACER, NULL_METRICS, NULL_PROGRESS)
 
 #: The per-process activation stack; the top is what :func:`current`
-#: returns.  Worker processes start empty (= NULL_OBS).
+#: returns.  A forked worker inherits a copy of its parent's stack, so
+#: the supervisor activates each task's own session on top of it.
 _ACTIVE: List[Observation] = []
 
 

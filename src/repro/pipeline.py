@@ -538,13 +538,12 @@ class MiningPipeline:
             graph=graph,
             config=config if config is not None else self.config,
         )
-        # The config-selected observation session wraps the stage loop;
-        # with no knobs set, inherit whatever session the caller
-        # already activated (the perf suite, a service layer) so spans
-        # land in one timeline either way.
-        obs = Observation.from_config(context.config)
+        # A run inside an enabled session (the perf suite, a supervised
+        # task, a service layer) records into it, so spans land in one
+        # timeline; otherwise the config's knobs select the session.
+        obs = current()
         if not obs.enabled:
-            obs = current()
+            obs = Observation.from_config(context.config)
         context.obs = obs
         # A mining run makes no cyclic garbage, so the stages run with
         # the collector paused (repro.core.collector).

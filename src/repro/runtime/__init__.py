@@ -1,10 +1,12 @@
-"""Supervised parallel runtime: deadlines, failure detection, in-process re-runs.
+"""Supervised parallel runtime: the only package that knows about processes.
 
-:mod:`repro.runtime.supervisor` wraps every multiprocess pool in the
-repo (sharded search, batch ``fit_many``) with a per-task deadline and
-re-runs each failed task in the parent process, bit-exact with the
-serial run; :mod:`repro.runtime.faults` is the deterministic
-fault-injection layer that tests and the CI chaos job drive through
+:mod:`repro.runtime.supervisor` runs the tasks of both sites that fan
+out (sharded search, batch ``fit_many``): it decides whether a pool
+runs, hands the sites' shared state to the workers, brings worker
+spans home as trace lanes, puts a deadline on every task and re-runs
+each failed task in the parent process, bit-exact with the serial
+run; :mod:`repro.runtime.faults` is the deterministic fault-injection
+layer that tests and the CI chaos job drive through
 ``REPRO_FAULT_PLAN``.  See ``docs/RESILIENCE.md``.
 """
 
@@ -19,6 +21,7 @@ from repro.runtime.supervisor import (
     DEFAULT_WORKER_TIMEOUT,
     SiteReport,
     run_supervised,
+    shared_state,
 )
 
 __all__ = [
@@ -30,4 +33,5 @@ __all__ = [
     "DEFAULT_WORKER_TIMEOUT",
     "SiteReport",
     "run_supervised",
+    "shared_state",
 ]

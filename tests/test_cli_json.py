@@ -19,6 +19,8 @@ import pytest
 
 from repro.cli import main
 from repro.config import CSPMConfig
+from repro.datasets.synthetic import community_attributed_graph
+from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.io import save_json
 
@@ -98,6 +100,49 @@ class TestMineJson:
         assert iterations
         for step in iterations:
             assert step["gains_computed"] == step["possible_pairs"]
+
+
+def tenant_graph(tenants=4, communities=3):
+    """``tenants`` planted-community graphs side by side, each with its
+    own vocabulary: one overlap component per tenant."""
+    edges, attributes = [], {}
+    for tenant in range(tenants):
+        part = community_attributed_graph(
+            community_sizes=[25] * communities,
+            community_pools=[
+                [f"t{tenant}c{community}v{value}" for value in range(6)]
+                for community in range(communities)
+            ],
+            values_per_vertex=(2, 3),
+            intra_degree=2.5,
+            inter_degree=0.05,
+            seed=tenant,
+        )
+        offset = tenant * 10_000
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        attributes.update(
+            (vertex + offset, part.attributes_of(vertex)) for vertex in part.vertices()
+        )
+    return AttributedGraph.from_edges(edges, attributes)
+
+
+class TestShardedMineJson:
+    def test_two_runs_print_the_same_bytes(self, tmp_path, capsys):
+        # The document holds no wall-clock time, so a pooled run's bytes
+        # repeat; the metrics show that a pool ran.
+        path = tmp_path / "tenants.json"
+        save_json(tenant_graph(), path)
+        outputs = []
+        for run in range(2):
+            metrics = tmp_path / f"metrics{run}.json"
+            argv = ["mine", str(path), "--json", "--search", "sharded",
+                    "--search-workers", "2", "--metrics", str(metrics)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            histograms = json.loads(metrics.read_text())["histograms"]
+            assert histograms["runtime.site_seconds{site=search}"]["count"] == 1
+        assert outputs[0] == outputs[1]
+        assert "runtime" not in json.loads(outputs[0])
 
 
 class TestMixedValueTypes:

@@ -407,11 +407,6 @@ class TestSession:
         obs = Observation.from_config(CSPMConfig(progress=True))
         assert obs.progress.enabled and not obs.tracer.enabled
 
-    def test_for_worker_is_span_capture_only(self):
-        assert Observation.for_worker(trace=False) is NULL_OBS
-        obs = Observation.for_worker(trace=True)
-        assert obs.tracer.enabled
-        assert not obs.metrics.enabled and not obs.progress.enabled
 
 
 # ----------------------------------------------------------------------
@@ -535,6 +530,32 @@ class TestTracedBitExactness:
         assert all(lane.startswith("batch[") for lane in lanes)
         histograms = obs.metrics.snapshot()["histograms"]
         assert histograms["batch.run_seconds"]["count"] == len(graphs)
+
+
+# ----------------------------------------------------------------------
+# Batch lanes: every run is a lane, under any executor
+# ----------------------------------------------------------------------
+
+
+class TestBatchLanes:
+    @pytest.mark.parametrize("executor, n_jobs", [("process", 2), ("serial", 1)])
+    def test_active_session_adopts_one_lane_per_run(self, executor, n_jobs):
+        graphs = [paper_running_example(), planted(seed=3), planted(seed=4)]
+        obs = Observation.create(trace=True)
+        with activate(obs):
+            batch = fit_many(graphs, CSPMConfig(), n_jobs=n_jobs, executor=executor)
+        assert batch.obs is obs
+        lanes = {lane: spans for _pid, lane, spans in obs.tracer.adopted}
+        assert sorted(lanes) == ["batch[0]", "batch[1]", "batch[2]"]
+        for run in batch:
+            spans = lanes[f"batch[{run.index}]"]
+            names = [record[0] for record in spans]
+            assert all(names.count(name) == 1 for name in STAGE_SPANS)
+            # The lane holds this run's spans: its build counted this
+            # run's coresets.
+            (rows,) = [record for record in spans if record[0] == "build.rows"]
+            assert json.loads(rows[4])["coresets"] == len(run.result.core_table)
+        assert not any(record[0].startswith("mine.") for record in obs.tracer.spans)
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,18 @@ re-runs each failed task in-process.  Faults come from deterministic
 Covered per site (search components, batch runs): each fault kind,
 re-run in-process and ``==`` the serial run; the search site also on
 the chunked mask backend, and with one crash counted once however many
-unfinished tasks it fails.  Hangs run under a patched
-``DEFAULT_WORKER_TIMEOUT``.
+unfinished tasks it fails; both sites with ``fork`` hidden from the
+supervisor (spawned workers, shared state through the pool
+initializer).  Hangs run under a patched ``DEFAULT_WORKER_TIMEOUT``.
 """
 
+import io
 import json
+import multiprocessing
 import os
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -32,7 +37,7 @@ from repro.errors import ConfigError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
-from repro.obs import Observation, activate
+from repro.obs import Observation, activate, current
 from repro.runtime import (
     ENV_VAR,
     FaultEvent,
@@ -40,6 +45,7 @@ from repro.runtime import (
     SiteReport,
     environment_plan,
     run_supervised,
+    shared_state,
     supervisor,
 )
 
@@ -61,6 +67,41 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00\xff\xfe{}"
 def _double(job):
     """Module-level worker for the supervisor unit tests (FRK001)."""
     return job * 2
+
+
+def _scaled(job):
+    """``job`` times the shared state, and the shared state itself
+    after a nested in-process call with another shared value."""
+    factor = shared_state()
+    inner, _ = run_supervised(
+        "search", [job], _double, workers=1, expect_type=int, shared="inner"
+    )
+    return job * factor, inner[0], shared_state()
+
+
+def _shared_after_a_pause(job):
+    """The shared state, read after giving other threads a turn."""
+    time.sleep(job)
+    return shared_state()
+
+
+def _session_flags(job):
+    """Which recorders the task's session has live; one span."""
+    obs = current()
+    with obs.span("task", job=job):
+        return obs.tracer.enabled, obs.metrics.enabled, obs.progress.enabled
+
+
+def workers_left_running(before, grace=5.0):
+    """Child processes started since ``before`` that are still running
+    after ``grace`` seconds (a broken pool's manager thread reaps its
+    workers concurrently, so a dead worker may take a moment to go)."""
+    deadline = time.monotonic() + grace
+    while True:
+        extra = set(multiprocessing.active_children()) - before
+        if not extra or time.monotonic() > deadline:
+            return extra
+        time.sleep(0.01)
 
 
 def plan_json(site, kind="crash", index=0):
@@ -246,34 +287,110 @@ class TestFaultPlan:
 class TestSupervisor:
     def test_no_faults_preserves_order(self):
         results, report = run_supervised(
-            "batch", [1, 2, 3], _double, max_workers=2, expect_type=int
+            "batch", [1, 2, 3], _double, workers=2, expect_type=int
         )
         assert results == [2, 4, 6]
         assert isinstance(report, SiteReport)
         assert report.tasks == 3
         assert report.degraded_tasks == [] and report.failures == []
 
+    @pytest.mark.parametrize("workers, jobs", [(1, [1, 2]), (2, [1]), (4, [])])
+    def test_one_worker_or_one_job_runs_in_process(self, inject, workers, jobs):
+        # No pool opens, so a planned crash never fires.
+        inject("batch", "crash")
+        results, report = run_supervised(
+            "batch", jobs, _double, workers=workers, expect_type=int
+        )
+        assert results == [job * 2 for job in jobs]
+        assert report is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_state_reaches_every_task_and_nests(self, workers):
+        results, _ = run_supervised(
+            "batch", [1, 2, 3], _scaled, workers=workers, expect_type=tuple, shared=10
+        )
+        # Each task sees the batch's value again after its nested call.
+        assert results == [(10, 2, 10), (20, 4, 10), (30, 6, 10)]
+        assert shared_state() is None
+
+    def test_shared_state_is_per_thread(self):
+        # Concurrent in-process calls from several threads each read
+        # their own state, however their tasks interleave.
+        seen = {}
+
+        def call(value):
+            seen[value], _ = run_supervised(
+                "batch", [0.001] * 20, _shared_after_a_pause,
+                workers=1, expect_type=object, shared=value,
+            )
+
+        threads = [threading.Thread(target=call, args=(value,)) for value in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert seen == {value: [value] * 20 for value in range(6)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_session_is_a_span_buffer_only(self, workers):
+        # Whatever the caller records, a task records spans only, into
+        # its own buffer, adopted as lane site[index].
+        obs = Observation.create(
+            trace=True, metrics=True, progress=True, stream=io.StringIO()
+        )
+        with activate(obs):
+            results, _ = run_supervised(
+                "batch", [0, 1], _session_flags, workers=workers, expect_type=tuple
+            )
+        assert results == [(True, False, False)] * 2
+        lanes = {lane: spans for _pid, lane, spans in obs.tracer.adopted}
+        assert sorted(lanes) == ["batch[0]", "batch[1]"]
+        for index in (0, 1):
+            (span,) = lanes[f"batch[{index}]"]
+            assert span[0] == "task" and json.loads(span[4]) == {"job": index}
+        pool_spans = ["supervisor.pool"] if workers > 1 else []
+        assert [record[0] for record in obs.tracer.spans] == pool_spans
+        results, _ = run_supervised(
+            "batch", [0, 1], _session_flags, workers=workers, expect_type=tuple
+        )
+        assert results == [(False, False, False)] * 2
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_failed_task_reruns_in_process(self, inject, kind):
         inject("batch", kind)
+        before = set(multiprocessing.active_children())
         results, report = run_supervised(
-            "batch", [7], _double, max_workers=1, expect_type=int
+            "batch", [7, 8], _double, workers=2, expect_type=int
         )
-        assert results == [14]
-        assert report.degraded_tasks == [0]
+        # No worker outlives the call, a hung one included.
+        assert not workers_left_running(before)
+        assert results == [14, 16]
+        assert report.degraded_tasks[0] == 0
         assert report.failures[0] == f"batch[0]: injected {kind}"
         if kind == "hang":
             assert "timed out after 2s" in report.failures[1]
+        if kind in ("pickle", "corrupt"):
+            assert report.degraded_tasks == [0]
 
     def test_crash_charges_every_unfinished_task(self, inject):
-        # One worker dies on task 0, so no task ever finished in the
-        # pool: every one of them is re-run in-process, in order.
+        # The worker running task 0 dies.  The pool cannot say which
+        # task killed it, so every task that had not finished by then
+        # is charged with the crash, and each one charged is re-run
+        # in-process, in order.
         inject("batch", "crash")
         results, report = run_supervised(
-            "batch", [1, 2, 3], _double, max_workers=1, expect_type=int
+            "batch", [1, 2, 3, 4], _double, workers=2, expect_type=int
         )
-        assert results == [2, 4, 6]
-        assert report.degraded_tasks == [0, 1, 2]
+        assert results == [2, 4, 6, 8]
+        charged = [
+            int(line[len("batch["):line.index("]")])
+            for line in report.failures
+            if line.endswith(("worker process died", "pool broken by worker crash"))
+        ]
+        assert charged[0] == 0
+        assert report.failures[1] == "batch[0]: worker process died"
+        assert report.degraded_tasks == charged
 
 
 # ----------------------------------------------------------------------
@@ -345,24 +462,26 @@ def batch_graphs():
     return graphs
 
 
+def assert_batch_bit_exact():
+    """``fit_many`` over a process pool == the serial batch; returns
+    the pool's report."""
+    from repro import fit_many
+
+    graphs = batch_graphs()
+    serial = fit_many(graphs, CSPMConfig(top_k=15))
+    supervised = fit_many(graphs, CSPMConfig(top_k=15), n_jobs=2, executor="process")
+    for left, right in zip(serial, supervised):
+        assert left.result.astars == right.result.astars
+        assert left.result.trace.to_dict() == right.result.trace.to_dict()
+        assert left.result.final_dl.total_bits == right.result.final_dl.total_bits
+    return supervised.report
+
+
 class TestBatchSite:
     @pytest.mark.parametrize("kind", KINDS)
     def test_failed_run_reruns_bit_exact(self, inject, kind):
-        from repro import fit_many
-
-        graphs = batch_graphs()
-        serial = fit_many(graphs, CSPMConfig(top_k=15))
         inject("batch", kind)
-        supervised = fit_many(
-            graphs, CSPMConfig(top_k=15), n_jobs=2, executor="process"
-        )
-        for left, right in zip(serial, supervised):
-            assert left.result.astars == right.result.astars
-            assert left.result.trace.to_dict() == right.result.trace.to_dict()
-            assert (
-                left.result.final_dl.total_bits == right.result.final_dl.total_bits
-            )
-        assert 0 in supervised.report.degraded_tasks
+        assert 0 in assert_batch_bit_exact().degraded_tasks
 
     def test_mining_exception_is_isolated_not_rerun(self):
         """A deterministic per-run exception becomes an error record in
@@ -384,6 +503,32 @@ class TestBatchSite:
         assert batch.report.degraded_tasks == [] and batch.report.failures == []
         document = failed.to_dict()
         assert document["error"] == failed.error
+
+
+# ----------------------------------------------------------------------
+# Both sites on a platform without fork
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture()
+def spawn_only(monkeypatch):
+    """Hide ``fork`` from the supervisor: workers are spawned, and the
+    pool initializer installs the shared state in each of them."""
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+    )
+
+
+class TestSpawnedWorkers:
+    def test_batch_matches_serial(self, spawn_only):
+        assert assert_batch_bit_exact().degraded_tasks == []
+
+    @pytest.mark.parametrize("site", ["search", "batch"])
+    def test_crash_reruns_in_process(self, spawn_only, inject, site):
+        inject(site, "crash")
+        report = assert_search_bit_exact() if site == "search" else assert_batch_bit_exact()
+        assert report.degraded_tasks[0] == 0
+        assert f"{site}[0]: worker process died" in report.failures
 
 
 # ----------------------------------------------------------------------
@@ -410,21 +555,29 @@ class TestEndToEnd:
         assert 0 in report["degraded_tasks"]
         assert "search[0]: injected crash" in report["failures"]
 
-    def test_mine_json_surfaces_runtime_telemetry(self, tmp_path, capsys, inject):
+    def test_mine_json_is_unchanged_by_a_rerun(self, tmp_path, capsys, inject):
+        # The re-run shows in the metrics, never in the document.
         from repro.cli import main
         from repro.graphs.io import save_json
 
         path = tmp_path / "graph.json"
         save_json(multi_component_graph(4), path)
+
+        def mine(metrics):
+            argv = ["mine", str(path), "--json", "--search", "sharded",
+                    "--search-workers", "2", "--metrics", str(metrics)]
+            assert main(argv) == 0
+            return capsys.readouterr().out, json.loads(metrics.read_text())["counters"]
+
+        clean, clean_counters = mine(tmp_path / "clean.json")
         inject("search", "crash")
-        argv = ["mine", str(path), "--json", "--search", "sharded", "--search-workers", "2"]
-        assert main(argv) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert set(document["runtime"]) == {"search"}
-        assert 0 in document["runtime"]["search"]["degraded_tasks"]
+        faulted, counters = mine(tmp_path / "faulted.json")
+        assert faulted == clean
+        assert "runtime.degraded_tasks{site=search}" not in clean_counters
+        assert counters["runtime.degraded_tasks{site=search}"] >= 1
         # The config echo carries no plan: a plan is not a run setting.
-        expected = CSPMConfig(search="sharded", search_workers=2).to_dict()
-        assert document["config"] == expected
+        expected = CSPMConfig(search="sharded", search_workers=2, metrics=True)
+        assert json.loads(faulted)["config"] == expected.to_dict()
 
     @pytest.mark.parametrize(
         "plan, named",

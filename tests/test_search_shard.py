@@ -250,6 +250,16 @@ class TestBitExact:
         sharded = assert_bit_exact(multi_component_graph(3), workers=workers)
         assert sharded.num_components >= 3
 
+    def test_spawned_worker_pool(self, monkeypatch):
+        # Where the platform has no fork, the supervisor spawns the
+        # workers and its pool initializer hands them the database.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        sharded = assert_bit_exact(multi_component_graph(3), workers=2)
+        assert sharded.report.tasks >= 3
+        assert sharded.report.degraded_tasks == []
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("scope", ["lazy", "related"])
     @pytest.mark.parametrize("seed", range(4))
@@ -372,16 +382,35 @@ class TestPipelineAndConfig:
         assert sharded.trace.to_dict() == serial.trace.to_dict()
         left = json.loads(serial.to_json())
         right = json.loads(sharded.to_json())
-        # Everything but the recorded search knobs and the supervised-
-        # runtime telemetry (absent on serial runs) is identical.
+        # Everything but the recorded search knobs is identical; the
+        # supervised-runtime telemetry stays on the result object.
         assert right["config"].pop("search") == "sharded"
         assert right["config"].pop("search_workers") == 2
-        runtime = right.pop("runtime")
-        assert "runtime" not in left
-        assert set(runtime) == {"search"}
-        assert runtime["search"]["degraded_tasks"] == []
-        assert runtime["search"]["failures"] == []
         assert left == right
+        assert serial.runtime is None
+        assert set(sharded.runtime) == {"search"}
+        assert sharded.runtime["search"]["degraded_tasks"] == []
+        assert sharded.runtime["search"]["failures"] == []
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_fit_many_runs_a_sharded_search_in_each_task(self, executor):
+        # Each batch task opens the search site's own pool; the search
+        # restores the batch's shared state for the task after it.
+        from repro.batch import fit_many
+
+        graphs = [multi_component_graph(seed) for seed in (8, 9)]
+        plain = fit_many(graphs)
+        sharded = fit_many(
+            graphs,
+            CSPMConfig(search="sharded", search_workers=2),
+            n_jobs=2,
+            executor=executor,
+        )
+        for left, right in zip(plain, sharded):
+            assert right.result.astars == left.result.astars
+            assert right.result.trace.to_dict() == left.result.trace.to_dict()
+            assert right.result.final_dl == left.result.final_dl
+            assert right.result.runtime["search"]["tasks"] >= 3
 
     def test_max_iterations_falls_back_to_serial(self):
         from repro.core.miner import CSPM
