@@ -37,7 +37,7 @@ The package is organised around the paper's pipeline:
     telemetry, and throttled progress heartbeats — all behind
     zero-cost no-op defaults, enabled via
     ``CSPMConfig(trace=..., metrics=..., progress=...)`` or the
-    matching ``mine``/``bench`` flags — see ``docs/OBSERVABILITY.md``.
+    matching ``mine`` flags — see ``docs/OBSERVABILITY.md``.
 ``repro.itemsets``
     Krimp and SLIM, the MDL itemset miners used both as the multi-value
     coreset encoder (Section IV-F) and as the runtime baseline of
@@ -95,7 +95,7 @@ from repro.errors import (
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "AStar",

@@ -1,13 +1,13 @@
 """Config/CLI drift rules: the knob registry stays fully wired.
 
-``CSPMConfig`` is the single source of truth for run knobs; the CLI
-(``mine``) and the perf suite (``bench``) re-expose them as flags.  Two
-drift modes have bitten similar projects (see docs/INVARIANTS.md,
-family 4): a new config field that is silently unreachable from the
-CLI, and a ``to_dict`` default-omission clause whose pinned constant
-falls out of sync with the declared field default — which would change
-serialised result documents (and the CLI golden file) without any test
-noticing until the next full regeneration.
+``CSPMConfig`` is the single source of truth for run knobs; the CLI's
+``mine`` re-exposes them as flags.  Two drift modes have bitten
+similar projects (see docs/INVARIANTS.md, family 4): a new config
+field that is silently unreachable from the CLI, and a ``to_dict``
+default-omission clause whose pinned constant falls out of sync with
+the declared field default — which would change serialised result
+documents (and the CLI golden file) without any test noticing until
+the next full regeneration.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ EXEMPT_FIELDS: Dict[str, str] = {
     "max_iterations": "safety cap for embedders, API-only by design",
 }
 
-#: Functions that mark a module as flag-bearing: the drift check only
-#: runs when at least one of them is in view, so linting a lone snippet
-#: does not report every field as unwired.
-FLAG_FUNCTIONS = ("_add_mine", "add_bench_arguments")
+#: The function that marks a module as flag-bearing: the drift check
+#: only runs when it is in view, so linting a lone snippet does not
+#: report every field as unwired.
+FLAG_FUNCTION = "_add_mine"
 
 
 def _config_fields(
@@ -72,13 +72,6 @@ def _declared_flags(context: LintContext) -> Set[str]:
     return flags
 
 
-def _has_flag_function(context: LintContext) -> bool:
-    return any(
-        context.module_with_function(name)[0] is not None
-        for name in FLAG_FUNCTIONS
-    )
-
-
 @register
 class ConfigFlagDriftRule(Rule):
     """CFG001: every ``CSPMConfig`` field has a CLI flag or an explicit
@@ -86,12 +79,11 @@ class ConfigFlagDriftRule(Rule):
 
     The expected flag is ``--<field-with-dashes>`` or the alias in
     :data:`FLAG_ALIASES`; it may be declared by any ``add_argument``
-    call in view (``mine`` in ``cli.py`` or ``bench`` in
-    ``perf/suite.py``).  Fields in :data:`EXEMPT_FIELDS` are skipped —
-    adding a field to the exemption dict is the deliberate opt-out.
-    The perf-bounds file points here: a knob added without wiring fails
-    this rule before it can silently diverge from the benchmarks.  See
-    docs/INVARIANTS.md (family 4).
+    call in view (``mine``'s, in ``cli.py``).  Fields in
+    :data:`EXEMPT_FIELDS` are skipped — adding a field to the exemption
+    dict is the deliberate opt-out.  A knob added without wiring fails
+    this rule before a run that sets it becomes one ``mine`` cannot
+    repeat.  See docs/INVARIANTS.md (family 4).
     """
 
     id = "CFG001"
@@ -99,7 +91,10 @@ class ConfigFlagDriftRule(Rule):
 
     def check_project(self, context: LintContext) -> Iterable[Finding]:
         module, class_def = context.module_with_class(CONFIG_CLASS)
-        if module is None or not _has_flag_function(context):
+        if (
+            module is None
+            or context.module_with_function(FLAG_FUNCTION)[0] is None
+        ):
             return ()
         flags = _declared_flags(context)
         findings: List[Finding] = []
@@ -113,7 +108,7 @@ class ConfigFlagDriftRule(Rule):
                         module,
                         node,
                         f"config field {name!r} has no CLI flag "
-                        f"({expected} not declared by mine/bench) and no "
+                        f"({expected} not declared by mine) and no "
                         f"entry in the exemption list",
                     )
                 )

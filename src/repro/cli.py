@@ -8,7 +8,6 @@ Subcommands::
     python -m repro.cli datasets                 # list dataset analogues
     python -m repro.cli generate <name> out.json # write an analogue
     python -m repro.cli alarms                   # Fig. 8 style comparison
-    python -m repro.cli bench --quick            # perf suite -> BENCH_cspm.json
     python -m repro.cli lint                     # invariant linter (repro.analysis)
     python -m repro.cli version                  # print the package version
 
@@ -219,21 +218,6 @@ def _add_lint(subparsers) -> None:
     )
 
 
-def _add_bench(subparsers) -> None:
-    from repro.perf.suite import add_bench_arguments
-
-    parser = subparsers.add_parser(
-        "bench",
-        help="run the perf suite and write BENCH_cspm.json",
-        description="Measure the seeding, gain-evaluation and "
-        "lazy-refresh counters and the search wall-clock on the Fig. 5 "
-        "/ Table III synthetic workloads (see repro.perf.suite).  With "
-        "--workload, only the named families are re-measured and the "
-        "rest of an existing output document is preserved.",
-    )
-    add_bench_arguments(parser)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -252,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generate(subparsers)
     _add_alarms(subparsers)
     _add_lint(subparsers)
-    _add_bench(subparsers)
     return parser
 
 
@@ -409,12 +392,6 @@ def _command_lint(args) -> int:
     return 0 if report.clean else 1
 
 
-def _command_bench(args) -> int:
-    from repro.perf.suite import execute
-
-    return execute(args)
-
-
 _COMMANDS = {
     "mine": _command_mine,
     "version": _command_version,
@@ -423,7 +400,6 @@ _COMMANDS = {
     "generate": _command_generate,
     "alarms": _command_alarms,
     "lint": _command_lint,
-    "bench": _command_bench,
 }
 
 

@@ -9,10 +9,10 @@ Fig. 5.
 On top of the serialised trace, :class:`RunTrace` carries process-local
 perf counters (``peak_queue_size``, ``refreshes_skipped``,
 ``dirty_revalidations``) and the incremental DL component sums read by
-the perf harness (``repro.perf.suite``) and the pipeline.  They are
-deliberately *not* part of the serialised schema: the ``mine --json``
-golden file pins schema v1 byte-for-byte, and the counters describe the
-run's machinery, not its mined output.
+the perf harness (``benchmarks/perf_suite.py``) and the pipeline.  They
+are deliberately *not* part of the serialised schema: the ``mine
+--json`` golden file pins schema v1 byte-for-byte, and the counters
+describe the run's machinery, not its mined output.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Generators for the six benchmark-dataset analogues.
+"""Generators for the six benchmark-dataset analogues and the sparse
+community families the perf harnesses scale.
 
 All generators share :func:`community_attributed_graph`: a planted-
 partition topology (dense within communities, sparse across) where each
@@ -340,5 +341,50 @@ def pokec_like(scale: float = 0.001, seed: int = 0) -> AttributedGraph:
         inter_degree=1.5,
         global_values=["slovak", "czech"],
         global_rate=0.1,
+        seed=seed,
+    )
+
+
+# The sparse community family: disjoint 6-value pools, 25 vertices per
+# community, light cross-community wiring.  Scaling the community count
+# scales |SL| linearly and the full pair scan quadratically while the
+# overlap neighbourhood per leafset stays constant.
+SPARSE_POOL_SIZE = 6
+SPARSE_COMMUNITY_SIZE = 25
+
+
+def sparse_scaling_graph(num_communities: int, seed: int = 0) -> AttributedGraph:
+    """The ``sparse-scaling`` family member with ``num_communities``."""
+    pools = [
+        [f"c{community}v{value}" for value in range(SPARSE_POOL_SIZE)]
+        for community in range(num_communities)
+    ]
+    return community_attributed_graph(
+        community_sizes=[SPARSE_COMMUNITY_SIZE] * num_communities,
+        community_pools=pools,
+        values_per_vertex=(2, 3),
+        intra_degree=2.5,
+        inter_degree=0.1,
+        seed=seed,
+    )
+
+
+def pokec_sparse_graph(num_communities: int, seed: int = 0) -> AttributedGraph:
+    """A ``pokec-sparse`` family member (same structure, paper scale).
+
+    Cross-community wiring is kept lighter than ``sparse-scaling``'s so
+    the workload stays dominated by within-community co-occurrence, the
+    regime where sparse chunked masks pay off most clearly.
+    """
+    pools = [
+        [f"c{community}v{value}" for value in range(SPARSE_POOL_SIZE)]
+        for community in range(num_communities)
+    ]
+    return community_attributed_graph(
+        community_sizes=[SPARSE_COMMUNITY_SIZE] * num_communities,
+        community_pools=pools,
+        values_per_vertex=(2, 3),
+        intra_degree=2.5,
+        inter_degree=0.05,
         seed=seed,
     )

@@ -1,7 +1,7 @@
 """Throttled heartbeat lines for long-running phases.
 
-``mine --progress`` (and ``bench --progress``) surface these on
-stderr so a multi-minute search is no longer a black box::
+``mine --progress`` (and the perf harness's ``--progress``) surface
+these on stderr so a multi-minute search is no longer a black box::
 
     [repro] build: rows=1842 seconds=0.41
     [repro] search: merges=120 queue=483

@@ -214,9 +214,10 @@ class BuildInvertedDB(PipelineStage):
     (:mod:`repro.core.masks`; ``"auto"`` resolves by graph size —
     bigint for small graphs, chunked sparse bitmaps at paper scale).
     The stage records the construction wall-clock in
-    ``context.extras["construction_seconds"]`` (the perf suite's
-    schema-v4 metric).  The initial description length is
-    :func:`~repro.core.mdl.description_length` of the fresh database.
+    ``context.extras["construction_seconds"]``, which the perf harness
+    (``benchmarks/perf_suite.py``) reports.  The initial description
+    length is :func:`~repro.core.mdl.description_length` of the fresh
+    database.
     """
 
     def run(self, context: PipelineContext) -> None:

@@ -24,6 +24,10 @@ from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.io import save_json
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import perf_suite
+
 DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
 #: Edges 1-2 and 3-4; vertex 1 carries the int 7, the others strings, so
@@ -256,7 +260,8 @@ RETIRED_FLAGS = [
     pytest.param(["--on-worker-failure", "raise"], id="on-worker-failure"),
     pytest.param(["--fault-plan", "{}"], id="fault-plan"),
 ]
-# ``bench`` has no ``--scope``; the retired scope value is a mine-only row.
+# The perf harness has no ``--scope``; the retired scope value is a
+# mine-only row.
 RETIRED_MINE_FLAGS = [
     *RETIRED_FLAGS,
     pytest.param(["--scope", "exhaustive"], id="exhaustive-scope"),
@@ -266,9 +271,9 @@ RETIRED_MINE_FLAGS = [
 class TestRetiredFlags:
     """Flags of deleted execution variants fail argparse with exit 2."""
 
-    def assert_exits_2(self, argv, capsys):
+    def assert_exits_2(self, argv, capsys, parse=main):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            parse(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err
@@ -280,4 +285,10 @@ class TestRetiredFlags:
 
     @pytest.mark.parametrize("flags", RETIRED_FLAGS)
     def test_bench_exits_2(self, capsys, flags):
-        self.assert_exits_2(["bench", *flags], capsys)
+        # The flags of benchmarks/perf_suite.py, the one perf harness.
+        parse = perf_suite.build_parser().parse_args
+        self.assert_exits_2(flags, capsys, parse=parse)
+
+    def test_repro_bench_exits_2(self, capsys):
+        # The harness left the CLI: ``bench`` is no subcommand.
+        self.assert_exits_2(["bench", "--quick"], capsys)

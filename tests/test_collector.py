@@ -24,11 +24,11 @@ import pytest
 from repro import CSPMConfig, MiningPipeline, fit_many
 from repro.core import collector
 from repro.core.collector import paused_collector
+from repro.datasets.synthetic import pokec_sparse_graph, sparse_scaling_graph
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 from repro.graphs.io import load_json, save_json, to_json_dict
-from repro.perf.suite import pokec_sparse_graph, sparse_scaling_graph
 
 
 @pytest.fixture()

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.datasets import available_datasets, load_dataset
-from repro.datasets.synthetic import community_attributed_graph
+from repro.datasets import available_datasets, load_dataset, synthetic
+from repro.datasets.synthetic import (
+    community_attributed_graph,
+    pokec_sparse_graph,
+    sparse_scaling_graph,
+)
 from repro.errors import DatasetError
 from repro.graphs.stats import graph_stats
 
@@ -113,3 +117,32 @@ class TestShapes:
             if graph.attributes_of(v) & young and graph.attributes_of(v) & older
         )
         assert mixed == 0  # pools do not mix within a profile
+
+
+class TestSparseFamilies:
+    """The perf harnesses' scaling families."""
+
+    @pytest.mark.parametrize("family", [sparse_scaling_graph, pokec_sparse_graph])
+    def test_deterministic(self, family):
+        first = family(3)
+        second = family(3)
+        assert first.num_vertices == second.num_vertices
+        assert sorted(first.edges()) == sorted(second.edges())
+
+    def test_scales_value_universe(self):
+        small = sparse_scaling_graph(2)
+        large = sparse_scaling_graph(4)
+        assert len(large.attribute_values()) > len(small.attribute_values())
+
+    def test_perf_suite_module_only_re_exports_them(self):
+        # perfbench imports these three names from repro.perf.suite,
+        # which holds nothing else.
+        import repro.perf.suite as shim
+
+        public = {
+            name: value for name, value in vars(shim).items()
+            if not name.startswith("_")
+        }
+        names = ("SPARSE_COMMUNITY_SIZE", "SPARSE_POOL_SIZE", "pokec_sparse_graph")
+        assert public == {name: getattr(synthetic, name) for name in names}
+        assert shim.pokec_sparse_graph is synthetic.pokec_sparse_graph

@@ -39,6 +39,7 @@ from repro.core.masks import (
     get_backend,
     resolve_backend,
 )
+from repro.datasets.synthetic import pokec_sparse_graph
 from repro.errors import ConfigError, MiningError
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
@@ -521,8 +522,6 @@ class TestMemoryAccounting:
         # A sparse community-structured database at modest width: the
         # chunked representation must undercut the whole-graph bigint
         # estimate (the pokec-sparse acceptance ratio, in miniature).
-        from repro.perf.suite import pokec_sparse_graph
-
         graph = pokec_sparse_graph(200)  # 5000 vertices
         db = InvertedDatabase.from_graph(
             graph, mask_backend=get_backend("chunked")
@@ -538,8 +537,6 @@ class TestMemoryAccounting:
         # The reduction ratio's denominator must be honest: on either
         # backend, the estimate equals the bytes of whole-graph ints
         # actually built from each held row's and union's vertex bits.
-        from repro.perf.suite import pokec_sparse_graph
-
         graph = pokec_sparse_graph(20)
         for name in ("chunked", "bigint"):
             db = InvertedDatabase.from_graph(graph, mask_backend=get_backend(name))
