@@ -9,7 +9,8 @@ The harness reproduces the *shape* of the paper's scaling measurements
 (Fig. 5: gain computations touched per step; Table III: runtime of the
 search variants) on deterministic workloads, and writes one run of the
 code it was run from to ``--out`` (default: ``BENCH_cspm.json`` at the
-repo root).  Each member graph is encoded and built once by the
+repo root, ``BENCH_quick.json`` under ``--quick``, so a quick run never
+replaces the tracked full-suite document).  Each member graph is encoded and built once by the
 pipeline's own ``EncodeCoresets`` and ``BuildInvertedDB`` stages; each
 measured case then runs the ``Search`` stage on a copy of that
 database under a ``CSPMConfig`` of its own, so a case mines what
@@ -504,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out",
-        default=str(REPO_ROOT / "BENCH_cspm.json"),
-        help="output path (default: BENCH_cspm.json at the repo root)",
+        help="output path (default: BENCH_cspm.json at the repo root, "
+        "BENCH_quick.json with --quick)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -556,6 +557,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """The flags, with ``--out`` resolved to its default path."""
+    args = build_parser().parse_args(argv)
+    if args.out is None:
+        name = "BENCH_quick.json" if args.quick else "BENCH_cspm.json"
+        args.out = str(REPO_ROOT / name)
+    return args
+
+
 def execute(args: argparse.Namespace) -> int:
     # A bad flag or bounds file fails here, before anything is measured.
     config = CSPMConfig(
@@ -603,7 +613,7 @@ def execute(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the harness; a ``ReproError`` exits 2 with one ``error:`` line."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return execute(args)
     except ReproError as exc:

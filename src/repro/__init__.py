@@ -95,7 +95,7 @@ from repro.errors import (
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "AStar",

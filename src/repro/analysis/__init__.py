@@ -16,31 +16,23 @@ Public surface::
 
     report = lint_paths()          # lint the installed repro package
     report = lint_sources([("core/mdl.py", source_text)])
-    report.findings                # non-baselined findings (fail CI)
-    report.baselined               # grandfathered findings
-    report.clean                   # no non-baselined findings
+    report.findings                # every finding (fails CI)
+    report.clean                   # no findings
 
-Rules are registered by :mod:`repro.analysis.rules`; suppression is
-``# repro: noqa[RULEID]`` on the finding's line; the committed
-``lint_baseline.json`` grandfathers nothing (the tree is clean) but
-keeps the baseline path exercised.  See ``docs/INVARIANTS.md`` for the
+Rules are registered by :mod:`repro.analysis.rules`; the one exemption
+is ``# repro: noqa[RULEID]`` on the finding's line.  A path that cannot
+be read or parsed, and an unknown rule id, raise
+:class:`~repro.errors.ReproError`.  See ``docs/INVARIANTS.md`` for the
 contracts in prose.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
-from repro.analysis.baseline import (
-    baseline_document,
-    load_baseline,
-    save_baseline,
-    split_baselined,
-)
 from repro.analysis.core import (
     RULE_REGISTRY,
     Finding,
@@ -50,6 +42,7 @@ from repro.analysis.core import (
     run_rules,
 )
 from repro.analysis.report import render_json, render_text, report_document
+from repro.errors import ReproError
 
 
 @dataclass
@@ -57,7 +50,6 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: List[Finding]
-    baselined: List[Finding]
     modules: int
     rules: List[Rule] = field(default_factory=list)
 
@@ -66,17 +58,13 @@ class LintReport:
         return not self.findings
 
     def render_text(self) -> str:
-        return render_text(self.findings, self.baselined, self.modules)
+        return render_text(self.findings, self.modules)
 
     def render_json(self) -> str:
-        return render_json(
-            self.findings, self.baselined, self.modules, self.rules
-        )
+        return render_json(self.findings, self.modules, self.rules)
 
     def to_dict(self) -> Dict:
-        return report_document(
-            self.findings, self.baselined, self.modules, self.rules
-        )
+        return report_document(self.findings, self.modules, self.rules)
 
 
 def default_lint_root() -> Path:
@@ -85,41 +73,45 @@ def default_lint_root() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
+def _read_source(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from None
+
+
 def _collect_sources(paths: Sequence[str]) -> List[Tuple[str, str]]:
     sources: List[Tuple[str, str]] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            for file_path in sorted(path.rglob("*.py")):
-                display = file_path.relative_to(path).as_posix()
-                sources.append((display, file_path.read_text()))
+            # Display paths keep the directory's own name, so scope
+            # suffixes like ``runtime/supervisor.py`` still match when
+            # only ``src/repro/runtime`` is linted.
+            base = path.resolve()
+            for file_path in sorted(base.rglob("*.py")):
+                display = file_path.relative_to(base.parent).as_posix()
+                sources.append((display, _read_source(file_path)))
         else:
             # Keep the path as given (posix) so scope suffixes like
             # ``core/mdl.py`` still match single-file invocations.
-            sources.append((path.as_posix(), path.read_text()))
+            sources.append((path.as_posix(), _read_source(path)))
     return sources
 
 
 def lint_sources(
     sources: Sequence[Tuple[str, str]],
     rule_ids: Optional[Sequence[str]] = None,
-    baseline: Optional[Counter] = None,
 ) -> LintReport:
     """Lint in-memory ``(display_path, source)`` pairs.
 
     The display path is what rules match scopes against (use
-    ``core/mdl.py``-style suffixes) and what baselines key on.
+    ``core/mdl.py``-style suffixes).
     """
     selected = resolve_rules(rule_ids)
     modules = [SourceModule.parse(path, text) for path, text in sources]
-    findings = run_rules(modules, selected)
-    if baseline:
-        fresh, grandfathered = split_baselined(findings, baseline)
-    else:
-        fresh, grandfathered = findings, []
     return LintReport(
-        findings=fresh,
-        baselined=grandfathered,
+        findings=run_rules(modules, selected),
         modules=len(modules),
         rules=selected,
     )
@@ -128,13 +120,11 @@ def lint_sources(
 def lint_paths(
     paths: Optional[Sequence[str]] = None,
     rule_ids: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
 ) -> LintReport:
     """Lint files/directories (default: the installed repro package)."""
     if not paths:
         paths = [str(default_lint_root())]
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    return lint_sources(_collect_sources(paths), rule_ids, baseline)
+    return lint_sources(_collect_sources(paths), rule_ids)
 
 
 __all__ = [
@@ -142,15 +132,11 @@ __all__ = [
     "LintReport",
     "Rule",
     "RULE_REGISTRY",
-    "baseline_document",
     "default_lint_root",
     "lint_paths",
     "lint_sources",
-    "load_baseline",
     "render_json",
     "render_text",
     "resolve_rules",
     "run_rules",
-    "save_baseline",
-    "split_baselined",
 ]

@@ -13,8 +13,7 @@ up in ``docs/INVARIANTS.md``).
 
 This module carries the machinery the rules plug into:
 
-* :class:`Finding` — one diagnostic, with a stable fingerprint for
-  baselining;
+* :class:`Finding` — one diagnostic;
 * :class:`SourceModule` — a parsed file plus its per-line
   ``# repro: noqa[RULE]`` suppressions;
 * :class:`Rule` and :func:`register` — the rule plugin surface.  A rule
@@ -37,6 +36,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+from repro.errors import ReproError
 
 SEVERITIES = ("error", "warning")
 
@@ -62,11 +63,6 @@ class Finding:
 
     def sort_key(self) -> Tuple:
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """The baseline identity: line numbers deliberately excluded so
-        grandfathered findings survive unrelated edits above them."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -94,7 +90,13 @@ class SourceModule:
 
     @classmethod
     def parse(cls, path: str, source: str) -> "SourceModule":
-        return cls(path, source, ast.parse(source, filename=path))
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            raise ReproError(
+                f"cannot parse {path}, line {exc.lineno}: {exc.msg}"
+            ) from None
+        return cls(path, source, tree)
 
     def path_endswith(self, suffix: str) -> bool:
         """Suffix match on the display path (``core/mdl.py`` matches
@@ -210,12 +212,12 @@ def register(rule_cls):
 
 def resolve_rules(rule_ids: Optional[Sequence[str]] = None) -> List[Rule]:
     """The selected rules (all registered rules when ``rule_ids`` is
-    None); unknown ids raise ``ValueError`` with the known set."""
+    None); unknown ids raise ``ReproError`` with the known set."""
     if rule_ids is None:
         return list(RULE_REGISTRY.values())
     unknown = sorted(set(rule_ids) - set(RULE_REGISTRY))
     if unknown:
-        raise ValueError(
+        raise ReproError(
             f"unknown rule ids {unknown}; known: {sorted(RULE_REGISTRY)}"
         )
     return [RULE_REGISTRY[rule_id] for rule_id in dict.fromkeys(rule_ids)]
@@ -281,20 +283,3 @@ def walk_functions(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def module_level_callables(tree: ast.Module) -> FrozenSet[str]:
-    """Names statically known to resolve at module scope: top-level
-    ``def``s and imported names (what a pickle of the callable can find
-    again by qualified name in a worker process)."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return frozenset(names)

@@ -3,16 +3,14 @@
 The JSON form is what CI uploads as an artifact; its shape is::
 
     {
-      "version": 1,
+      "version": 2,
       "clean": true,
       "modules": 62,
       "rules": {"DET001": {"title": ..., "severity": ..., "count": 0}, ...},
-      "findings": [ {rule, path, line, col, severity, message}, ... ],
-      "baselined": [ ...same shape... ]
+      "findings": [ {rule, path, line, col, severity, message}, ... ]
     }
 
-``clean`` reflects the *non-baselined* findings only — exactly the
-condition the lint exit code gates on.
+``clean`` is exactly the condition the lint exit code gates on.
 """
 
 from __future__ import annotations
@@ -22,28 +20,20 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.core import Finding, Rule
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
-def render_text(
-    findings: Sequence[Finding],
-    baselined: Sequence[Finding],
-    modules: int,
-) -> str:
+def render_text(findings: Sequence[Finding], modules: int) -> str:
     lines: List[str] = [finding.render() for finding in findings]
-    summary = (
+    lines.append(
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
         f"in {modules} module{'s' if modules != 1 else ''}"
     )
-    if baselined:
-        summary += f" ({len(baselined)} baselined, not counted)"
-    lines.append(summary)
     return "\n".join(lines)
 
 
 def report_document(
     findings: Sequence[Finding],
-    baselined: Sequence[Finding],
     modules: int,
     rules: Sequence[Rule],
 ) -> Dict:
@@ -66,16 +56,12 @@ def report_document(
         "modules": modules,
         "rules": per_rule,
         "findings": [finding.to_dict() for finding in findings],
-        "baselined": [finding.to_dict() for finding in baselined],
     }
 
 
 def render_json(
     findings: Sequence[Finding],
-    baselined: Sequence[Finding],
     modules: int,
     rules: Sequence[Rule],
 ) -> str:
-    return json.dumps(
-        report_document(findings, baselined, modules, rules), indent=2
-    )
+    return json.dumps(report_document(findings, modules, rules), indent=2)

@@ -241,31 +241,19 @@ class HashDerivedOrderingRule(Rule):
 
 @register
 class UnseededEntropyRule(Rule):
-    """DET003: unseeded randomness or wall-clock reads inside ``core/``.
+    """DET003: unseeded randomness inside ``core/``.
 
     The mining core must be a pure function of (graph, config): global-
     RNG calls (``random.random()``, ``np.random.rand()``, an argument-
-    less ``default_rng()``) and wall-clock reads (``time.time()`` and
-    friends) make merges — and therefore golden files — irreproducible.
-    Seeded generators (``random.Random(seed)``,
-    ``np.random.default_rng(seed)``) pass; timing belongs in the
-    pipeline/benchmark layers outside ``core/``.  See
-    docs/INVARIANTS.md (family 1).
+    less ``default_rng()``) make merges — and therefore golden files —
+    irreproducible.  Seeded generators (``random.Random(seed)``,
+    ``np.random.default_rng(seed)``) pass.  Wall-clock reads are
+    OBS002's: no module outside ``repro/obs/`` may import ``time``.
+    See docs/INVARIANTS.md (family 1).
     """
 
     id = "DET003"
-    title = "unseeded random / wall-clock time in core/"
-
-    _TIME_FUNCS = frozenset(
-        {
-            "time",
-            "time_ns",
-            "monotonic",
-            "monotonic_ns",
-            "perf_counter",
-            "perf_counter_ns",
-        }
-    )
+    title = "unseeded random in core/"
 
     def check_module(
         self, module: SourceModule, context: LintContext
@@ -313,10 +301,5 @@ class UnseededEntropyRule(Rule):
             return (
                 f"{name}() uses numpy's global RNG in core/; use "
                 "np.random.default_rng(seed)"
-            )
-        if parts[0] == "time" and len(parts) == 2 and parts[1] in self._TIME_FUNCS:
-            return (
-                f"{name}() reads the wall clock in core/; timing belongs "
-                "in the pipeline/benchmark layers"
             )
         return None

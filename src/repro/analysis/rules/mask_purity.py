@@ -120,8 +120,8 @@ class BackendSurfaceRule(Rule):
     protocol surface with matching arity.
 
     Required methods are those whose ``MaskBackend`` body raises
-    ``NotImplementedError``; methods with a default body (``make_runs``,
-    ``overlaps_many``) are optional overrides.  Arity is compared
+    ``NotImplementedError``; methods with a default body (``make_runs``)
+    are optional overrides.  Arity is compared
     positionally (``self`` included); a ``*args`` signature on either
     side skips the comparison.  A partial backend would fail at the
     first missed dispatch *on some input* — this rule fails it at lint

@@ -12,9 +12,9 @@ the tree deterministic (see docs/INVARIANTS.md, family 6):
 * ``repro.obs.clock`` is the only sanctioned ``import time`` in the
   package.  Everything else reaches wall-clock through the
   ``repro.obs.clock`` seam (``clock.perf_counter``/``clock.sleep``),
-  which keeps timing monkeypatchable in one place and keeps DET003's
-  no-entropy contract for ``core/`` meaningful — a stray ``import
-  time`` is how nondeterministic timing quietly re-enters a hot path.
+  which keeps timing monkeypatchable in one place and the wall clock
+  out of the mining core — a stray ``import time`` is how
+  nondeterministic timing quietly re-enters a hot path.
 """
 
 from __future__ import annotations
@@ -106,9 +106,11 @@ class ClockSeamRule(Rule):
     ``repro/obs/`` package.  All wall-clock access goes through the
     ``repro.obs.clock`` seam — one rebindable module attribute set —
     so tests can freeze or script time in one place and timing can
-    never silently perturb the deterministic mining paths.  Code that
-    genuinely needs a clock imports ``from repro.obs import clock``
-    and calls ``clock.perf_counter()``/``clock.sleep()``.
+    never silently perturb the deterministic mining paths.  It is the
+    package's one wall-clock check: every ``time.*`` call, under any
+    alias, needs an import this rule flags.  Code that genuinely needs
+    a clock imports ``from repro.obs import clock`` and calls
+    ``clock.perf_counter()``/``clock.sleep()``.
     See docs/INVARIANTS.md (family 6).
     """
 

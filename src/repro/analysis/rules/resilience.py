@@ -1,25 +1,20 @@
-"""Resilience rules for the supervised parallel runtime.
+"""Resilience rule for the supervised parallel runtime.
 
 The supervisor (``runtime/supervisor.py``) owns failure handling for
 every worker pool: a per-task deadline, failure detection, and a
-bit-exact in-process re-run of each failed task.  Two contracts keep that ownership real (see
-docs/INVARIANTS.md, family 5):
-
-* a future/async-result harvested from a pool must always carry a
-  timeout — an argument-less ``.result()`` or ``.get()`` blocks the
-  parent forever on a hung worker, which is exactly the failure mode
-  the supervisor exists to bound;
-* ``BaseException`` (and the bare ``except:`` that implies it) may be
-  caught only at the supervisor boundary.  Anywhere else, a handler
-  that wide swallows ``KeyboardInterrupt``/``SystemExit`` and hides
-  worker crashes from the supervisor, so the failed task is never
-  re-run.
+bit-exact in-process re-run of each failed task (see
+docs/INVARIANTS.md, family 5).  ``BaseException`` (and the bare
+``except:`` that implies it) may be caught only at the supervisor
+boundary.  Anywhere else, a handler that wide swallows
+``KeyboardInterrupt``/``SystemExit`` and hides worker crashes from the
+supervisor, so the failed task is never re-run.  That the supervisor
+is the only module with a pool at all is SUP001's contract (family 3).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.analysis.core import (
     Finding,
@@ -28,83 +23,6 @@ from repro.analysis.core import (
     SourceModule,
     register,
 )
-
-#: Methods that harvest a cross-process result and block until it
-#: arrives: ``Future.result`` and ``AsyncResult.get``.
-HARVEST_METHODS = frozenset({"result", "get"})
-
-#: Path fragments of the modules that talk to worker pools.  The scope
-#: is deliberately narrow — ``dict.get()``-style lookups elsewhere are
-#: not harvests — and every module here must also import a pool API
-#: before the rule fires.
-POOL_MODULE_DIRS: Tuple[str, ...] = ("core/", "runtime/", "batch.py")
-
-
-def _imports_pool_api(tree: ast.Module) -> bool:
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] in ("multiprocessing", "concurrent"):
-                    return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in (
-                "multiprocessing",
-                "concurrent",
-            ):
-                return True
-    return False
-
-
-def _in_pool_scope(module: SourceModule) -> bool:
-    return any(fragment in module.path for fragment in POOL_MODULE_DIRS)
-
-
-@register
-class HarvestTimeoutRule(Rule):
-    """RES001: pool result harvests must carry a timeout.
-
-    Flags argument-less ``.result()`` / ``.get()`` calls in the worker-
-    pool modules (``core/``, ``runtime/``, ``batch.py``) when the module
-    imports ``concurrent``/``multiprocessing``.  Without a timeout the
-    parent blocks forever on a hung worker — the supervisor's
-    ``DEFAULT_WORKER_TIMEOUT`` only bounds anything because every
-    harvest goes through ``future.result(timeout=...)``.  A positional deadline or a
-    ``timeout=`` keyword both satisfy the rule; ``dict.get(key)``-style
-    calls pass because they carry an argument.
-    See docs/INVARIANTS.md (family 5).
-    """
-
-    id = "RES001"
-    title = "pool result harvested without a timeout"
-
-    def check_module(
-        self, module: SourceModule, context: LintContext
-    ) -> Iterable[Finding]:
-        if not _in_pool_scope(module) or not _imports_pool_api(module.tree):
-            return ()
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in HARVEST_METHODS
-                and not node.args
-                and not any(
-                    keyword.arg == "timeout" for keyword in node.keywords
-                )
-            ):
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        f".{func.attr}() without a timeout blocks forever "
-                        f"on a hung worker; pass timeout= so the "
-                        f"supervisor's deadline applies",
-                    )
-                )
-        return findings
 
 
 @register

@@ -171,11 +171,14 @@ def _add_lint(subparsers) -> None:
         "lint",
         help="run the project invariant linter (repro.analysis)",
         description="Static analysis over the repro source tree for the "
-        "project's correctness contracts: hash-seed-stable accumulation "
-        "(DET*), mask-backend protocol conformance and pure read ops "
-        "(MSK*), fork/pickle safety of pool callables and worker "
-        "payloads (FRK*), and config/CLI drift (CFG*).  Exit code 1 on "
-        "any non-baselined finding.  See docs/INVARIANTS.md.",
+        "project's correctness contracts that no structural fix or tier-1 "
+        "test already guarantees: determinism (DET*), mask-backend purity "
+        "(MSK*), one owner of worker processes (SUP001) and picklable "
+        "worker payloads (FRK002), config/CLI drift (CFG001), exception "
+        "handling (RES002), observability (OBS*) and the collector "
+        "(GC001); --list-rules names each rule.  Exit code 1 on any "
+        "finding, 2 on an unreadable or unparsable path or an unknown "
+        "rule id.  See docs/INVARIANTS.md.",
     )
     parser.add_argument(
         "paths",
@@ -188,20 +191,6 @@ def _add_lint(subparsers) -> None:
         action="store_true",
         help="emit the machine-readable report (the CI artifact) "
         "instead of text",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="subtract grandfathered findings recorded in this baseline "
-        "document (see repro.analysis.baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write every current finding to FILE as the new baseline "
-        "and exit 0",
     )
     parser.add_argument(
         "--rule",
@@ -368,26 +357,13 @@ def _command_alarms(args) -> int:
 
 
 def _command_lint(args) -> int:
-    from repro.analysis import lint_paths, resolve_rules, save_baseline
+    from repro.analysis import lint_paths, resolve_rules
 
     if args.list_rules:
         for rule in resolve_rules(None):
             print(f"{rule.id}  [{rule.severity}]  {rule.title}")
         return 0
-    report = lint_paths(
-        paths=args.paths or None,
-        rule_ids=args.rules,
-        baseline_path=args.baseline,
-    )
-    if args.write_baseline:
-        save_baseline(
-            args.write_baseline, report.findings + report.baselined
-        )
-        print(
-            f"wrote {len(report.findings) + len(report.baselined)} "
-            f"finding(s) to {args.write_baseline}"
-        )
-        return 0
+    report = lint_paths(paths=args.paths or None, rule_ids=args.rules)
     print(report.render_json() if args.json else report.render_text())
     return 0 if report.clean else 1
 

@@ -32,6 +32,17 @@ UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "related")
 # module imports only repro.errors, so that direction is cycle-free).
 MASK_BACKENDS: Tuple[str, ...] = ("auto", "bigint", "chunked")
 SEARCHES: Tuple[str, ...] = ("serial", "sharded")
+#: The execution-engine fields: they never change the mined output, so
+#: :meth:`CSPMConfig.to_dict` omits each one while it holds its
+#: declared default.
+EXECUTION_FIELDS: Tuple[str, ...] = (
+    "mask_backend",
+    "search",
+    "search_workers",
+    "trace",
+    "metrics",
+    "progress",
+)
 
 
 @dataclass(frozen=True)
@@ -209,27 +220,19 @@ class CSPMConfig:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable mapping of the config.
 
-        The execution-engine knobs (``mask_backend``,
+        The :data:`EXECUTION_FIELDS` (``mask_backend``,
         ``search``/``search_workers``, and the observability knobs
-        ``trace``/``metrics``/``progress``) are included only when
-        non-default: they never change the mined output, and omitting
-        the defaults keeps existing schema-v1 result documents
-        (including the CLI golden file) byte-identical.
+        ``trace``/``metrics``/``progress``) are included only when they
+        differ from their declared defaults: they never change the mined
+        output, and omitting the defaults keeps existing schema-v1
+        result documents (including the CLI golden file) byte-identical.
         :meth:`from_dict` round-trips either way.
         """
         document = dataclasses.asdict(self)
-        if document["mask_backend"] == "auto":
-            del document["mask_backend"]
-        if document["search"] == "serial":
-            del document["search"]
-        if document["search_workers"] is None:
-            del document["search_workers"]
-        if document["trace"] is False:
-            del document["trace"]
-        if document["metrics"] is False:
-            del document["metrics"]
-        if document["progress"] is False:
-            del document["progress"]
+        defaults = {field.name: field.default for field in dataclasses.fields(self)}
+        for name in EXECUTION_FIELDS:
+            if document[name] == defaults[name]:
+                del document[name]
         return document
 
     @classmethod

@@ -353,11 +353,9 @@ def _update_lazy(
     participants and the new leafset — against every leafset under a
     touched coreset, plus the subset-union pairs) but skips the pairs
     whose gain provably did not change for the better.
-    The union test is answered in bulk (one
-    :meth:`~repro.core.masks.base.MaskBackend.overlaps_many` call per
-    focus leafset over all its untested partners), survivors face the
-    touched test, and queue insertions are applied as one batch per
-    focus leafset:
+    Each of a focus leafset's untested partners faces the union test,
+    survivors face the touched test, and queue insertions are applied
+    as one batch per focus leafset:
 
     * current union masks disjoint — every per-coreset intersection is
       empty, the gain is exactly zero; a queued entry is dropped.
@@ -394,9 +392,7 @@ def _update_lazy(
     )
     epoch = db.merge_epoch
     union_of = db.leaf_union_mask
-    backend = db.mask_backend
-    overlaps = backend.union_overlaps
-    overlaps_many = backend.overlaps_many
+    overlaps = db.mask_backend.union_overlaps
     rows_of = db.rows_of
     touched_rows = outcome.touched_core_rows
     queue = state.queue
@@ -405,10 +401,7 @@ def _update_lazy(
         leaf = leafset_of(leaf_id)
         role_rows = touched_rows.get(leaf, ())
         leaf_union = union_of(leaf)
-        # Gather this focus leafset's untested partners, then answer
-        # the union test for the whole batch at once.
-        keys: List[int] = []
-        rel_leaves: List[LeafKey] = []
+        additions: List[Tuple[int, float, object]] = []
         for rel in rel_ids:
             if rel == leaf_id:
                 continue
@@ -416,20 +409,12 @@ def _update_lazy(
             if key in refreshed:
                 continue
             refreshed.add(key)
-            keys.append(key)
-            rel_leaves.append(leafset_of(rel))
-        if not keys:
-            continue
-        rel_unions = [union_of(rel_leaf) for rel_leaf in rel_leaves]
-        alive = overlaps_many(leaf_union, rel_unions)
-        additions: List[Tuple[int, float, object]] = []
-        for index, key in enumerate(keys):
-            if not alive[index]:
+            rel_leaf = leafset_of(rel)
+            if not overlaps(leaf_union, union_of(rel_leaf)):
                 if key in queue:
                     state.drop_candidate(key)
                 trace.refreshes_skipped += 1
                 continue
-            rel_leaf = rel_leaves[index]
             rel_rows = rows_of(rel_leaf)
             for core, role_mask in role_rows:
                 rel_row = rel_rows.get(core)

@@ -125,19 +125,6 @@ class MaskBackend:
         """
         raise NotImplementedError
 
-    def overlaps_many(self, mask: Mask, others: Sequence[Mask]) -> List[bool]:
-        """``[union_overlaps(mask, other) for other in others]`` in bulk.
-
-        The lazy refresh's batched skip test: one probe mask (a leaf
-        union) is tested against every candidate partner's union in a
-        single call, so backends can amortise the per-AND dispatch.  A
-        pure read: neither ``mask`` nor any member of ``others`` may be
-        mutated.  The default implementation is the scalar loop, so
-        results are bit-exact across backends by construction.
-        """
-        overlaps = self.union_overlaps
-        return [overlaps(mask, other) for other in others]
-
     # -- combination ---------------------------------------------------
 
     def or_(self, a: Mask, b: Mask) -> Mask:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List
 
 from repro.datasets import synthetic
@@ -27,7 +28,8 @@ def load_dataset(name: str, scale: float = None, seed: int = 0) -> AttributedGra
     """Generate the named dataset analogue.
 
     ``scale`` defaults to each generator's own default (1.0 for the
-    laptop-scale graphs, a small fraction for Pokec).
+    laptop-scale graphs, a small fraction for Pokec); anything but a
+    finite number above 0 raises :class:`~repro.errors.DatasetError`.
     """
     try:
         generator = _GENERATORS[name]
@@ -37,4 +39,11 @@ def load_dataset(name: str, scale: float = None, seed: int = 0) -> AttributedGra
         ) from None
     if scale is None:
         return generator(seed=seed)
+    if not (
+        isinstance(scale, (int, float))
+        and not isinstance(scale, bool)
+        and math.isfinite(scale)
+        and scale > 0
+    ):
+        raise DatasetError(f"scale must be a finite number above 0, got {scale!r}")
     return generator(scale=scale, seed=seed)

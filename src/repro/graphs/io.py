@@ -106,10 +106,16 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
 
 
 def save_json(graph: AttributedGraph, path: PathLike) -> None:
-    """Write ``graph`` to ``path`` as a JSON document."""
-    Path(path).write_text(
-        json.dumps(to_json_dict(graph), indent=2), encoding="utf-8"
-    )
+    """Write ``graph`` to ``path`` as a JSON document.
+
+    A file that cannot be written raises
+    :class:`~repro.errors.GraphError` naming it.
+    """
+    text = json.dumps(to_json_dict(graph), indent=2)
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise GraphError(f"cannot save graph to {path}: {exc}") from exc
 
 
 def load_json(path: PathLike, int_vertices: bool = True) -> AttributedGraph:

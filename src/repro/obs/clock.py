@@ -1,11 +1,11 @@
 """The injected-clock seam: the only sanctioned ``time`` import.
 
 Every wall-clock read and sleep in ``repro`` goes through this module
-so that (a) the determinism linter can verify that no mining code
-consults the clock directly (DET003 keeps ``core/`` clean; OBS002
-extends the contract to the whole package — see docs/INVARIANTS.md,
-family 6), and (b) tests can monkeypatch one seam to drive timers,
-span clocks and sleeps deterministically.
+so that (a) the linter can verify that no other code consults the
+clock directly (OBS002 flags every other ``time`` import in the
+package — see docs/INVARIANTS.md, family 6), and (b) tests can
+monkeypatch one seam to drive timers, span clocks and sleeps
+deterministically.
 
 The names are rebound module attributes, not wrappers: calling through
 ``clock.perf_counter()`` costs one attribute lookup over ``import

@@ -18,7 +18,7 @@ exports two ways:
 
 Timestamps come from the injected ``clock`` callable (default
 :func:`repro.obs.clock.perf_counter`), never from ``time`` directly,
-so recording stays DET003/OBS002-clean and tests can drive the clock.
+so recording stays OBS002-clean and tests can drive the clock.
 """
 
 from __future__ import annotations

@@ -188,7 +188,7 @@ def execute_with_fault(payload: Tuple) -> Any:
     ``worker`` is the site's module-level task function, ``job`` its
     single argument, and ``fault`` the :class:`FaultEvent` scheduled
     for this task (or ``None``).  Top-level so it pickles by
-    qualified name (FRK001); the injected failure happens *here*, in
+    qualified name; the injected failure happens *here*, in
     the worker process, never in the parent.
     """
     worker, job, site, index, fault = payload
@@ -199,8 +199,8 @@ def execute_with_fault(payload: Tuple) -> Any:
             # kill or a segfault.
             os._exit(101)
         if fault.kind == "hang":
-            # Nothing downstream depends on how long this slept (DET003):
-            # either the deadline fires first, or the task completes.
+            # Nothing downstream depends on how long this slept: either
+            # the deadline fires first, or the task completes.
             # The sleep goes through the injected-clock seam (OBS002).
             from repro.obs import clock
 

@@ -17,7 +17,7 @@ decides everything else:
   a span buffer when the caller's session traces and nothing else,
   and the caller adopts each buffer into lane ``{site}[{index}]``;
 * **what a failure costs** — every ``Future.result`` call waits at
-  most :data:`DEFAULT_WORKER_TIMEOUT` (RES001).  A dead worker
+  most :data:`DEFAULT_WORKER_TIMEOUT`.  A dead worker
   surfaces as ``BrokenProcessPool`` on every unfinished future, with
   no word of *which* task killed it, so every unfinished task counts
   as failed, while the crash itself is counted once per broken pool.
@@ -27,6 +27,10 @@ decides everything else:
   result is ``==`` the no-fault serial run.  Faults are injected only
   inside worker processes
   (:func:`repro.runtime.faults.execute_with_fault`), never here.
+
+No other module imports ``multiprocessing`` or ``concurrent`` (lint
+rule SUP001), so this deadline and re-run cover every worker process;
+the tier-1 hang and spawned-worker tests pin both.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.runtime.faults import environment_plan, execute_with_fault
 
 #: How long one task's result is waited for, seconds.  Generous — real
 #: components and batch runs finish in seconds — but finite, so no
-#: future wait is unbounded (RES001).  Tests patch it to exercise hangs.
+#: future wait is unbounded.  Tests patch it to exercise hangs.
 DEFAULT_WORKER_TIMEOUT = 300.0
 
 
@@ -157,8 +161,9 @@ def run_supervised(
     Returns ``(results, report)`` with ``results[i]`` the result of
     ``worker(jobs[i])`` — order is the caller's, which is what the
     bit-exact merge/stitch code depends on.  ``worker`` must be a
-    module-level callable (FRK001) taking one argument; it reads the
-    state common to all jobs from :func:`shared_state`.
+    module-level callable taking one argument, because each task
+    pickles it by qualified name; it reads the state common to all
+    jobs from :func:`shared_state`.
 
     One worker (``workers=None`` means one per usable CPU) or one job
     runs in-process, and ``report`` is ``None``: there is no pool to

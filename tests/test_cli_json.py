@@ -251,6 +251,26 @@ class TestMalformedGraphFile:
             assert str(path) in err
 
 
+class TestGenerateErrors:
+    """Bad ``generate`` inputs end in one ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_scale(self, tmp_path, capsys, scale):
+        out = tmp_path / "g.json"
+        assert main(["generate", "usflight", str(out), "--scale", scale]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale must be a finite number above 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.json"
+        assert main(["generate", "usflight", str(out), "--scale", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot save graph to {out}: ")
+        assert err.count("\n") == 1
+
+
 RETIRED_FLAGS = [
     pytest.param(["--construction", "partitioned"], id="partitioned-construction"),
     pytest.param(["--construction-workers", "2"], id="construction-workers"),

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro import CSPM, CSPMConfig, ConfigError, MiningError
+from repro.config import EXECUTION_FIELDS
 from repro.graphs.builders import paper_running_example
 
 
@@ -96,6 +97,38 @@ class TestRoundTrip:
 
         text = json.dumps(CSPMConfig(top_k=3).to_dict())
         assert CSPMConfig.from_dict(json.loads(text)) == CSPMConfig(top_k=3)
+
+    #: One non-default value per execution field.
+    NON_DEFAULT = {
+        "mask_backend": "bigint",
+        "search": "sharded",
+        "search_workers": 2,
+        "trace": True,
+        "metrics": True,
+        "progress": True,
+    }
+
+    def test_each_execution_field_is_omitted_only_at_its_default(self):
+        assert set(self.NON_DEFAULT) == set(EXECUTION_FIELDS)
+        names = [field.name for field in dataclasses.fields(CSPMConfig)]
+        mining = [name for name in names if name not in EXECUTION_FIELDS]
+        assert list(CSPMConfig().to_dict()) == mining
+        for name, value in self.NON_DEFAULT.items():
+            document = CSPMConfig(**{name: value}).to_dict()
+            assert list(document) == [n for n in names if n in mining or n == name]
+            assert document[name] == value
+
+    def test_to_dict_bytes_with_every_execution_field_set(self):
+        import json
+
+        text = json.dumps(CSPMConfig(**self.NON_DEFAULT).to_dict())
+        assert text == (
+            '{"method": "partial", "coreset_encoder": "singleton", '
+            '"include_model_cost": true, "max_iterations": null, '
+            '"partial_update_scope": "lazy", "top_k": null, "min_leafset": 1, '
+            '"mask_backend": "bigint", "search": "sharded", "search_workers": 2, '
+            '"trace": true, "metrics": true, "progress": true}'
+        )
 
 
 class TestFacadeShim:

@@ -32,6 +32,13 @@ class TestRegistry:
         second = load_dataset("dblp", scale=0.1, seed=4)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), -float("inf"), 0, 0.0, -1, True, "0.5"]
+    )
+    def test_scale_must_be_a_finite_number_above_zero(self, scale):
+        with pytest.raises(DatasetError, match="finite number above 0"):
+            load_dataset("usflight", scale=scale)
+
 
 class TestCommunityGenerator:
     def test_pools_respected(self):

@@ -542,6 +542,13 @@ def no_measuring(monkeypatch):
 
 
 class TestCommandLine:
+    def test_default_out_keeps_quick_runs_off_the_tracked_document(self):
+        root = Path(perf_suite.__file__).resolve().parents[1]
+        assert perf_suite.parse_args([]).out == str(root / "BENCH_cspm.json")
+        quick = perf_suite.parse_args(["--quick"]).out
+        assert quick == str(root / "BENCH_quick.json")
+        assert perf_suite.parse_args(["--quick", "--out", "b.json"]).out == "b.json"
+
     def test_bad_bounds_file_exits_2_before_measuring(
         self, tmp_path, capsys, no_measuring
     ):

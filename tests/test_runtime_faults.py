@@ -65,7 +65,8 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00\xff\xfe{}"
 
 
 def _double(job):
-    """Module-level worker for the supervisor unit tests (FRK001)."""
+    """Module-level worker for the supervisor unit tests (each task
+    pickles it by qualified name)."""
     return job * 2
 
 
